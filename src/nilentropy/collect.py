@@ -5,8 +5,14 @@ An element is a tuple of integer exponents along the group's basis sequence
 the rational graded Lie algebra attached to its structure constants:
 coordinates are packed into a logarithm with the Campbell-Hausdorff series,
 combined there, and peeled off again.  Running that derivation on symbolic
-exponents produces integer multiplication polynomials, so the runtime path
-is plain ``int`` arithmetic with exact divisions.
+exponents produces integer polynomials for multiplication, inversion and
+powers (P. Hall's multiplication polynomials, computed as in the "Deep
+Thought" approach of Leedham-Green and Soicher).  Each of those polynomial
+maps is generated once as a straight-line Python function
+(:func:`~nilentropy.mpoly.straight_line`), so the runtime path is plain
+``int`` arithmetic with exact divisions and no per-term interpretation.
+Right multipliers ``g -> g * h`` get their own function with ``h`` folded
+into the coefficients.
 
 ``log_vectors[k]`` holds the logarithm of the k-th basis group element as a
 rational coordinate vector; its leading term is the k-th Lie basis vector,
@@ -19,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .assoc import bch_terms
-from .mpoly import MPoly, compile_poly, eval_compiled
+from .mpoly import MPoly, compile_poly, straight_line
 
 
 def _vec_scale(vec, s):
@@ -188,31 +194,36 @@ class CollectionLaw:
         polys = self._sym_polys(self.unpack(_vec_scale(self.pack(e), t)))
         return tuple(compile_poly(p) for p in polys)
 
-    # ---- runtime entry points ----
+    # ---- generated evaluators and runtime entry points ----
+
+    @cached_property
+    def _mul(self):
+        return straight_line("multiply", self._mul_compiled, (self.dim, self.dim))
+
+    @cached_property
+    def _inv(self):
+        return straight_line("inverse", self._inv_compiled, (self.dim,))
+
+    @cached_property
+    def _pow(self):
+        return straight_line("power", self._pow_compiled, (self.dim, 1))
 
     def multiply(self, g, h):
-        vals = tuple(g) + tuple(h)
-        return tuple(eval_compiled(cp, vals) for cp in self._mul_compiled)
+        return self._mul(g, h)
 
     def inverse(self, g):
-        return tuple(eval_compiled(cp, g) for cp in self._inv_compiled)
+        return self._inv(g)
 
     def power(self, g, n):
-        vals = tuple(g) + (n,)
-        return tuple(eval_compiled(cp, vals) for cp in self._pow_compiled)
+        return self._pow(g, (n,))
 
     def right_multiplier(self, h):
         """Specialized ``g -> g * h`` with the second factor folded in."""
         key = tuple(h)
-        cached = self._rm_cache.get(key)
-        if cached is not None:
-            return cached
-        n = self.dim
-        assign = {n + i: v for i, v in enumerate(key)}
-        compiled = tuple(compile_poly(p.partial_eval(assign)) for p in self._mul_sym)
-
-        def rmul(g, _compiled=compiled):
-            return tuple(eval_compiled(cp, g) for cp in _compiled)
-
-        self._rm_cache[key] = rmul
+        rmul = self._rm_cache.get(key)
+        if rmul is None:
+            assign = {self.dim + i: v for i, v in enumerate(key)}
+            compiled = tuple(compile_poly(p.partial_eval(assign)) for p in self._mul_sym)
+            rmul = straight_line("right_multiply", compiled, (self.dim,))
+            self._rm_cache[key] = rmul
         return rmul

@@ -200,10 +200,6 @@ class LieElement:
         return "LieElement(" + " + ".join(bits) + ")"
 
 
-def generate_hall_basis(rank, nil_class):
-    return HallBasis(rank, nil_class)
-
-
 def bracket(u, v, basis=None):
     """Lie bracket of two elements, straightened onto the Hall basis."""
     if basis is None:

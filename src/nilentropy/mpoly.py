@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials over exact rationals.
 
-These are only used while deriving a group's multiplication law.  Runtime
-evaluation goes through the integerized form produced by :func:`compile_poly`,
-which keeps hot paths in plain ``int`` arithmetic.
+:class:`MPoly` is only used while deriving a group's laws.  Each derived
+polynomial is flattened by :func:`compile_poly` into an integer
+``(denominator, terms)`` form, and every polynomial map of a law is then
+turned by :func:`straight_line` into one generated Python function: plain
+``int`` arithmetic with an exact-division check per non-unit denominator.
+That generated function is the only runtime evaluation path.
 """
 
 from __future__ import annotations
@@ -123,16 +126,6 @@ class MPoly:
                 out.pop(key, None)
         return MPoly(self.nvars, out)
 
-    def eval(self, values):
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            p = c
-            for idx, e in enumerate(mono):
-                if e:
-                    p *= Fraction(values[idx]) ** e
-            total += p
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "MPoly(0)"
@@ -164,20 +157,81 @@ def compile_poly(poly):
     return (denom, tuple(out))
 
 
-def eval_compiled(compiled, values):
-    """Evaluate a compiled polynomial at integer values; result must be integral."""
-    denom, terms = compiled
-    total = 0
-    for c, ve in terms:
-        p = c
-        for v, e in ve:
-            p *= values[v] ** e
-        total += p
-    if denom == 1:
-        return total
-    q, r = divmod(total, denom)
-    if r:
-        raise ExactDivisionError(
-            f"expected multiple of {denom}, got remainder {r}"
-        )
-    return q
+# Terms per generated sum expression; CPython's compiler recurses once per
+# ``+``, and a few thousand terms in one expression exceed its limit.
+_CHUNK = 500
+
+
+def _inexact(denom, remainder):
+    raise ExactDivisionError(
+        f"expected multiple of {denom}, got remainder {remainder}"
+    )
+
+
+def _term_text(c, ve):
+    factors = "*".join(f"v{v}" if e == 1 else f"v{v}_{e}" for v, e in ve)
+    if not factors:
+        return repr(c)
+    if c == 1:
+        return factors
+    if c == -1:
+        return f"-{factors}"
+    return f"{c!r}*{factors}"
+
+
+def _sum_text(texts):
+    parts = [texts[0]]
+    for t in texts[1:]:
+        parts.append(f" - {t[1:]}" if t[0] == "-" else f" + {t}")
+    return "".join(parts)
+
+
+def straight_line_source(name, compiled, arg_sizes):
+    """Python source of one function evaluating a tuple of compiled polynomials.
+
+    The function takes one sequence per entry of ``arg_sizes`` and unpacks
+    them, in order, into the variables ``v0, v1, ...``.  Each power
+    ``v_i ** e`` with ``e > 1`` is computed once; each output is one integer
+    sum (split into statements of ``_CHUNK`` terms when longer), followed by
+    an exact ``divmod`` check when its denominator is not 1.  The text is
+    built from sorted terms, ``int`` reprs and variable indices only, so it
+    is a deterministic function of its arguments.
+    """
+    params = [f"a{i}" for i in range(len(arg_sizes))]
+    lines = [f"def {name}({', '.join(params)}):"]
+    first = 0
+    for param, size in zip(params, arg_sizes):
+        names = ", ".join(f"v{first + k}" for k in range(size))
+        lines.append(f"    {names}, = {param}")
+        first += size
+    powers = sorted({(v, e) for _, terms in compiled for _, ve in terms
+                     for v, e in ve if e > 1})
+    lines.extend(f"    v{v}_{e} = v{v} ** {e}" for v, e in powers)
+    outputs = []
+    for k, (denom, terms) in enumerate(compiled):
+        texts = [_term_text(c, ve) for c, ve in terms]
+        chunks = [_sum_text(texts[i:i + _CHUNK])
+                  for i in range(0, len(texts), _CHUNK)] or ["0"]
+        if denom == 1 and len(chunks) == 1:
+            outputs.append(chunks[0])
+            continue
+        lines.append(f"    s{k} = {chunks[0]}")
+        lines.extend(f"    s{k} += {chunk}" for chunk in chunks[1:])
+        if denom != 1:
+            lines.append(f"    s{k}, r = divmod(s{k}, {denom!r})")
+            lines.append("    if r:")
+            lines.append(f"        _inexact({denom!r}, r)")
+        outputs.append(f"s{k}")
+    lines.append(f"    return ({', '.join(outputs)},)")
+    return "\n".join(lines) + "\n"
+
+
+def straight_line(name, compiled, arg_sizes):
+    """Compile :func:`straight_line_source` into a function; the text is dropped.
+
+    A non-integral output raises :class:`ExactDivisionError`.
+    """
+    namespace = {"_inexact": _inexact}
+    exec(compile(straight_line_source(name, compiled, arg_sizes), f"<{name}>", "exec"),
+         namespace)
+    return namespace[name]

@@ -806,7 +806,10 @@ class _Ball:
             r = self.radius + 1
             for g in self.frontier:
                 for rmul in self.directions:
-                    h = rmul(g)
+                    try:
+                        h = rmul(g)
+                    except ExactDivisionError as exc:
+                        raise IntegralityError(str(exc)) from exc
                     if h not in dist:
                         dist[h] = r
                         new.append(h)
@@ -913,6 +916,12 @@ def _decode_int(v):
     raise SpecFormatError(f"expected integer or decimal string, got {v!r}")
 
 
+def _json_array(value, what):
+    if not isinstance(value, list):
+        raise SpecFormatError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def vector_to_json(g):
     return [_encode_int(int(v)) for v in g]
 
@@ -970,16 +979,21 @@ def spec_from_json(data):
                 d = int(key)
             except ValueError as exc:
                 raise SpecFormatError(f"bad relation weight {key!r}") from exc
-            relations[d] = [[_decode_int(x) for x in row] for row in rows]
+            relations[d] = [
+                [_decode_int(x) for x in _json_array(row, f"relation row at weight {key}")]
+                for row in _json_array(rows, f"relations at weight {key}")
+            ]
     basis = HallBasis(rank, nil_class)
     relators = None
     if "relators" in data and data["relators"]:
         if relations is None:
             raise SpecFormatError("relators given without relations")
-        relators = [vector_from_json(r) for r in data["relators"]]
+        relators = [vector_from_json(r) for r in _json_array(data["relators"], "relators")]
     genset = None
     if "generating_set" in data:
-        genset = [vector_from_json(g) for g in data["generating_set"]]
+        genset = [
+            vector_from_json(g) for g in _json_array(data["generating_set"], "generating_set")
+        ]
     try:
         return GroupSpec(
             basis, relations=relations, relators=relators, generating_set=genset

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nilentropy import free_nilpotent
+from nilentropy.mpoly import ExactDivisionError
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +36,26 @@ def random_word(rank, length, rng, max_exp=2):
         (rng.randrange(rank), rng.choice([e for e in range(-max_exp, max_exp + 1) if e]))
         for _ in range(length)
     ]
+
+
+def eval_compiled(compiled, values):
+    """Reference evaluator: one ``(denominator, terms)`` polynomial, term by term.
+
+    This is the interpreter the generated straight-line laws replaced; tests
+    keep it as an independent oracle for them.
+    """
+    denom, terms = compiled
+    total = 0
+    for c, ve in terms:
+        p = c
+        for v, e in ve:
+            p *= values[v] ** e
+        total += p
+    if denom == 1:
+        return total
+    q, r = divmod(total, denom)
+    if r:
+        raise ExactDivisionError(
+            f"expected multiple of {denom}, got remainder {r}"
+        )
+    return q

@@ -217,6 +217,19 @@ def test_computation_error_exits_1(capsys):
     capsys.readouterr()
 
 
+def test_malformed_relations_exit_1(tmp_path, capsys):
+    base = {"rank": 2, "class": 2, "convention": "left-collected"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(base, relations={"2": 5})))
+    proc = run_cli("mul", "--group", str(path), "--left", "x1", "--right", "x2")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    path.write_text(json.dumps(dict(base, relations={"2": [5]})))
+    assert main(["mul", "--group", str(path), "--left", "x1", "--right", "x2"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_thread_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("NILENTROPY_THREADS", "abc")
     assert main(

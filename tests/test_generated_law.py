@@ -1,0 +1,180 @@
+"""Generated straight-line laws against the term-by-term reference evaluator."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilentropy import (
+    GroupSpec,
+    HallBasis,
+    IntegralityError,
+    bfs_ball,
+    free_nilpotent,
+    surface_quotient,
+)
+from nilentropy.mpoly import ExactDivisionError, straight_line
+
+from conftest import eval_compiled
+
+GROUPS = {
+    "F(2,2)": lambda: free_nilpotent(2, 2),
+    "F(2,4)": lambda: free_nilpotent(2, 4),
+    "F(3,3)": lambda: free_nilpotent(3, 3),
+    "F(2,5)": lambda: free_nilpotent(2, 5),
+    "surface(2,3)": cache(lambda: surface_quotient(2, 3)),
+}
+
+BIG = st.integers(2 ** 64, 2 ** 96)
+COORD = st.one_of(st.integers(-3, 3), BIG, BIG.map(lambda v: -v))
+EXPONENT = st.one_of(st.integers(-8, 8), st.integers(2 ** 64, 2 ** 70),
+                     st.integers(-2 ** 70, -2 ** 64))
+
+
+def _interpret(compiled, values):
+    return tuple(eval_compiled(cp, values) for cp in compiled)
+
+
+class ReferenceLaw:
+    """The group law of ``spec`` evaluated through the reference interpreter.
+
+    Quotient specs lift to the free cover, evaluate there and clear the
+    lattice depths exactly as the cover-reduction law does.
+    """
+
+    def __init__(self, spec):
+        self.quotient = spec.free_cover is not None
+        self.outer = spec.law
+        self.free = spec.free_cover.law if self.quotient else spec.law
+
+    def _free_mul(self, g, h):
+        return _interpret(self.free._mul_compiled, tuple(g) + tuple(h))
+
+    def _free_pow(self, g, n):
+        return _interpret(self.free._pow_compiled, tuple(g) + (n,))
+
+    def _lift(self, g):
+        return self.outer.lift(g) if self.quotient else tuple(g)
+
+    def _reduce(self, vec):
+        if not self.quotient:
+            return vec
+        for row, depth in zip(self.outer.nrows, self.outer.depths):
+            if vec[depth]:
+                vec = self._free_mul(self._free_pow(row, -vec[depth]), vec)
+        return tuple(vec[p] for p in self.outer.positions)
+
+    def multiply(self, g, h):
+        return self._reduce(self._free_mul(self._lift(g), self._lift(h)))
+
+    def inverse(self, g):
+        return self._reduce(_interpret(self.free._inv_compiled, self._lift(g)))
+
+    def power(self, g, n):
+        return self._reduce(self._free_pow(self._lift(g), n))
+
+
+def _vector(data, spec):
+    return data.draw(st.tuples(*[COORD] * spec.dim))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_multiply_matches_reference(name, data):
+    spec = GROUPS[name]()
+    g, h = _vector(data, spec), _vector(data, spec)
+    assert spec.law.multiply(g, h) == ReferenceLaw(spec).multiply(g, h)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_power_matches_reference(name, data):
+    spec = GROUPS[name]()
+    g = _vector(data, spec)
+    ref = ReferenceLaw(spec)
+    for n in (0, -1, data.draw(EXPONENT)):
+        assert spec.law.power(g, n) == ref.power(g, n)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_reference(name, data):
+    spec = GROUPS[name]()
+    g = _vector(data, spec)
+    assert spec.law.inverse(g) == ReferenceLaw(spec).inverse(g)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_right_multiplier_matches_reference(name, data):
+    spec = GROUPS[name]()
+    g, h = _vector(data, spec), _vector(data, spec)
+    assert spec.law.right_multiplier(h)(g) == ReferenceLaw(spec).multiply(g, h)
+
+
+def test_division_check_matches_reference():
+    compiled = (2, ((1, ((0, 1),)),))  # v0 / 2
+    half = straight_line("half", (compiled,), (1,))
+    assert half((6,)) == (3,) == (eval_compiled(compiled, (6,)),)
+    with pytest.raises(ExactDivisionError) as expected:
+        eval_compiled(compiled, (1,))
+    with pytest.raises(ExactDivisionError) as got:
+        half((1,))
+    assert str(got.value) == str(expected.value)
+
+
+def test_long_sums_match_reference():
+    terms = tuple((k - 700 or 1, ((0, 1), (1, k % 4 + 1))) for k in range(1201))
+    compiled = ((1, terms), (6, terms), (1, ()))
+    fn = straight_line("long", compiled, (2,))
+    for values in [(1, 1), (2, 3), (6, 2 ** 70), (-5, 7)]:
+        try:
+            expected = tuple(eval_compiled(cp, values) for cp in compiled)
+        except ExactDivisionError as exc:
+            with pytest.raises(ExactDivisionError, match=str(exc)):
+                fn(values)
+        else:
+            assert fn(values) == expected
+
+
+def test_bfs_step_raises_integrality_error(monkeypatch):
+    spec = GroupSpec(HallBasis(2, 2))
+    # every right multiplication yields a coordinate 1/2
+    bad = straight_line("bad", ((2, ((1, ()),)),) * spec.dim, (spec.dim,))
+    monkeypatch.setattr(spec.law, "right_multiplier", lambda h: bad)
+    with pytest.raises(IntegralityError, match="expected multiple of 2, got remainder 1"):
+        bfs_ball(spec, 1)
+
+
+SOURCE_DIGEST = """
+import hashlib
+from nilentropy import free_nilpotent
+from nilentropy.mpoly import straight_line_source
+law = free_nilpotent(3, 4).law
+n = law.dim
+for name, compiled, sizes in (("multiply", law._mul_compiled, (n, n)),
+                              ("inverse", law._inv_compiled, (n,)),
+                              ("power", law._pow_compiled, (n, 1))):
+    text = straight_line_source(name, compiled, sizes)
+    print(name, len(text), hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_generated_source_independent_of_hash_seed():
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", SOURCE_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
