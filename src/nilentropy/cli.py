@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .autom import (
     Endomorphism,
@@ -47,31 +45,6 @@ from .nilgroup import (
     vector_from_json,
     vector_to_json,
 )
-
-
-def _thread_count():
-    raw = os.environ.get("NILENTROPY_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise SpecError(
-            f"NILENTROPY_THREADS must be a positive integer, got {raw!r}"
-        )
-    return n
-
-
-def _parallel_map(fn, items):
-    """Map preserving submission order, so output stays deterministic."""
-    items = list(items)
-    workers = min(_thread_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +173,10 @@ def cmd_entropy(args):
     else:
         subjects = [spec.indicator(k) for k in range(spec.rank)]
 
-    def one(g):
-        return entropy_estimate(
-            growth_series(phi, g, args.n, mode=args.mode)
-        )
-
-    estimates = _parallel_map(one, subjects)
+    estimates = [
+        entropy_estimate(growth_series(phi, g, args.n, mode=args.mode))
+        for g in subjects
+    ]
     best = max(estimates, key=lambda e: e.value)
     _emit_json({
         "spectral_radius": rho,
@@ -231,10 +202,7 @@ def cmd_tower(args):
     g = _parse_element(args.subject, spec)
     classes = sorted({int(x) for x in args.classes.split(",")})
 
-    def one(k):
-        return quotient_tower(phi, g, [k], n_max=args.n, mode=args.mode)
-
-    rows = [row for chunk in _parallel_map(one, classes) for row in chunk]
+    rows = quotient_tower(phi, g, classes, n_max=args.n, mode=args.mode)
     for row in rows:
         print(f"{row['class']}\t{row['entropy']:.6f}\t{row['residual']:.3g}")
     if args.out:

@@ -17,6 +17,13 @@ into the coefficients.
 ``log_vectors[k]`` holds the logarithm of the k-th basis group element as a
 rational coordinate vector; its leading term is the k-th Lie basis vector,
 which makes the peeling loop triangular.
+
+Free groups get their structure constants from the Hall basis
+(:meth:`CollectionLaw.for_free`).  A quotient by a normal subgroup gets the
+same kind of law on ``L / I``, the cover's Mal'cev algebra modulo the span
+of the subgroup's logarithms (:meth:`CollectionLaw.for_quotient`); its
+structure constants may be rational, and its bracket is the true Mal'cev
+bracket of the quotient.
 """
 
 from __future__ import annotations
@@ -36,6 +43,17 @@ def _vec_scale(vec, s):
 
 def _vec_neg(vec):
     return {k: -c for k, c in vec.items()}
+
+
+def _vec_add(x, y):
+    out = dict(x)
+    for k, c in y.items():
+        t = out.get(k, 0) + c
+        if t:
+            out[k] = t
+        else:
+            out.pop(k, None)
+    return out
 
 
 class CollectionLaw:
@@ -72,6 +90,47 @@ class CollectionLaw:
         law.log_vectors = vectors
         return law
 
+    @classmethod
+    def for_quotient(cls, cover, rows, positions):
+        """Law of the quotient of ``cover``'s group by a normal subgroup.
+
+        ``rows`` are echelon coordinate rows of the subgroup, each with
+        leading entry 1.  Their logarithms span an ideal ``I`` of the cover's
+        Mal'cev algebra, and each has leading entry 1 at its row's depth, so
+        the Lie basis vectors at ``positions`` (every other coordinate) span
+        a complement of ``I``.  The quotient law is the ordinary law of
+        ``L / I``: the cover's brackets and basis logarithms at ``positions``
+        reduced modulo ``I`` and renumbered onto ``positions``.
+        """
+        ideal = {}  # depth -> ideal vector: 1 at its depth, 0 at the others
+
+        def reduce(vec):
+            for d, basis_vec in ideal.items():
+                if vec.get(d):
+                    vec = _vec_add(vec, _vec_scale(basis_vec, -vec[d]))
+            return vec
+
+        for row in reversed(rows):
+            vec = reduce(cover.pack(row))
+            depth = min(vec)
+            assert vec[depth] == 1, "closure row without leading entry 1"
+            ideal[depth] = vec
+        index = {p: k for k, p in enumerate(positions)}
+
+        def quotient(vec):
+            return {index[p]: c for p, c in reduce(vec).items()}
+
+        struct = {}
+        for i, pi in enumerate(positions):
+            for j, pj in enumerate(positions[:i]):
+                pairs = cover.struct.get((pi, pj))
+                image = quotient(dict(pairs)) if pairs else None
+                if image:
+                    struct[(i, j)] = tuple(sorted(image.items()))
+        weights = [cover.weights[p] for p in positions]
+        log_vectors = [quotient(cover.log_vectors[p]) for p in positions]
+        return cls(weights, cover.nil_class, struct, log_vectors)
+
     # ---- Lie algebra layer (generic over Fraction / MPoly coefficients) ----
 
     def bracket_vec(self, x, y):
@@ -104,13 +163,7 @@ class CollectionLaw:
             return dict(y)
         if not y:
             return dict(x)
-        out = dict(x)
-        for k, c in y.items():
-            t = out.get(k, 0) + c
-            if t:
-                out[k] = t
-            else:
-                out.pop(k, None)
+        out = _vec_add(x, y)
         values = {(0,): x, (1,): y}
 
         def word_value(word):

@@ -1,5 +1,10 @@
 """Group constructions: free quotients, subgroups, semidirect extensions,
 surface-relator quotients, and the central series on either side.
+
+Subgroup lattices, the lower central series and the class of a semidirect
+extension all come from the one sift routine ``nilgroup._sift_closure``;
+they differ only in the maps (commutators with the generators, the
+monodromy defect) under which the subgroup has to be closed.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from .nilgroup import (
     GroupSpec,
     GrowthWarning,
     SpecError,
+    _generator_commutators,
+    _sift_closure,
     bfs_ball,
     commutator,
     inverse,
@@ -142,58 +149,14 @@ def subgroup_closure(spec, generators, budget=100_000):
     """Lattice for the subgroup generated by ``generators``.
 
     Sifts generators into echelon slots, combining coincident depths with
-    an extended-gcd pair of powers and queueing commutators so the final
-    sequence is closed under the group operations.
+    an extended-gcd pair of powers and sifting commutators of the slots
+    until the sequence is closed under the group operations.  ``budget``
+    caps the group operations of the sift.
     """
-    slots = {}
-
-    def sift(g):
-        while True:
-            d = SubgroupLattice._depth(g)
-            if d is None:
-                return None
-            held = slots.get(d)
-            if held is None:
-                return g
-            q, r = divmod(g[d], held[d])
-            if r == 0:
-                g = multiply(power(held, -q, spec), g, spec)
-                continue
-            gcd, x, y = _xgcd(held[d], g[d])
-            combined = multiply(
-                power(held, x, spec), power(g, y, spec), spec
-            )
-            reduced = multiply(power(combined, -(g[d] // gcd), spec), g, spec)
-            slots[d] = combined
-            queue.append(held)  # re-sift the displaced row
-            queue.extend(_closure_commutators(combined))
-            g = reduced
-
-    def _closure_commutators(h):
-        out = []
-        for other in list(slots.values()):
-            if other is not h:
-                out.append(commutator(h, other, spec))
-        return out
-
-    queue = [spec.check_vector(g) for g in generators]
-    steps = 0
-    while queue:
-        steps += 1
-        if steps > budget:
-            raise SpecError(f"subgroup closure exceeded {budget} sift steps")
-        g = queue.pop()
-        g = sift(g)
-        if g is None:
-            continue
-        d = SubgroupLattice._depth(g)
-        if g[d] < 0:
-            g = inverse(g, spec)
-        slots[d] = g
-        queue.extend(_closure_commutators(g))
-
-    rows = [slots[d] for d in sorted(slots)]
-    lattice = _normalize_rows(spec, rows)
+    gens = [spec.check_vector(g) for g in generators]
+    lattice = SubgroupLattice(
+        spec, _sift_closure(spec, gens, budget=budget, what="subgroup closure")
+    )
     for a in lattice.rows:
         for b in lattice.rows:
             if commutator(a, b, spec) not in lattice:
@@ -201,75 +164,27 @@ def subgroup_closure(spec, generators, budget=100_000):
     return lattice
 
 
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _normalize_rows(spec, rows):
-    """Make leading entries positive and reduce entries above each pivot."""
-    rows = [tuple(r) for r in rows]
-    out = []
-    for row in rows:
-        d = SubgroupLattice._depth(row)
-        if row[d] < 0:
-            row = inverse(row, spec)
-        out.append(row)
-    for i in range(len(out) - 1, -1, -1):
-        for j in range(i + 1, len(out)):
-            dj = SubgroupLattice._depth(out[j])
-            q = out[i][dj] // out[j][dj]
-            if q:
-                out[i] = multiply(out[i], power(out[j], -q, spec), spec)
-    return SubgroupLattice(spec, out)
-
-
 def lower_central_series(spec, budget=100_000):
     """Lattices of the lower central terms, from the whole group down.
 
-    Returns ``[G, [G,G], ...]`` ending with the last nontrivial term.
+    Returns ``[G, [G,G], ...]`` ending with the last nontrivial term.  Each
+    term ``[H, G]`` is the normal closure of the commutators of the rows of
+    ``H`` with the generators.
     """
-    full = subgroup_closure(
+    current = subgroup_closure(
         spec, [spec.indicator(k) for k in range(spec.dim)], budget=budget
     )
-    series = [full]
-    gens = [spec.indicator(k) for k in range(spec.rank)]
-    current = full
+    series = [current]
+    maps = _generator_commutators(spec)
     while True:
-        comms = [
-            commutator(row, g, spec)
-            for row in current.rows
-            for g in gens
-        ]
-        comms = [c for c in comms if c != spec.identity()]
-        if not comms:
-            break
-        nxt = subgroup_closure(spec, comms, budget=budget)
-        # absorb conjugation defects until the term is invariant
-        while True:
-            extra = [
-                commutator(row, g, spec)
-                for row in nxt.rows
-                for g in gens
-                if commutator(row, g, spec) not in nxt
-            ]
-            if not extra:
-                break
-            nxt = subgroup_closure(spec, list(nxt.rows) + extra, budget=budget)
-        if nxt.hirsch_length == 0:
-            break
-        series.append(nxt)
-        current = nxt
-    return series
+        rows = _sift_closure(
+            spec, [image(row) for row in current.rows for image in maps], maps,
+            budget=budget, what="lower central series",
+        )
+        if not rows:
+            return series
+        current = SubgroupLattice(spec, rows)
+        series.append(current)
 
 
 def quotient_ranks(series):
@@ -355,55 +270,31 @@ class SemidirectSpec:
         the monodromy defect ``n^-1 phi^-1(n)``.
         """
         base = self.base
+        law = base.law
         bound = self.hirsch_length + 1
+        maps = _generator_commutators(base) + [
+            lambda row: law.multiply(law.inverse(row), self.monodromy_power(-1, row))
+        ]
         gens = self.generators()
         comms = []
         for i, a in enumerate(gens):
             for b in gens[:i]:
                 k, n = self.commutator_element(a, b)
                 assert k == 0
-                if n != base.identity():
-                    comms.append(n)
+                comms.append(n)
         level = 1
-        current = subgroup_closure(base, comms) if comms else None
-        while current is not None and current.hirsch_length > 0:
+        current = _sift_closure(base, comms, maps, what="lower central series")
+        while current:
             level += 1
             if level > bound:
                 raise SpecError(
                     f"lower central series still nontrivial beyond class {bound}"
                 )
-            nxt_gens = []
-            for row in current.rows:
-                defect = multiply(
-                    inverse(row, base), self.monodromy_power(-1, row), base
-                )
-                if defect != base.identity():
-                    nxt_gens.append(defect)
-                for k in range(base.rank):
-                    c = commutator(row, base.indicator(k), base)
-                    if c != base.identity():
-                        nxt_gens.append(c)
-            if not nxt_gens:
-                break
-            nxt = subgroup_closure(base, nxt_gens)
-            while True:
-                extra = []
-                for row in nxt.rows:
-                    defect = multiply(
-                        inverse(row, base), self.monodromy_power(-1, row), base
-                    )
-                    if defect not in nxt:
-                        extra.append(defect)
-                    for k in range(base.rank):
-                        c = commutator(row, base.indicator(k), base)
-                        if c not in nxt:
-                            extra.append(c)
-                if not extra:
-                    break
-                nxt = subgroup_closure(base, list(nxt.rows) + extra)
-            if nxt.hirsch_length == 0:
-                break
-            if nxt.hirsch_length == current.hirsch_length and set(nxt.rows) == set(current.rows):
+            nxt = _sift_closure(
+                base, [image(row) for row in current for image in maps], maps,
+                what="lower central series",
+            )
+            if nxt == current:
                 raise SpecError(
                     "lower central series stalled; extension is not nilpotent"
                 )

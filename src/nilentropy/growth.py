@@ -34,7 +34,7 @@ from .nilgroup import (
     project,
 )
 
-MODES = ("exact-bfs", "karidi", "normalform-upper", "abelian-lower")
+MODES = ("exact-bfs", "karidi", "normalform-upper")
 
 
 class InsufficientDataError(ValueError):
@@ -131,36 +131,12 @@ def _upper_length(g, spec):
     return float(sum(abs(v) * c for v, c in zip(g, costs)))
 
 
-def _abelian_lower(g, spec, genset=None):
-    """Word length of the abelianized image: a lower bound for ℓ(g)."""
-    weight1 = [k for k, w in enumerate(spec.weights) if w == 1]
-    target = [g[k] for k in weight1]
-    gens = nilgroup._normalized_genset(spec, genset)
-    standard = tuple(spec.indicator(k) for k in range(spec.rank))
-    if gens == standard:
-        return float(sum(abs(v) for v in target))
-    from scipy.optimize import linprog
-
-    cols = np.array([[h[k] for h in gens] for k in weight1], dtype=float)
-    a_eq = np.hstack([cols, -cols])
-    c = np.ones(2 * len(gens))
-    res = linprog(c, A_eq=a_eq, b_eq=np.array(target, dtype=float),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise SpecError(
-            "generating set does not span the abelianization"
-        )
-    return float(res.fun)
-
-
 def _length_in_mode(h, spec, mode, genset):
     if mode == "exact-bfs":
         return geodesic_length(h, spec, genset=genset)
     if mode == "karidi":
         return karidi_length(h, spec).value
-    if mode == "normalform-upper":
-        return _upper_length(h, spec)
-    return _abelian_lower(h, spec, genset)
+    return _upper_length(h, spec)
 
 
 # ---------------------------------------------------------------------------

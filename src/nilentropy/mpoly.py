@@ -98,10 +98,11 @@ class MPoly:
                     else:
                         out.pop(mono, None)
             return MPoly(self.nvars, out)
-        c = Fraction(other)
-        if c == 0:
+        if other == 1:
+            return self
+        if other == 0:
             return MPoly(self.nvars)
-        return MPoly(self.nvars, {m: v * c for m, v in self.terms.items()})
+        return MPoly(self.nvars, {m: v * other for m, v in self.terms.items()})
 
     __rmul__ = __mul__
 

@@ -1,9 +1,14 @@
 """Finitely generated torsion-free nilpotent groups in Mal'cev coordinates.
 
 A :class:`GroupSpec` describes either a free nilpotent group (rank m,
-class c, basis of basic commutators) or a quotient of one by a graded
-lattice ideal.  Elements are plain tuples of integers: the exponents of the
-normal form ``g = b_1^{e_1} ... b_n^{e_n}`` along the basis sequence.
+class c, basis of basic commutators) or a quotient of one by the normal
+closure of some relators.  Elements are plain tuples of integers: the
+exponents of the normal form ``g = b_1^{e_1} ... b_n^{e_n}`` along the basis
+sequence; a quotient keeps the free basis entries off the leading
+coordinates of its normal subgroup.  Every spec runs one kind of group law,
+a :class:`~nilentropy.collect.CollectionLaw`, and one polycyclic sift
+routine serves the normal closure here and the subgroup lattices and
+central series in :mod:`nilentropy.constructions`.
 """
 
 from __future__ import annotations
@@ -50,42 +55,26 @@ class GrowthWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
-# integer Smith reduction (small matrices; used for graded quotients)
+# integer Smith invariants (small matrices; used for graded quotients)
 
 
-def _smith_with_column_basis(rows, width):
-    """Invariant factors of the row lattice plus an adapted coordinate change.
-
-    Returns ``(factors, V, Vinv)`` with ``V``/``Vinv`` unimodular ``width x
-    width`` integer matrices (lists of rows) such that in the coordinates
-    ``y = x V`` the lattice spanned by ``rows`` becomes ``factors[i] * e_i``.
-    """
+def _smith_factors(rows, width):
+    """Invariant factors of the integer row lattice spanned by ``rows``."""
     a = [list(r) for r in rows]
-    v = [[int(i == j) for j in range(width)] for i in range(width)]
-    vinv = [[int(i == j) for j in range(width)] for i in range(width)]
     rank = 0
 
     def col_swap(c1, c2):
         for r in a:
             r[c1], r[c2] = r[c2], r[c1]
-        for r in v:
-            r[c1], r[c2] = r[c2], r[c1]
-        vinv[c1], vinv[c2] = vinv[c2], vinv[c1]
 
     def col_add(dst, src, q):
-        # column_dst += q * column_src; inverse tracks row_src -= q * row_dst.
+        # column_dst += q * column_src
         for r in a:
             r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-        vinv[src] = [x - q * y for x, y in zip(vinv[src], vinv[dst])]
 
     def col_negate(c):
         for r in a:
             r[c] = -r[c]
-        for r in v:
-            r[c] = -r[c]
-        vinv[c] = [-x for x in vinv[c]]
 
     t = 0
     while t < len(a) and rank < width:
@@ -136,13 +125,13 @@ def _smith_with_column_basis(rows, width):
     factors = []
     for i in range(rank):
         factors.append(abs(a[i][i]))
-    # enforce the divisibility chain (only the factor values matter here)
+    # enforce the divisibility chain
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             g = math.gcd(factors[i], factors[j])
             lcm = factors[i] * factors[j] // g if g else 0
             factors[i], factors[j] = g, lcm
-    return factors, v, vinv
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +215,10 @@ class GroupSpec:
     the rows must form an ideal (both are checked).  ``relators`` optionally
     gives the group relators as free-cover coordinate vectors; when omitted,
     each relation row is read as the group element supported on its weight
-    layer.  The group law reduces free-cover arithmetic modulo the normal
-    closure of the relators, so the graded data and the relators must agree
-    (also checked).  Without relations the spec is the free nilpotent group
-    on ``basis``.
+    layer.  The group law is derived on the cover's Mal'cev algebra modulo
+    the logarithms of the normal closure of the relators, so the graded data
+    and the relators must agree (also checked).  Without relations the spec
+    is the free nilpotent group on ``basis``.
     """
 
     def __init__(self, basis, relations=None, generating_set=None, free_cover=None,
@@ -287,7 +276,7 @@ class GroupSpec:
         for d in range(1, c + 1):
             width = basis.graded_dimension(d)
             rows = self.relations.get(d, ())
-            factors, _, _ = _smith_with_column_basis(rows, width)
+            factors = _smith_factors(rows, width)
             bad = [f for f in factors if f not in (0, 1)]
             if bad:
                 raise TorsionDetected(
@@ -303,7 +292,8 @@ class GroupSpec:
             if any(v for v, w in zip(r, cover.weights) if w == 1):
                 raise SpecError("relators must lie in the commutator subgroup")
         self.relators = relators
-        nrows = _normal_closure(cover, relators)
+        nrows = _sift_closure(cover, relators, _generator_commutators(cover),
+                              what="normal closure")
         for row in nrows:
             depth = next(i for i, v in enumerate(row) if v)
             if row[depth] != 1:
@@ -317,9 +307,8 @@ class GroupSpec:
         self._positions = positions
         self._nrows = nrows
         self.dim = len(positions)
-        self.weights = tuple(cover.weights[p] for p in positions)
-        struct = self._transversal_struct(cover, nrows, positions)
-        self.law = _ReductionLaw(cover, nrows, positions, struct)
+        self.law = CollectionLaw.for_quotient(cover.law, nrows, positions)
+        self.weights = self.law.weights
 
     def _default_relators(self, cover):
         """Read each relation row as the element supported on its layer."""
@@ -363,46 +352,6 @@ class GroupSpec:
                     raise SpecError(
                         f"graded relations at weight {d} exceed the relator closure"
                     )
-
-    def _transversal_struct(self, cover, nrows, positions):
-        """Structure constants of the graded Lie ring over the kept positions.
-
-        Free brackets of kept basis entries, reduced modulo the leading layer
-        of the closure (all leads are 1, so the reduction is integral).
-        """
-        basis = self.basis
-        c = basis.nil_class
-        lead_rows = {}  # weight -> [(local depth within layer, layer vector)]
-        for row in nrows:
-            depth = next(i for i, v in enumerate(row) if v)
-            d = cover.weights[depth]
-            layer = basis.by_weight[d]
-            lead_rows.setdefault(d, []).append(
-                (layer.index(depth), [row[k] for k in layer])
-            )
-        pos_of = {p: k for k, p in enumerate(positions)}
-        struct = {}
-        for i, pi in enumerate(positions):
-            wi = cover.weights[pi]
-            for j, pj in enumerate(positions[:i]):
-                d = wi + cover.weights[pj]
-                if d > c:
-                    continue
-                image = basis.pair_bracket(pi, pj)
-                if not image:
-                    continue
-                layer = basis.by_weight[d]
-                local = [image.get(k, 0) for k in layer]
-                for lead, lrow in lead_rows.get(d, ()):
-                    m = local[lead]
-                    if m:
-                        local = [a - m * b for a, b in zip(local, lrow)]
-                pairs = tuple(
-                    (pos_of[layer[a]], v) for a, v in enumerate(local) if v
-                )
-                if pairs:
-                    struct[(i, j)] = pairs
-        return struct
 
     def _check_ideal(self, cover):
         basis = self.basis
@@ -502,7 +451,7 @@ class GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# relator quotients
+# polycyclic sift closure (normal closures, subgroups, central series)
 
 
 def _xgcd(a, b):
@@ -520,31 +469,58 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
+def _law_commutator(law, g, h):
+    """``g^-1 h^-1 g h`` straight on the law, without the public checks."""
+    return law.multiply(law.multiply(law.multiply(law.inverse(g), law.inverse(h)), g), h)
+
+
+def _generator_commutators(spec):
+    """Maps ``row -> [row, x_k]``, one per generator ``x_k`` of ``spec``.
+
+    A subgroup closed under them is normal: it is carried into itself by
+    conjugation with every generator.
+    """
+    law = spec.law
+    return [
+        lambda row, x=spec.indicator(k): _law_commutator(law, row, x)
+        for k in range(spec.rank)
+    ]
+
+
 DEFAULT_CLOSURE_BUDGET = 200_000
 
 
-def _normal_closure(cover, relators, budget=DEFAULT_CLOSURE_BUDGET):
-    """Echelon lattice rows generating the normal closure of ``relators``.
+def _sift_closure(spec, generators, maps=(), budget=DEFAULT_CLOSURE_BUDGET,
+                  what="closure"):
+    """Echelon rows of the smallest subgroup that contains ``generators`` and
+    holds the image of each of its elements under every map in ``maps``.
+
+    Polycyclic sifting (Sims, *Computation with Finitely Presented Groups*,
+    ch. 9): an element is reduced against the row held at its leading
+    coordinate, a coincident depth that does not divide is merged with an
+    extended-gcd pair of powers, and the displaced row is sifted again.
+    Rounds over the rows sift their pairwise commutators and their images
+    under ``maps`` until no slot changes, which makes the depth-ordered
+    products of the rows exactly the subgroup.  A map only has to be checked
+    on the rows when it is a defect ``g -> g^-1 a(g)`` of an automorphism
+    ``a`` (commutators with a fixed element are such defects).
 
     Rows come back by increasing leading coordinate with positive leading
-    coefficient and tails reduced at the deeper occupied depths.  The set is
-    grown until it is stable under pairwise commutators and commutators with
-    the generators, which makes the depth-ordered products of the rows
-    exactly the normal closure.
+    entries, and each entry at a deeper row's depth reduced into
+    ``[0, lead)``; that form depends only on the subgroup.  ``budget`` caps
+    the group operations, and going over it raises :class:`SpecError`.
     """
-    law = cover.law
+    law = spec.law
     ops = 0
 
     def charge(n=1):
         nonlocal ops
         ops += n
         if ops > budget:
-            raise SpecError(
-                f"normal closure exceeded its operation budget ({budget})"
-            )
+            raise SpecError(f"{what} exceeded its operation budget ({budget})")
 
     slots = {}
-    pending = [cover.check_vector(r) for r in relators]
+    pending = list(generators)
     touched = False
 
     def sift(g):
@@ -569,36 +545,23 @@ def _normal_closure(cover, relators, budget=DEFAULT_CLOSURE_BUDGET):
             gcd, x, y = _xgcd(held[depth], g[depth])
             charge(5)
             combined = law.multiply(law.power(held, x), law.power(g, y))
-            reduced = law.multiply(law.power(combined, -(g[depth] // gcd)), g)
+            g = law.multiply(law.power(combined, -(g[depth] // gcd)), g)
             slots[depth] = combined
             touched = True
             pending.append(held)
-            g = reduced
 
-    directions = []
-    for k in range(cover.rank):
-        gen = cover.indicator(k)
-        charge()
-        directions.append(gen)
-        directions.append(law.inverse(gen))
     while True:
         while pending:
             sift(pending.pop())
         touched = False
         rows = [slots[d] for d in sorted(slots)]
         for i, row in enumerate(rows):
-            charge()
-            row_inv = law.inverse(row)
-            for other in directions + rows[:i]:
-                charge(4)
-                sift(
-                    law.multiply(
-                        law.multiply(
-                            law.multiply(row_inv, law.inverse(other)), row
-                        ),
-                        other,
-                    )
-                )
+            for image in maps:
+                charge(5)
+                sift(image(row))
+            for other in rows[:i]:
+                charge(5)
+                sift(_law_commutator(law, row, other))
         if not touched and not pending:
             break
     depths = sorted(slots)
@@ -606,71 +569,12 @@ def _normal_closure(cover, relators, budget=DEFAULT_CLOSURE_BUDGET):
     for i in range(len(rows) - 1, -1, -1):
         row = rows[i]
         for j in range(i + 1, len(rows)):
-            v = row[depths[j]]
-            if v:
+            q = row[depths[j]] // rows[j][depths[j]]
+            if q:
                 charge(2)
-                row = law.multiply(row, law.power(rows[j], -v))
+                row = law.multiply(row, law.power(rows[j], -q))
         rows[i] = row
     return tuple(rows)
-
-
-class _ReductionLaw:
-    """Group law of a relator quotient, by reduction in the free cover.
-
-    Elements are integer exponent tuples along the free basis entries at the
-    kept ``positions``; the canonical representative of a coset is the free
-    vector vanishing at every lattice depth.  Clearing the depths in
-    increasing order is exact: each lattice row has leading coefficient 1
-    and no coordinates below its own depth, and the multiplication
-    polynomials mix strictly lighter coordinates of both factors only.
-    """
-
-    def __init__(self, cover, nrows, positions, struct):
-        self.cover = cover
-        self.nrows = nrows
-        self.depths = tuple(next(i for i, v in enumerate(r) if v) for r in nrows)
-        self.positions = positions
-        self.weights = tuple(cover.weights[p] for p in positions)
-        self.dim = len(positions)
-        self.nil_class = cover.nilpotency_class
-        self.struct = struct
-        self._graded = CollectionLaw(self.weights, self.nil_class, struct, None)
-
-    def lift(self, g):
-        out = [0] * self.cover.dim
-        for p, v in zip(self.positions, g):
-            out[p] = v
-        return tuple(out)
-
-    def reduce(self, vec):
-        """Quotient coordinates of an arbitrary free-cover element."""
-        law = self.cover.law
-        for row, depth in zip(self.nrows, self.depths):
-            v = vec[depth]
-            if v:
-                vec = law.multiply(law.power(row, -v), vec)
-        assert not any(vec[d] for d in self.depths)
-        return tuple(vec[p] for p in self.positions)
-
-    def multiply(self, g, h):
-        return self.reduce(self.cover.law.multiply(self.lift(g), self.lift(h)))
-
-    def inverse(self, g):
-        return self.reduce(self.cover.law.inverse(self.lift(g)))
-
-    def power(self, g, n):
-        return self.reduce(self.cover.law.power(self.lift(g), n))
-
-    def right_multiplier(self, h):
-        free_rmul = self.cover.law.right_multiplier(self.lift(h))
-
-        def rmul(g):
-            return self.reduce(free_rmul(self.lift(g)))
-
-        return rmul
-
-    def bracket_vec(self, x, y):
-        return self._graded.bracket_vec(x, y)
 
 
 # ---------------------------------------------------------------------------

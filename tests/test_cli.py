@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -11,15 +10,11 @@ from nilentropy.cli import main
 GOLDEN = (1 + 5 ** 0.5) / 2
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "nilentropy", *argv],
         capture_output=True,
         text=True,
-        env=env,
         timeout=120,
     )
 
@@ -215,6 +210,11 @@ def test_computation_error_exits_1(capsys):
         ["aut-check", "--group", "free:2,2", "--aut", "builtin:nope"]
     ) == 1
     capsys.readouterr()
+    assert main(
+        ["grow", "--group", "free:2,2", "--aut", "builtin:fib", "--subject", "x1",
+         "--n", "3", "--mode", "abelian-lower"]
+    ) == 1
+    assert capsys.readouterr().err.startswith("error: unknown growth mode 'abelian-lower'")
 
 
 def test_malformed_relations_exit_1(tmp_path, capsys):
@@ -228,21 +228,3 @@ def test_malformed_relations_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(dict(base, relations={"2": [5]})))
     assert main(["mul", "--group", str(path), "--left", "x1", "--right", "x2"]) == 1
     assert capsys.readouterr().err.startswith("error:")
-
-
-def test_thread_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("NILENTROPY_THREADS", "abc")
-    assert main(
-        ["entropy", "--group", "free:2,2", "--aut", "builtin:fib", "--n", "20"]
-    ) == 1
-    assert "NILENTROPY_THREADS" in capsys.readouterr().err
-
-
-def test_threaded_run_matches_serial():
-    args = [
-        "entropy", "--group", "free:2,2", "--aut", "builtin:fib", "--n", "24",
-    ]
-    serial = run_cli(*args, env_extra={"NILENTROPY_THREADS": "1"})
-    threaded = run_cli(*args, env_extra={"NILENTROPY_THREADS": "2"})
-    assert serial.returncode == 0 and threaded.returncode == 0
-    assert serial.stdout == threaded.stdout

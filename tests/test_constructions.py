@@ -4,7 +4,9 @@ import pytest
 import sympy
 
 from nilentropy import (
+    GroupSpec,
     GrowthWarning,
+    HallBasis,
     SpecError,
     apply,
     builtin_automorphism,
@@ -137,6 +139,18 @@ def test_upper_central_lengths():
     dims = upper_central_dimensions(free_nilpotent(2, 2))
     assert dims == (1, 2)
     assert sum(dims) == free_nilpotent(2, 2).dim
+
+
+@pytest.mark.parametrize("build, dims", [
+    (lambda: surface_quotient(2, 3), (16, 5, 4)),
+    (lambda: surface_quotient(3, 2), (14, 6)),
+    (lambda: surface_quotient(2, 2), (5, 4)),
+    (lambda: GroupSpec(HallBasis(3, 2), relations={2: [(1, 2, 0)]}), (2, 3)),
+], ids=["surface(2,3)", "surface(3,2)", "surface(2,2)", "F(3,2)/(1,2,0)"])
+def test_quotient_upper_central_dimensions(build, dims):
+    spec = build()
+    assert upper_central_dimensions(spec) == dims
+    assert sum(dims) == spec.dim
 
 
 # ---------------------------------------------------------------------------
