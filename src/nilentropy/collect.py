@@ -12,7 +12,10 @@ maps is generated once as a straight-line Python function
 (:func:`~nilentropy.mpoly.straight_line`), so the runtime path is plain
 ``int`` arithmetic with exact divisions and no per-term interpretation.
 Right multipliers ``g -> g * h`` get their own function with ``h`` folded
-into the coefficients.
+into the coefficients.  The logarithm and the exponential themselves are
+generated the same way, in integer form (:meth:`CollectionLaw.pack_scaled`,
+:meth:`CollectionLaw.unpack_scaled`), for maps that act linearly on the
+Lie algebra.
 
 ``log_vectors[k]`` holds the logarithm of the k-th basis group element as a
 rational coordinate vector; its leading term is the k-th Lie basis vector,
@@ -30,9 +33,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .assoc import bch_terms
-from .mpoly import MPoly, compile_poly, straight_line
+from .mpoly import MPoly, compile_poly, exact_quotient, straight_line
 
 
 def _vec_scale(vec, s):
@@ -240,6 +244,41 @@ class CollectionLaw:
         return tuple(compile_poly(p) for p in polys)
 
     @cached_property
+    def _pack_compiled(self):
+        """``(D, polys)``: ``D * log g`` as integer polynomials, no division."""
+        n = self.dim
+        vec = self.pack([MPoly.var(n, k) for k in range(n)])
+        compiled = [compile_poly(p)
+                    for p in self._sym_polys([vec.get(k, 0) for k in range(n)])]
+        scale = lcm(*(denom for denom, _ in compiled))
+        return scale, tuple(
+            (1, tuple((c * (scale // denom), ve) for c, ve in terms))
+            for denom, terms in compiled
+        )
+
+    @cached_property
+    def _unpack_compiled(self):
+        """``(degrees, polys)`` of ``z, S -> S^degree_k * unpack(z / S)_k``.
+
+        Output ``k`` is the unpack polynomial in ``z`` with every monomial
+        padded by ``S^(degree_k - deg)`` (``S`` is the last variable), so
+        its only division is the denominator of the unpack polynomial.
+        """
+        n = self.dim
+        polys = self._sym_polys(self.unpack({k: MPoly.var(n + 1, k) for k in range(n)}))
+        degrees = []
+        compiled = []
+        for denom, terms in map(compile_poly, polys):
+            degs = [sum(e for _, e in ve) for _, ve in terms]
+            top = max(degs, default=0)
+            degrees.append(top)
+            compiled.append((denom, tuple(
+                (c, ve + ((n, top - deg),) if deg < top else ve)
+                for (c, ve), deg in zip(terms, degs)
+            )))
+        return tuple(degrees), tuple(compiled)
+
+    @cached_property
     def _pow_compiled(self):
         n = self.dim
         e = [MPoly.var(n + 1, k) for k in range(n)]
@@ -261,6 +300,19 @@ class CollectionLaw:
     def _pow(self):
         return straight_line("power", self._pow_compiled, (self.dim, 1))
 
+    @cached_property
+    def _pack(self):
+        return straight_line("pack", self._pack_compiled[1], (self.dim,))
+
+    @cached_property
+    def _unpack(self):
+        return straight_line("unpack_scaled", self._unpack_compiled[1], (self.dim, 1))
+
+    @property
+    def log_scale(self):
+        """The common denominator ``D`` of :meth:`pack_scaled`."""
+        return self._pack_compiled[0]
+
     def multiply(self, g, h):
         return self._mul(g, h)
 
@@ -269,6 +321,24 @@ class CollectionLaw:
 
     def power(self, g, n):
         return self._pow(g, (n,))
+
+    def pack_scaled(self, g):
+        """``D * log g`` as an integer vector, ``D`` being :attr:`log_scale`."""
+        return self._pack(g)
+
+    def unpack_scaled(self, z, scale):
+        """Coordinates of ``exp(z / scale)`` for an integer vector ``z``.
+
+        Every division is checked; a remainder raises ``ExactDivisionError``.
+        """
+        out = self._unpack(z, (scale,))
+        if scale == 1:
+            return out
+        powers = [1]
+        for _ in range(self.nil_class):
+            powers.append(powers[-1] * scale)
+        return tuple(exact_quotient(v, powers[d])
+                     for v, d in zip(out, self._unpack_compiled[0]))
 
     def right_multiplier(self, h):
         """Specialized ``g -> g * h`` with the second factor folded in."""

@@ -14,8 +14,6 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
-
 from . import autom, nilgroup
 from .autom import Endomorphism, apply, invert, iterate, linearization_matrix, spectral_report, abelianization_matrix
 from .hall import HallBasis, LieElement, bracket
@@ -157,9 +155,12 @@ def subgroup_closure(spec, generators, budget=100_000):
     lattice = SubgroupLattice(
         spec, _sift_closure(spec, gens, budget=budget, what="subgroup closure")
     )
-    for a in lattice.rows:
-        for b in lattice.rows:
-            if commutator(a, b, spec) not in lattice:
+    # [b, a] = [a, b]^-1 and [a, a] = 1, so one test per unordered pair
+    law = spec.law
+    rows = lattice.rows
+    for i, a in enumerate(rows):
+        for b in rows[i + 1:]:
+            if nilgroup._law_commutator(law, a, b) not in lattice:
                 raise SpecError("subgroup closure failed to stabilize")
     return lattice
 
@@ -171,9 +172,8 @@ def lower_central_series(spec, budget=100_000):
     term ``[H, G]`` is the normal closure of the commutators of the rows of
     ``H`` with the generators.
     """
-    current = subgroup_closure(
-        spec, [spec.indicator(k) for k in range(spec.dim)], budget=budget
-    )
+    # the indicators are already the echelon rows of the whole group
+    current = SubgroupLattice(spec, [spec.indicator(k) for k in range(spec.dim)])
     series = [current]
     maps = _generator_commutators(spec)
     while True:
@@ -321,6 +321,8 @@ def semidirect_unipotent(base, monodromy):
 
 def _lie_struct_matrices(spec):
     """ad-matrices of the coordinate basis over the rationals."""
+    import sympy
+
     n = spec.dim
     law = spec.law
     mats = []
@@ -336,6 +338,8 @@ def _lie_struct_matrices(spec):
 
 def _semidirect_lie_matrices(sd):
     """ad-matrices for base Lie algebra extended by the monodromy logarithm."""
+    import sympy
+
     base = sd.base
     n = base.dim
     phi_mat = linearization_matrix(sd.monodromy)
@@ -377,6 +381,8 @@ def upper_central_lengths(spec_or_semidirect):
 
 def upper_central_dimensions(spec_or_semidirect):
     """Dimensions of successive upper central quotients of the Lie algebra."""
+    import sympy
+
     if isinstance(spec_or_semidirect, SemidirectSpec):
         mats = _semidirect_lie_matrices(spec_or_semidirect)
     else:

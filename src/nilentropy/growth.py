@@ -30,7 +30,6 @@ from .nilgroup import (
     SpecError,
     bfs_ball,
     geodesic_length,
-    karidi_length,
     project,
 )
 
@@ -135,7 +134,7 @@ def _length_in_mode(h, spec, mode, genset):
     if mode == "exact-bfs":
         return geodesic_length(h, spec, genset=genset)
     if mode == "karidi":
-        return karidi_length(h, spec).value
+        return nilgroup._box_length(h, spec.weights)
     return _upper_length(h, spec)
 
 

@@ -169,6 +169,14 @@ def _inexact(denom, remainder):
     )
 
 
+def exact_quotient(value, denom):
+    """``value // denom``, raising :class:`ExactDivisionError` on a remainder."""
+    q, r = divmod(value, denom)
+    if r:
+        _inexact(denom, r)
+    return q
+
+
 def _term_text(c, ve):
     factors = "*".join(f"v{v}" if e == 1 else f"v{v}_{e}" for v, e in ve)
     if not factors:

@@ -627,12 +627,17 @@ def eval_word(word, spec):
     if isinstance(word, str):
         word = WordExpr.parse(word)
     letters = word.letters if isinstance(word, WordExpr) else tuple(word)
-    out = spec.identity()
-    for gen, e in letters:
+    for gen, _ in letters:
         if not 0 <= gen < spec.rank:
             raise SpecError(f"generator index {gen} out of range 0..{spec.rank - 1}")
-        if e:
-            out = multiply(out, power(spec.indicator(gen), e, spec), spec)
+    law = spec.law
+    out = spec.identity()
+    try:
+        for gen, e in letters:
+            if e:
+                out = law.multiply(out, law.power(spec.indicator(gen), int(e)))
+    except ExactDivisionError as exc:
+        raise IntegralityError(str(exc)) from exc
     return out
 
 
@@ -672,14 +677,20 @@ def _root(value, w):
     return math.exp(math.log(value) / w)
 
 
+def _box_length(g, weights):
+    """``max_i |e_i|^(1/w_i)`` over the nonzero coordinates, 0.0 at the identity."""
+    value = 0.0
+    for v, w in zip(g, weights):
+        if v:
+            value = max(value, _root(abs(v), w))
+    return value
+
+
 def karidi_length(g, spec):
     """Box-length proxy for the word metric: ``max_i |e_i|^(1/w_i)``."""
     g = spec.check_vector(g)
-    value = 0.0
-    for v, w in zip(g, spec.weights):
-        if v:
-            value = max(value, _root(abs(v), w))
-    return KaridiEstimate(value=value, box_constant=spec._karidi_constant)
+    return KaridiEstimate(value=_box_length(g, spec.weights),
+                          box_constant=spec._karidi_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +791,14 @@ def karidi_band(spec, radius=8, genset=None, budget=DEFAULT_BALL_BUDGET):
     later :func:`karidi_length` calls report it.
     """
     dist = bfs_ball(spec, radius, genset=genset, budget=budget)
+    weights = spec.weights
     lower = math.inf
     upper = 0.0
     count = 0
     for vec, length in dist.items():
         if length == 0:
             continue
-        box = karidi_length(vec, spec).value
+        box = _box_length(vec, weights)
         ratio = length / box
         lower = min(lower, ratio)
         upper = max(upper, ratio)

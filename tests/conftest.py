@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nilentropy import free_nilpotent
+from nilentropy import free_nilpotent, multiply, power
 from nilentropy.mpoly import ExactDivisionError
 
 
@@ -59,3 +59,18 @@ def eval_compiled(compiled, values):
             f"expected multiple of {denom}, got remainder {r}"
         )
     return q
+
+
+def apply_reference(phi, g):
+    """Reference endomorphism image: the product of basis images raised to the
+    exponents of ``g``.
+
+    This is how ``apply`` worked before it became one linear map on the
+    Mal'cev Lie algebra; tests keep it as an independent oracle.
+    """
+    spec = phi.spec
+    out = spec.identity()
+    for image, e in zip(phi.basis_images, g):
+        if e:
+            out = multiply(out, power(image, e, spec), spec)
+    return out

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from nilentropy import (
     spectral_report,
     surface_quotient,
 )
+
+from nilentropy.autom import _bareiss_det
 
 from conftest import random_vector
 
@@ -218,6 +221,88 @@ def test_spectral_report_quasi_unipotent_cases():
     assert shear.unipotent and shear.quasi_unipotent
     ident = spectral_report(sympy.eye(2))
     assert ident.unipotent
+
+
+def _sympy_report(rows):
+    """The spectral report computed with sympy: the test-only oracle."""
+    m = sympy.Matrix(rows)
+    n = m.shape[0]
+    x = sympy.Symbol("x")
+    coeffs = tuple(int(c) for c in m.charpoly(x).all_coeffs())
+    p = m - sympy.eye(n)
+    unipotent = p.is_zero_matrix
+    for _ in range(n - 1):
+        p = p * (m - sympy.eye(n))
+        unipotent = unipotent or p.is_zero_matrix
+    factors = sympy.factor_list(sympy.Poly(coeffs, x))[1]
+    quasi = unipotent or all(
+        f.degree() > 0 and f.LC() == 1 and f.eval(0) != 0
+        and any(sympy.Poly(sympy.cyclotomic_poly(k, x), x) == f
+                for k in range(1, 2 * n * n + 3))
+        for f, _ in factors
+    )
+    if quasi:
+        radius, error, gap = 1.0, 0.0, None
+    else:
+        radius = max(abs(complex(r.evalf(30)))
+                     for r in sympy.Poly(coeffs, x).all_roots(radicals=False))
+        error, gap = 1e-9, radius - 1.0
+    return (coeffs, radius, error, bool(unipotent), bool(quasi), gap)
+
+
+def test_spectral_report_matches_sympy(rng):
+    x = sympy.Symbol("x")
+    seen = {"real": 0, "non-real": 0, "quasi": 0, "not quasi": 0}
+    while sum(seen.values()) < 2 * 40:
+        n = rng.randint(1, 4)
+        if rng.random() < 0.25:
+            # triangular with diagonal entries +-1, 0: (quasi-)unipotent or not
+            rows = tuple(tuple(rng.choice((1, -1, 0)) if i == j else
+                               rng.randint(-3, 3) * (j > i) for j in range(n))
+                         for i in range(n))
+        else:
+            rows = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        squarefree = sympy.Poly(sympy.Matrix(rows).charpoly(x).as_expr(), x).sqf_part()
+        real = squarefree.count_roots() == squarefree.degree()
+        if not real and (seen["non-real"] == 2 or n == 4):
+            continue  # sympy takes seconds per non-real spectrum, 3-7 s at 4 x 4
+        report = spectral_report(rows)
+        got = (report.charpoly, report.spectral_radius, report.radius_error,
+               report.unipotent, report.quasi_unipotent, report.radius_gap)
+        assert repr(got) == repr(_sympy_report(rows)), rows
+        seen["real" if real else "non-real"] += 1
+        seen["quasi" if report.quasi_unipotent else "not quasi"] += 1
+    assert all(seen.values()), seen
+
+
+def test_spectral_radius_of_large_real_spectrum():
+    # companion matrix of (x - 3)(x + 5)(x - 7/1)(x^2 - 2): radius 7 exactly
+    # up to the float; the roots +-sqrt(2) exercise the bisection
+    coeffs = [int(c) for c in sympy.Poly(
+        sympy.expand((sympy.Symbol("x") - 3) * (sympy.Symbol("x") + 5)
+                     * (sympy.Symbol("x") - 7) * (sympy.Symbol("x") ** 2 - 2))).all_coeffs()]
+    n = len(coeffs) - 1
+    companion = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        companion[i][i - 1] = 1
+    for i in range(n):
+        companion[i][n - 1] = -coeffs[n - i]
+    report = spectral_report(companion)
+    assert report.charpoly == tuple(coeffs)
+    assert report.spectral_radius == 7.0
+    sqrt2 = spectral_report(((0, 2), (1, 0)))
+    assert sqrt2.spectral_radius == math.sqrt(2)
+
+
+def test_bareiss_det_matches_sympy(rng):
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)][0] = 0
+            rows[0] = [0] * n if rng.random() < 0.2 else rows[0]
+        assert _bareiss_det(rows) == sympy.Matrix(rows).det()
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
 
 
 def test_spectral_report_rejects_non_square():

@@ -172,7 +172,9 @@ for law in (free_nilpotent(3, 4).law, surface_quotient(2, 3).law):
     n = law.dim
     for name, compiled, sizes in (("multiply", law._mul_compiled, (n, n)),
                                   ("inverse", law._inv_compiled, (n,)),
-                                  ("power", law._pow_compiled, (n, 1))):
+                                  ("power", law._pow_compiled, (n, 1)),
+                                  ("pack", law._pack_compiled[1], (n,)),
+                                  ("unpack_scaled", law._unpack_compiled[1], (n, 1))):
         text = straight_line_source(name, compiled, sizes)
         print(name, len(text), hashlib.sha256(text.encode()).hexdigest())
 """
@@ -185,5 +187,5 @@ def test_generated_source_independent_of_hash_seed():
         proc = subprocess.run([sys.executable, "-c", SOURCE_DIGEST], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 6
+    assert len(outputs[0].splitlines()) == 10
     assert outputs[0] == outputs[1]
