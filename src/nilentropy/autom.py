@@ -261,7 +261,7 @@ def graded_matrix(phi, d):
 
 
 def linearization_matrix(phi):
-    """Rational matrix (a sympy ``Matrix``) of the induced map on the Mal'cev Lie algebra.
+    """Rational sympy ``Matrix`` of the induced map on the Mal'cev Lie algebra.
 
     For a free spec this is the linear map ``L`` of :attr:`Endomorphism.linear_map`,
     in coordinates of the first kind.  For a quotient spec the matrix is the
