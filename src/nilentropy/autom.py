@@ -6,11 +6,12 @@ correspondence it acts linearly on the rational Lie algebra of the group:
 logarithms of the generator images and, for every other basis entry, the
 same commutator tree of brackets over those columns (for a quotient spec the
 trees are the free-cover entries at the kept positions).  ``L`` is cleared of
-denominators into an integer matrix once per endomorphism, and :func:`apply`
-is then one generated ``pack``, one sparse integer matrix-vector product and
-one generated ``unpack``, with every division checked.  The images of the
-basis elements themselves (:attr:`Endomorphism.basis_images`, read by the
-graded matrices) are the same trees evaluated as group commutators.
+denominators into an integer matrix once per endomorphism
+(:attr:`Endomorphism.linear_map`), and every linear invariant is read off
+it: :func:`apply` is one generated ``pack``, one sparse integer
+matrix-vector product and one generated ``unpack``, with every division
+checked; the graded actions are the diagonal weight blocks of ``L``; and
+:func:`invert` runs the same product with ``L^-1``.
 
 The spectral report of an integer matrix is exact integer code: a Berkowitz
 characteristic polynomial, cyclotomic deflation, and a spectral radius
@@ -28,14 +29,7 @@ from functools import lru_cache
 
 from .collect import _vec_add, _vec_scale
 from .mpoly import ExactDivisionError, exact_quotient
-from .nilgroup import (
-    IntegralityError,
-    SpecError,
-    _law_commutator,
-    inverse,
-    multiply,
-    power,
-)
+from .nilgroup import IntegralityError, SpecError
 
 def _exact(x):
     """A matrix entry as an ``int``, or as a ``Fraction`` when not integral."""
@@ -92,10 +86,22 @@ def _tree_evaluator(leaf, node):
     return value
 
 
+def _cleared(entries, n):
+    """Sparse integer rows ``M`` and the least ``denominator`` such that
+    ``M / denominator`` is the ``n x n`` rational matrix with nonzero entries
+    ``(i, j, x)``; each row lists its entries in the order given."""
+    entries = [(i, j, Fraction(x)) for i, j, x in entries]
+    denominator = math.lcm(*(x.denominator for _, _, x in entries))
+    rows = [[] for _ in range(n)]
+    for i, j, x in entries:
+        rows[i].append((j, x.numerator * (denominator // x.denominator)))
+    return tuple(map(tuple, rows)), denominator
+
+
 class Endomorphism:
     """Endomorphism given by generator images in Mal'cev coordinates."""
 
-    __slots__ = ("spec", "images", "_basis_images", "_linear", "_powers")
+    __slots__ = ("spec", "images", "_linear", "_powers")
 
     def __init__(self, spec, images):
         if len(images) != spec.rank:
@@ -104,27 +110,8 @@ class Endomorphism:
             )
         self.spec = spec
         self.images = tuple(spec.check_vector(g) for g in images)
-        self._basis_images = None
         self._linear = None
         self._powers = {}
-
-    @property
-    def basis_images(self):
-        """Images of all basis elements, derived by commutator trees.
-
-        Each basis element is a commutator tree in the generators, so its
-        image is the same tree over the generator images; for a quotient spec
-        the trees are the free-cover entries at the kept positions.
-        """
-        if self._basis_images is None:
-            law = self.spec.law
-            value = _tree_evaluator(self.images.__getitem__,
-                                    lambda a, b: _law_commutator(law, a, b))
-            try:
-                self._basis_images = tuple(value(e) for e in _basis_entries(self.spec))
-            except ExactDivisionError as exc:
-                raise IntegralityError(str(exc)) from exc
-        return self._basis_images
 
     @property
     def linear_map(self):
@@ -148,16 +135,12 @@ class Endomorphism:
             value = _tree_evaluator(leaf, law.bracket_vec)
             if spec.relations is not None:
                 _check_relators(spec, value, d)
-            columns = [
-                {i: Fraction(v, d ** e.weight) for i, v in value(e).items()}
-                for e in _basis_entries(spec)
-            ]
-            denominator = math.lcm(*(x.denominator for col in columns for x in col.values()))
-            rows = [[] for _ in range(spec.dim)]
-            for j, col in enumerate(columns):
-                for i, x in col.items():
-                    rows[i].append((j, x.numerator * (denominator // x.denominator)))
-            self._linear = (tuple(map(tuple, rows)), denominator * d, denominator)
+            rows, denominator = _cleared(
+                ((i, j, Fraction(v, d ** e.weight))
+                 for j, e in enumerate(_basis_entries(spec)) for i, v in value(e).items()),
+                spec.dim,
+            )
+            self._linear = (rows, denominator * d, denominator)
         return self._linear
 
     def __eq__(self, other):
@@ -196,17 +179,22 @@ def identity_endomorphism(spec):
     return Endomorphism(spec, [spec.indicator(k) for k in range(spec.rank)])
 
 
-def apply(phi, g):
-    """Image of ``g``: ``exp(L log g)`` through the integer linear map of ``phi``."""
-    law = phi.spec.law
-    g = phi.spec.check_vector(g)
-    rows, scale, _ = phi.linear_map
+def _linear_image(law, rows, scale, g):
+    """``exp(M log g / denominator)`` for sparse integer rows ``M`` and
+    ``scale = denominator * law.log_scale``, every division checked."""
     try:
         p = law.pack_scaled(g)
         z = [sum([m * p[j] for j, m in row]) for row in rows]
         return law.unpack_scaled(z, scale)
     except ExactDivisionError as exc:
         raise IntegralityError(str(exc)) from exc
+
+
+def apply(phi, g):
+    """Image of ``g``: ``exp(L log g)`` through the integer linear map of ``phi``."""
+    g = phi.spec.check_vector(g)
+    rows, scale, _ = phi.linear_map
+    return _linear_image(phi.spec.law, rows, scale, g)
 
 
 def compose(phi, psi):
@@ -247,35 +235,36 @@ def abelianization_matrix(phi):
 
 
 def graded_matrix(phi, d):
-    """Action on the weight-``d`` graded piece (columns = basis images)."""
+    """Action on the weight-``d`` graded piece: the weight-``d`` diagonal block
+    of ``L``, an integer matrix (a remainder raises :class:`ExactDivisionError`)."""
     spec = phi.spec
     if not 1 <= d <= spec.nilpotency_class:
         raise SpecError(
             f"weight {d} out of range 1..{spec.nilpotency_class}"
         )
     idxs = [k for k, w in enumerate(spec.weights) if w == d]
-    images = phi.basis_images
-    return tuple(
-        tuple(images[j][i] for j in idxs) for i in idxs
-    )
+    pos = {k: p for p, k in enumerate(idxs)}
+    rows, _, denominator = phi.linear_map
+    out = []
+    for i in idxs:
+        row = [0] * len(idxs)
+        for j, m in rows[i]:
+            if j in pos:
+                row[pos[j]] = exact_quotient(m, denominator)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def linearization_matrix(phi):
-    """Rational sympy ``Matrix`` of the induced map on the Mal'cev Lie algebra.
+    """Rational sympy ``Matrix`` of ``L``, the induced map on the Mal'cev Lie algebra.
 
-    For a free spec this is the linear map ``L`` of :attr:`Endomorphism.linear_map`,
-    in coordinates of the first kind.  For a quotient spec the matrix is the
-    Jacobian of the coordinate action at the identity (columns are the basis
-    images); both charts are adapted to the weight filtration, so the matrix
-    is block triangular with the graded actions on the diagonal either way.
+    This is :attr:`Endomorphism.linear_map` on every spec, in coordinates of
+    the first kind.  The Lie basis is adapted to the weight filtration, so the
+    matrix is block triangular with the graded actions on the diagonal.
     """
     import sympy
 
-    spec = phi.spec
-    n = spec.dim
-    if spec.relations is not None:
-        images = phi.basis_images
-        return sympy.Matrix(n, n, lambda i, k: sympy.Integer(images[k][i]))
+    n = phi.spec.dim
     rows, _, denominator = phi.linear_map
     out = sympy.zeros(n, n)
     for i, row in enumerate(rows):
@@ -290,70 +279,62 @@ def is_homologically_trivial(phi):
 
 
 def is_automorphism(phi):
-    """True when every graded piece is acted on invertibly over the integers."""
-    spec = phi.spec
-    for d in range(1, spec.nilpotency_class + 1):
-        m = graded_matrix(phi, d)
-        if m and _bareiss_det(m) not in (1, -1):
-            return False
-    return True
+    """True when every graded piece is acted on invertibly over the integers.
+
+    The graded actions are the diagonal blocks of :attr:`Endomorphism.linear_map`,
+    so on a quotient spec images that do not respect the relators raise
+    :class:`SpecError`.
+    """
+    return all(
+        _bareiss_det(graded_matrix(phi, d)) in (1, -1)
+        for d in range(1, phi.spec.nilpotency_class + 1)
+    )
+
+
+def _fraction_inverse(rows, n):
+    """Inverse of an invertible ``n x n`` matrix given as sparse rows
+    ``((j, a_ij), ...)``: dense rows, by Gauss-Jordan elimination over
+    ``Fraction``."""
+    a = [[0] * n + [int(i == j) for j in range(n)] for i in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            a[i][j] = x
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        pivot = Fraction(a[k][k])
+        a[k] = [x / pivot if x else x for x in a[k]]
+        for i in range(n):
+            f = a[i][k]
+            if f and i != k:
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
 
 
 def invert(phi):
-    """Inverse automorphism, found by weight-by-weight correction.
+    """Inverse automorphism: the images ``exp(L^-1 log x_j)``.
 
-    Starts from the inverse on the abelianization and repairs the defect on
-    each graded piece; the graded matrices are unimodular so the corrections
-    stay integral.
+    ``L^-1`` is ``denominator`` times the inverse of the integer matrix of
+    :attr:`Endomorphism.linear_map`, cleared of denominators the same way,
+    and each image goes through the same checked ``pack``, matrix-vector
+    product and ``unpack`` as :func:`apply`.
     """
-    import sympy
-
     spec = phi.spec
     if not is_automorphism(phi):
         raise SpecError("endomorphism is not invertible over the integers")
-    m = spec.rank
-    a = sympy.Matrix(abelianization_matrix(phi))
-    a_inv = a.inv()
-    images = []
-    for j in range(m):
-        img = spec.identity()
-        for i in range(m):
-            e = a_inv[i, j]
-            assert e.is_integer
-            if e:
-                img = multiply(img, power(spec.indicator(i), int(e), spec), spec)
-        images.append(img)
-    psi = Endomorphism(spec, images)
-    for d in range(2, spec.nilpotency_class + 1):
-        idxs = [k for k, w in enumerate(spec.weights) if w == d]
-        if not idxs:
-            continue
-        g_inv = sympy.Matrix(graded_matrix(phi, d)).inv()
-        new_images = []
-        dirty = False
-        for j in range(m):
-            defect = multiply(
-                inverse(apply(phi, psi.images[j]), spec), spec.indicator(j), spec
-            )
-            if defect == spec.identity():
-                new_images.append(psi.images[j])
-                continue
-            assert all(
-                v == 0 for v, w in zip(defect, spec.weights) if w < d
-            ), "defect below the current weight"
-            rhs = sympy.Matrix([defect[k] for k in idxs])
-            corr = g_inv * rhs
-            fix = [0] * spec.dim
-            for pos, k in enumerate(idxs):
-                val = corr[pos]
-                assert val.is_integer
-                fix[k] = int(val)
-            new_images.append(multiply(psi.images[j], tuple(fix), spec))
-            dirty = True
-        psi = Endomorphism(spec, new_images) if dirty else psi
-    for j in range(m):
+    rows, _, denominator = phi.linear_map
+    inv_rows, inv_denominator = _cleared(
+        ((i, j, denominator * x)
+         for i, row in enumerate(_fraction_inverse(rows, spec.dim))
+         for j, x in enumerate(row) if x),
+        spec.dim,
+    )
+    scale = inv_denominator * spec.law.log_scale
+    psi = Endomorphism(spec, [_linear_image(spec.law, inv_rows, scale, spec.indicator(j))
+                              for j in range(spec.rank)])
+    for j in range(spec.rank):
         if apply(phi, psi.images[j]) != spec.indicator(j):
-            raise SpecError("inverse correction failed to converge")
+            raise SpecError("inverse image does not map back to its generator")
     return psi
 
 

@@ -141,13 +141,11 @@ def _smith_factors(rows, width):
 class KaridiEstimate:
     """Coordinate box length ``max_i |e_i|^(1/weight_i)``.
 
-    ``box_constant`` is the empirically fitted comparison constant between
-    this proxy and the word metric; ``None`` until a band has been measured
-    for the group (see :func:`karidi_band`).
+    The comparison constant between this proxy and the word metric is
+    measured by :func:`karidi_band`, which returns it.
     """
 
     value: float
-    box_constant: float | None = None
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,6 @@ class GroupSpec:
         self.nilpotency_class = basis.nil_class
         self.relations = None
         self.relators = None
-        self._karidi_constant = None
         self._balls = {}
         if not relations:
             self.dim = len(basis)
@@ -689,8 +686,7 @@ def _box_length(g, weights):
 def karidi_length(g, spec):
     """Box-length proxy for the word metric: ``max_i |e_i|^(1/w_i)``."""
     g = spec.check_vector(g)
-    return KaridiEstimate(value=_box_length(g, spec.weights),
-                          box_constant=spec._karidi_constant)
+    return KaridiEstimate(value=_box_length(g, spec.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +783,8 @@ def geodesic_length(g, spec, radius_cap=DEFAULT_RADIUS_CAP, genset=None,
 def karidi_band(spec, radius=8, genset=None, budget=DEFAULT_BALL_BUDGET):
     """Measured ratio band between word length and box length over a ball.
 
-    Fits the two-sided comparison constant and records it on the spec so
-    later :func:`karidi_length` calls report it.
+    Fits the two-sided comparison constant and returns it with the band;
+    nothing is recorded on the spec.
     """
     dist = bfs_ball(spec, radius, genset=genset, budget=budget)
     weights = spec.weights
@@ -806,7 +802,6 @@ def karidi_band(spec, radius=8, genset=None, budget=DEFAULT_BALL_BUDGET):
     if count == 0:
         raise SpecError("ball too small to fit a comparison band")
     constant = max(upper, 1.0 / lower if lower > 0 else math.inf, 1.0 + 1e-9)
-    spec._karidi_constant = constant
     return KaridiBand(lower=lower, upper=upper, constant=constant,
                       radius=radius, size=count)
 

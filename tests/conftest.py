@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from nilentropy import free_nilpotent, multiply, power
+from nilentropy import IntegralityError, free_nilpotent, multiply, power
+from nilentropy.autom import _basis_entries, _tree_evaluator
 from nilentropy.mpoly import ExactDivisionError
+from nilentropy.nilgroup import _law_commutator
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +63,26 @@ def eval_compiled(compiled, values):
     return q
 
 
+def basis_images_reference(phi):
+    """Images of all basis elements, derived by commutator trees.
+
+    Each basis element is a commutator tree in the generators, so its
+    image is the same tree over the generator images; for a quotient spec
+    the trees are the free-cover entries at the kept positions.
+
+    These group commutators fed the graded matrices and ``invert`` before
+    every linear invariant was read off the linear map on the Mal'cev Lie
+    algebra; tests keep them as an independent oracle.
+    """
+    law = phi.spec.law
+    value = _tree_evaluator(phi.images.__getitem__,
+                            lambda a, b: _law_commutator(law, a, b))
+    try:
+        return tuple(value(e) for e in _basis_entries(phi.spec))
+    except ExactDivisionError as exc:
+        raise IntegralityError(str(exc)) from exc
+
+
 def apply_reference(phi, g):
     """Reference endomorphism image: the product of basis images raised to the
     exponents of ``g``.
@@ -70,7 +92,7 @@ def apply_reference(phi, g):
     """
     spec = phi.spec
     out = spec.identity()
-    for image, e in zip(phi.basis_images, g):
+    for image, e in zip(basis_images_reference(phi), g):
         if e:
             out = multiply(out, power(image, e, spec), spec)
     return out

@@ -314,23 +314,43 @@ def test_spectral_report_rejects_non_square():
 # quotient specs
 
 
+def _lie_homomorphism_defects(spec, m):
+    """Basis pairs ``(x, y)`` where ``m[x, y] != [m x, m y]`` under the
+    spec's Mal'cev bracket."""
+    n = spec.dim
+    bracket = spec.law.bracket_vec
+
+    def column(vec):
+        return {i: x for i in range(n)
+                if (x := sum(m[i, j] * v for j, v in vec.items()))}
+
+    unit = [{i: Fraction(1)} for i in range(n)]
+    return [(x, y) for x in range(n) for y in range(x)
+            if column(bracket(unit[x], unit[y]))
+            != bracket(column(unit[x]), column(unit[y]))]
+
+
 def test_quotient_linearization_is_integral_triangular():
     s = surface_quotient(2, 2)
     phi = identity_endomorphism(s)
     m = linearization_matrix(phi)
     assert m == sympy.eye(s.dim)
-    # handle swap: a1,b1 <-> a2,b2 conjugates the relator, still a map of s
-    swap = Endomorphism(
-        s, [s.indicator(2), s.indicator(3), s.indicator(0), s.indicator(1)]
-    )
-    assert is_automorphism(swap)
-    ms = linearization_matrix(swap)
-    for i in range(s.dim):
-        for j in range(s.dim):
-            assert ms[i, j] == int(ms[i, j])
-            if s.weights[i] < s.weights[j]:
-                assert ms[i, j] == 0
-    assert abs(ms.det()) == 1
-    for d in (1, 2):
-        idxs = [k for k, w in enumerate(s.weights) if w == d]
-        assert ms[idxs, idxs] == sympy.Matrix(graded_matrix(swap, d))
+    for s in (surface_quotient(2, 2), surface_quotient(2, 3)):
+        x = [s.indicator(k) for k in range(s.rank)]
+        # handle swap: a1,b1 <-> a2,b2 conjugates the relator, still a map of s
+        swap = Endomorphism(s, [x[2], x[3], x[0], x[1]])
+        twist = Endomorphism(s, [x[0], multiply(x[0], x[1], s), x[2], x[3]])
+        for phi in (swap, twist):
+            assert is_automorphism(phi)
+            ms = linearization_matrix(phi)
+            for i in range(s.dim):
+                for j in range(s.dim):
+                    if s.weights[i] < s.weights[j]:
+                        assert ms[i, j] == 0
+            assert abs(ms.det()) == 1
+            # the chart of the first kind may be rational; its charpoly is not
+            assert all(c.is_integer for c in ms.charpoly().all_coeffs())
+            assert _lie_homomorphism_defects(s, ms) == []
+            for d in range(1, s.nilpotency_class + 1):
+                idxs = [k for k, w in enumerate(s.weights) if w == d]
+                assert ms[idxs, idxs] == sympy.Matrix(graded_matrix(phi, d))

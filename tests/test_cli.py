@@ -72,6 +72,18 @@ def test_aut_check_fib(capsys):
     assert payload["unipotent"] is False
 
 
+def test_aut_check_refuses_map_off_the_relators(capsys):
+    # fib sends the surface relator outside its normal closure
+    assert main(
+        ["aut-check", "--group", "surface:2,3", "--aut", "builtin:fib"]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: generator images do not respect the relators of the quotient\n"
+    )
+
+
 def test_grow_csv(capsys):
     assert main(
         [

@@ -243,8 +243,15 @@ def test_karidi_band_bounds_hold_on_the_ball(heis):
         box = karidi_length(g, heis).value
         assert band.lower * box <= d + 1e-9
         assert d <= band.upper * box + 1e-9
-    # the fitted constant is recorded on the spec afterwards
-    assert karidi_length((1, 1, 0), heis).box_constant == band.constant
+    # the fitted constant comes back with the band
+    assert band.constant == max(band.upper, 1 / band.lower, 1 + 1e-9)
+
+
+def test_karidi_length_ignores_earlier_bands():
+    spec = GroupSpec(HallBasis(2, 2))
+    before = repr(karidi_length((3, -1, 5), spec))
+    karidi_band(spec, radius=4)
+    assert repr(karidi_length((3, -1, 5), spec)) == before
 
 
 # ---------------------------------------------------------------------------
