@@ -11,12 +11,15 @@ denominators into an integer matrix once per endomorphism
 it: :func:`apply` is one generated ``pack``, one sparse integer
 matrix-vector product and one generated ``unpack``, with every division
 checked; the graded actions are the diagonal weight blocks of ``L``; and
-:func:`invert` runs the same product with ``L^-1``.
+:func:`invert` runs the same product with ``L^-1``, from the ``Fraction``
+inverse of :mod:`.linalg`.
 
 The spectral report of an integer matrix is exact integer code: a Berkowitz
 characteristic polynomial, cyclotomic deflation, and a spectral radius
-isolated by Sturm sequences; only spectra with non-real roots fall back to
-sympy, which is imported where it is still needed.
+isolated by Sturm sequences and bisected until it is correctly rounded.  A
+spectrum with non-real roots is reduced to a real one: the largest real
+eigenvalue of ``C (x) C``, for the companion matrix ``C`` of its squarefree
+part, is the squared radius.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .collect import _vec_add, _vec_scale
+from .linalg import bareiss_det, inverse
 from .mpoly import ExactDivisionError, exact_quotient
 from .nilgroup import IntegralityError, SpecError
 
@@ -256,21 +260,18 @@ def graded_matrix(phi, d):
 
 
 def linearization_matrix(phi):
-    """Rational sympy ``Matrix`` of ``L``, the induced map on the Mal'cev Lie algebra.
+    """``L``, the induced map on the Mal'cev Lie algebra, as ``Fraction`` row tuples.
 
     This is :attr:`Endomorphism.linear_map` on every spec, in coordinates of
     the first kind.  The Lie basis is adapted to the weight filtration, so the
     matrix is block triangular with the graded actions on the diagonal.
     """
-    import sympy
-
-    n = phi.spec.dim
     rows, _, denominator = phi.linear_map
-    out = sympy.zeros(n, n)
+    out = [[Fraction(0)] * phi.spec.dim for _ in rows]
     for i, row in enumerate(rows):
         for j, m in row:
-            out[i, j] = sympy.Rational(m, denominator)
-    return out
+            out[i][j] = Fraction(m, denominator)
+    return tuple(map(tuple, out))
 
 
 def is_homologically_trivial(phi):
@@ -286,46 +287,24 @@ def is_automorphism(phi):
     :class:`SpecError`.
     """
     return all(
-        _bareiss_det(graded_matrix(phi, d)) in (1, -1)
+        bareiss_det(graded_matrix(phi, d)) in (1, -1)
         for d in range(1, phi.spec.nilpotency_class + 1)
     )
-
-
-def _fraction_inverse(rows, n):
-    """Inverse of an invertible ``n x n`` matrix given as sparse rows
-    ``((j, a_ij), ...)``: dense rows, by Gauss-Jordan elimination over
-    ``Fraction``."""
-    a = [[0] * n + [int(i == j) for j in range(n)] for i in range(n)]
-    for i, row in enumerate(rows):
-        for j, x in row:
-            a[i][j] = x
-    for k in range(n):
-        p = next(i for i in range(k, n) if a[i][k])
-        a[k], a[p] = a[p], a[k]
-        pivot = Fraction(a[k][k])
-        a[k] = [x / pivot if x else x for x in a[k]]
-        for i in range(n):
-            f = a[i][k]
-            if f and i != k:
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
 
 
 def invert(phi):
     """Inverse automorphism: the images ``exp(L^-1 log x_j)``.
 
-    ``L^-1`` is ``denominator`` times the inverse of the integer matrix of
-    :attr:`Endomorphism.linear_map`, cleared of denominators the same way,
-    and each image goes through the same checked ``pack``, matrix-vector
-    product and ``unpack`` as :func:`apply`.
+    ``L^-1`` is the inverse of :func:`linearization_matrix`, cleared of
+    denominators the same way as :attr:`Endomorphism.linear_map`, and each
+    image goes through the same checked ``pack``, matrix-vector product and
+    ``unpack`` as :func:`apply`.
     """
     spec = phi.spec
     if not is_automorphism(phi):
         raise SpecError("endomorphism is not invertible over the integers")
-    rows, _, denominator = phi.linear_map
     inv_rows, inv_denominator = _cleared(
-        ((i, j, denominator * x)
-         for i, row in enumerate(_fraction_inverse(rows, spec.dim))
+        ((i, j, x) for i, row in enumerate(inverse(linearization_matrix(phi)))
          for j, x in enumerate(row) if x),
         spec.dim,
     )
@@ -357,27 +336,6 @@ class SpectralReport:
     unipotent: bool
     quasi_unipotent: bool
     radius_gap: float | None
-
-
-def _bareiss_det(rows):
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact: Sylvester's identity makes every entry a minor
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return sign * a[-1][-1] if n else 1
 
 
 def _charpoly(rows):
@@ -569,13 +527,14 @@ def _spectral_radius(coeffs):
         # the smallest root of poly is minus the largest of poly(-x)
         mirrored = [c * (-1) ** i for i, c in enumerate(poly)]
         return max(_largest_root(poly, sturm), _largest_root(mirrored, _sturm(mirrored)))
-    import sympy
-
-    x = sympy.Symbol("x")
-    radius = 0.0
-    for root in sympy.Poly(coeffs, x).all_roots(radicals=False):
-        radius = max(radius, abs(complex(root.evalf(30))))
-    return radius
+    # the eigenvalues of C (x) C are the products of two roots; the largest
+    # real one is |root|^2 for a root of largest modulus, so the radius is the
+    # largest real root of r(z^2) for the characteristic polynomial r
+    companion = [[int(i == j + 1) for j in range(deg - 1)]
+                 + [_exact(Fraction(-poly[deg - i], poly[0]))] for i in range(deg)]
+    kron = [[a * b for a in row for b in other] for row in companion for other in companion]
+    squares = _squarefree([c for r in _charpoly(kron) for c in (r, 0)][:-1])
+    return _largest_root(squares, _sturm(squares))
 
 
 def spectral_report(matrix):

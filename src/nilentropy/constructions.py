@@ -17,6 +17,7 @@ from functools import lru_cache
 from . import autom, nilgroup
 from .autom import Endomorphism, apply, invert, iterate, linearization_matrix, spectral_report, abelianization_matrix
 from .hall import HallBasis, LieElement, bracket
+from .linalg import nullspace
 from .nilgroup import (
     GroupSpec,
     GrowthWarning,
@@ -320,52 +321,32 @@ def semidirect_unipotent(base, monodromy):
 
 
 def _lie_struct_matrices(spec):
-    """ad-matrices of the coordinate basis over the rationals."""
-    import sympy
-
-    n = spec.dim
-    law = spec.law
-    mats = []
-    for j in range(n):
-        unit = {j: Fraction(1)}
-        cols = []
-        for i in range(n):
-            img = law.bracket_vec({i: Fraction(1)}, unit)
-            cols.append([img.get(k, 0) for k in range(n)])
-        mats.append(sympy.Matrix(n, n, lambda r, c: sympy.Rational(cols[c][r])))
-    return mats
+    """ad-matrices of the coordinate basis as sparse columns: ``mats[j][i]``
+    is the bracket ``[e_i, e_j]``."""
+    units = [{i: Fraction(1)} for i in range(spec.dim)]
+    return [[spec.law.bracket_vec(u, v) for u in units] for v in units]
 
 
 def _semidirect_lie_matrices(sd):
     """ad-matrices for base Lie algebra extended by the monodromy logarithm."""
-    import sympy
-
-    base = sd.base
-    n = base.dim
-    phi_mat = linearization_matrix(sd.monodromy)
-    nilp = phi_mat - sympy.eye(n)
-    p = nilp
-    k = 1
-    log_m = sympy.zeros(n, n)
-    while not p.is_zero_matrix:
-        log_m += sympy.Rational((-1) ** (k + 1), k) * p
-        p = p * nilp
-        k += 1
-        if k > n + 1:
-            raise SpecError("monodromy linearization is not unipotent")
-    base_mats = _lie_struct_matrices(base)
-    dim = n + 1
-    mats = []
-    for j in range(n):
-        m = sympy.zeros(dim, dim)
-        m[:n, :n] = base_mats[j]
-        # [T, Y_j] column: the log of the monodromy applied to Y_j
-        m[:n, n] = -log_m[:, j]
-        mats.append(m)
-    t_mat = sympy.zeros(dim, dim)
-    t_mat[:n, :n] = log_m
-    mats.append(t_mat)
-    return mats
+    n = sd.base.dim
+    nilp = [[x - (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(linearization_matrix(sd.monodromy))]
+    # log L = sum (-1)^(k+1) (L - 1)^k / k, a finite sum when L - 1 is nilpotent
+    log_m, p = [[0] * n for _ in range(n)], nilp
+    for k in range(1, n + 2):
+        if not any(map(any, p)):
+            break
+        log_m = [[a + Fraction((-1) ** (k + 1), k) * b for a, b in zip(r, q)]
+                 for r, q in zip(log_m, p)]
+        p = [[sum(a * b for a, b in zip(r, col)) for col in zip(*nilp)] for r in p]
+    else:
+        raise SpecError("monodromy linearization is not unipotent")
+    log_cols = [{i: log_m[i][j] for i in range(n) if log_m[i][j]} for j in range(n)]
+    # [T, Y_j] is minus the log of the monodromy applied to Y_j
+    mats = [cols + [{i: -x for i, x in log_cols[j].items()}]
+            for j, cols in enumerate(_lie_struct_matrices(sd.base))]
+    return mats + [log_cols + [{}]]
 
 
 def upper_central_lengths(spec_or_semidirect):
@@ -380,35 +361,26 @@ def upper_central_lengths(spec_or_semidirect):
 
 
 def upper_central_dimensions(spec_or_semidirect):
-    """Dimensions of successive upper central quotients of the Lie algebra."""
-    import sympy
+    """Dimensions of successive upper central quotients of the Lie algebra.
 
+    Each center is a ``Fraction`` nullspace: ``x`` is central modulo the
+    center ``Z`` when ``w([x, e_j]) = 0`` for every basis vector ``e_j`` and
+    every functional ``w`` that vanishes on ``Z``.
+    """
     if isinstance(spec_or_semidirect, SemidirectSpec):
         mats = _semidirect_lie_matrices(spec_or_semidirect)
     else:
         mats = _lie_struct_matrices(spec_or_semidirect)
-    n = mats[0].shape[0] if mats else 0
-    if n == 0:
-        return ()
-    center_basis = sympy.zeros(n, 0)
-    lengths = []
-    while center_basis.shape[1] < n:
-        # left annihilator of the current center's column span
-        comp = center_basis.T.nullspace()
-        w = sympy.Matrix([list(v.T) for v in comp]) if comp else None
-        rows = []
-        for m in mats:
-            cond = w * m if w is not None else m
-            rows.extend(cond.tolist())
-        cond_matrix = sympy.Matrix(rows)
-        next_center = cond_matrix.nullspace()
-        new_basis = (
-            sympy.Matrix.hstack(*next_center) if next_center else sympy.zeros(n, 0)
-        )
-        if new_basis.shape[1] <= center_basis.shape[1]:
+    n = len(mats)
+    center, lengths = [], []
+    while len(center) < n:
+        ann = nullspace(center, n)
+        cond = [[sum(w[k] * v for k, v in col.items()) for col in m] for m in mats for w in ann]
+        next_center = nullspace(cond, n)
+        if len(next_center) <= len(center):
             raise SpecError("upper central series stalled; algebra not nilpotent")
-        lengths.append(new_basis.shape[1] - center_basis.shape[1])
-        center_basis = new_basis
+        lengths.append(len(next_center) - len(center))
+        center = next_center
     return tuple(lengths)
 
 

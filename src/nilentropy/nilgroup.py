@@ -18,10 +18,10 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .collect import CollectionLaw
 from .hall import HallBasis
+from .linalg import in_row_span
 from .mpoly import ExactDivisionError
 
 DEFAULT_RADIUS_CAP = 10
@@ -339,65 +339,34 @@ class GroupSpec:
                     f"relator closure cuts rank {len(leads)} at weight {d}, "
                     f"graded relations cut rank {ranks[d]}"
                 )
-            for vec in leads:
-                if not self._in_row_span(vec, given):
-                    raise SpecError(
-                        f"relator closure leaves the graded relations at weight {d}"
-                    )
-            for vec in given:
-                if not self._in_row_span(vec, leads):
-                    raise SpecError(
-                        f"graded relations at weight {d} exceed the relator closure"
-                    )
+            if not in_row_span(leads, given):
+                raise SpecError(
+                    f"relator closure leaves the graded relations at weight {d}"
+                )
+            if not in_row_span(given, leads):
+                raise SpecError(
+                    f"graded relations at weight {d} exceed the relator closure"
+                )
 
     def _check_ideal(self, cover):
         basis = self.basis
-        c = basis.nil_class
         for d in sorted(self.relations):
-            rows = self.relations[d]
-            if d == c:
+            if d == basis.nil_class:
                 continue
-            layer = basis.by_weight[d]
-            target_rows = self.relations.get(d + 1, ())
-            for row in rows:
+            layer, next_layer = basis.by_weight[d], basis.by_weight[d + 1]
+            images = []
+            for row in self.relations[d]:
                 for gen in range(self.rank):
                     image = {}
                     for pos, coeff in enumerate(row):
-                        if not coeff:
-                            continue
-                        for k, sc in basis.pair_bracket(layer[pos], gen).items():
-                            image[k] = image.get(k, 0) + coeff * sc
-                    if not image:
-                        continue
-                    next_layer = basis.by_weight[d + 1]
-                    vec = [image.get(k, 0) for k in next_layer]
-                    if not self._in_row_span(vec, target_rows):
-                        raise SpecError(
-                            f"relations at weight {d} do not bracket into weight {d + 1}"
-                        )
-
-    @staticmethod
-    def _in_row_span(vec, rows):
-        """Rational membership of ``vec`` in the span of ``rows``."""
-        width = len(vec)
-        mat = [list(map(Fraction, r)) for r in rows]
-        tgt = list(map(Fraction, vec))
-        rank_pos = 0
-        for j in range(width):
-            piv = next((i for i in range(rank_pos, len(mat)) if mat[i][j]), None)
-            if piv is None:
-                continue
-            mat[rank_pos], mat[piv] = mat[piv], mat[rank_pos]
-            pr = mat[rank_pos]
-            if tgt[j]:
-                f = tgt[j] / pr[j]
-                tgt = [t - f * x for t, x in zip(tgt, pr)]
-            for i in range(len(mat)):
-                if i != rank_pos and mat[i][j]:
-                    f = mat[i][j] / pr[j]
-                    mat[i] = [a - f * b for a, b in zip(mat[i], pr)]
-            rank_pos += 1
-        return not any(tgt)
+                        if coeff:
+                            for k, sc in basis.pair_bracket(layer[pos], gen).items():
+                                image[k] = image.get(k, 0) + coeff * sc
+                    images.append([image.get(k, 0) for k in next_layer])
+            if not in_row_span(images, self.relations.get(d + 1, ())):
+                raise SpecError(
+                    f"relations at weight {d} do not bracket into weight {d + 1}"
+                )
 
     # -- basic queries ----------------------------------------------------
 
@@ -434,6 +403,7 @@ class GroupSpec:
             and self.nilpotency_class == other.nilpotency_class
             and self.relations == other.relations
             and self.relators == other.relators
+            and self.generating_set == other.generating_set
         )
 
     def __hash__(self):

@@ -26,7 +26,7 @@ from nilentropy import (
     surface_quotient,
 )
 
-from nilentropy.autom import _bareiss_det
+from nilentropy.linalg import bareiss_det
 
 from conftest import random_vector
 
@@ -170,7 +170,7 @@ def test_homologically_trivial_maps_act_trivially_on_gradeds(f23, rng):
 
 def test_linearization_matrix_free_is_filtration_triangular(f23):
     phi = builtin_automorphism("fib", f23)
-    m = linearization_matrix(phi)
+    m = sympy.Matrix(linearization_matrix(phi))
     n = f23.dim
     assert m.shape == (n, n)
     for i in range(n):
@@ -244,7 +244,7 @@ def _sympy_report(rows):
     if quasi:
         radius, error, gap = 1.0, 0.0, None
     else:
-        radius = max(abs(complex(r.evalf(30)))
+        radius = max(float(sympy.Abs(r).evalf(60))
                      for r in sympy.Poly(coeffs, x).all_roots(radicals=False))
         error, gap = 1e-9, radius - 1.0
     return (coeffs, radius, error, bool(unipotent), bool(quasi), gap)
@@ -275,6 +275,19 @@ def test_spectral_report_matches_sympy(rng):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("rows, radius", [
+    (((0, -3, 2), (-3, 3, 1), (1, 3, 3)), 4.406632672299806),
+    (((2, -2, 1), (3, 3, 3), (3, -2, 3)), 5.066175486004313),
+    (((-3, 3, 2, -3), (0, 3, 2, 3), (-2, 0, -2, 0), (3, 2, -1, -3)), 4.656965343990649),
+    (((3, 1, 0, 2), (-1, -2, 1, 1), (-2, -3, -3, 3), (2, 2, -3, 1)), 4.146073331807827),
+])
+def test_non_real_spectral_radius_is_correctly_rounded(rows, radius):
+    # the largest modulus is that of a non-real pair; each radius is the
+    # correctly rounded float(sympy.Abs(root).evalf(60)), one ulp away from
+    # the modulus of a 30-digit complex root
+    assert spectral_report(rows).spectral_radius == radius
+
+
 def test_spectral_radius_of_large_real_spectrum():
     # companion matrix of (x - 3)(x + 5)(x - 7/1)(x^2 - 2): radius 7 exactly
     # up to the float; the roots +-sqrt(2) exercise the bisection
@@ -301,8 +314,8 @@ def test_bareiss_det_matches_sympy(rng):
         if rng.random() < 0.3:
             rows[rng.randrange(n)][0] = 0
             rows[0] = [0] * n if rng.random() < 0.2 else rows[0]
-        assert _bareiss_det(rows) == sympy.Matrix(rows).det()
-    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+        assert bareiss_det(rows) == sympy.Matrix(rows).det()
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
 
 
 def test_spectral_report_rejects_non_square():
@@ -333,7 +346,7 @@ def _lie_homomorphism_defects(spec, m):
 def test_quotient_linearization_is_integral_triangular():
     s = surface_quotient(2, 2)
     phi = identity_endomorphism(s)
-    m = linearization_matrix(phi)
+    m = sympy.Matrix(linearization_matrix(phi))
     assert m == sympy.eye(s.dim)
     for s in (surface_quotient(2, 2), surface_quotient(2, 3)):
         x = [s.indicator(k) for k in range(s.rank)]
@@ -342,7 +355,7 @@ def test_quotient_linearization_is_integral_triangular():
         twist = Endomorphism(s, [x[0], multiply(x[0], x[1], s), x[2], x[3]])
         for phi in (swap, twist):
             assert is_automorphism(phi)
-            ms = linearization_matrix(phi)
+            ms = sympy.Matrix(linearization_matrix(phi))
             for i in range(s.dim):
                 for j in range(s.dim):
                     if s.weights[i] < s.weights[j]:

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 import sympy
 
 from nilentropy import (
+    Endomorphism,
     GroupSpec,
     GrowthWarning,
     HallBasis,
@@ -28,6 +30,8 @@ from nilentropy import (
     upper_central_dimensions,
     upper_central_lengths,
 )
+
+from nilentropy.constructions import _semidirect_lie_matrices
 
 from conftest import random_vector
 
@@ -183,6 +187,35 @@ def test_semidirect_central_shear_upper_central_length(heis):
     phi = builtin_automorphism("central-shear", heis)
     sd = semidirect_unipotent(heis, phi)
     assert upper_central_lengths(sd) == 2
+
+
+def test_semidirect_lie_matrices_form_a_lie_algebra():
+    # the bracket with T is a derivation only if T acts by log L, with the
+    # alternating signs of the series: x2 -> x1 x2, x3 -> x2 x3 has
+    # (L - 1)^2 != 0 and moves x2, x3 to the non-commuting x1, x2
+    base = free_nilpotent(3, 3)
+    x = [base.indicator(k) for k in range(3)]
+    shear = Endomorphism(base, [x[0], multiply(x[0], x[1], base), multiply(x[1], x[2], base)])
+    sd = semidirect_unipotent(base, shear)
+    mats = _semidirect_lie_matrices(sd)
+
+    def bracket(x, y):
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                for k, v in mats[j][i].items():
+                    out[k] = out.get(k, 0) + a * b * v
+        return {k: v for k, v in out.items() if v}
+
+    unit = [{i: 1} for i in range(len(mats))]
+    for x, y in itertools.combinations(unit, 2):
+        assert bracket(x, y) == {k: -v for k, v in bracket(y, x).items()}
+    for x, y, z in itertools.combinations(unit, 3):
+        total = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for k, v in bracket(a, bracket(b, c)).items():
+                total[k] = total.get(k, 0) + v
+        assert not any(total.values()), (x, y, z)
 
 
 def test_semidirect_rejects_non_unipotent(heis):

@@ -1,6 +1,6 @@
 """``apply``, the graded matrices and ``invert`` read off one linear map on the
 Mal'cev Lie algebra, against the product of basis-image powers and the
-commutator-tree basis images, and the growth path without sympy."""
+commutator-tree basis images, and the package without sympy."""
 
 import random
 import subprocess
@@ -145,7 +145,8 @@ def test_invert_is_a_two_sided_inverse(make, images):
     for j in range(spec.rank):
         assert apply(phi, psi.images[j]) == spec.indicator(j)
         assert apply(psi, phi.images[j]) == spec.indicator(j)
-    assert linearization_matrix(psi) * linearization_matrix(phi) == sympy.eye(spec.dim)
+    assert (sympy.Matrix(linearization_matrix(psi)) * sympy.Matrix(linearization_matrix(phi))
+            == sympy.eye(spec.dim))
 
 
 def test_iterated_orbit_matches_reference():
@@ -192,17 +193,22 @@ def test_free_linearization_is_pack_times_inverse_log_basis():
     v = sympy.Matrix(n, n, lambda i, k: sympy.Rational(law.log_vectors[k].get(i, 0)))
     logs = [law.pack(img) for img in basis_images_reference(phi)]
     p = sympy.Matrix(n, n, lambda i, k: sympy.Rational(logs[k].get(i, 0)))
-    assert linearization_matrix(phi) == p * v.inv()
+    assert sympy.Matrix(linearization_matrix(phi)) == p * v.inv()
 
 
 SYMPY_FREE = """
+import contextlib
+import io
 import sys
 import nilentropy as ne
+from nilentropy import cli
 for spec in (ne.free_nilpotent(2, 4), ne.surface_quotient(2, 3)):
     phi = ne.builtin_automorphism("unipotent-shear", spec)
     fib = ne.builtin_automorphism("fib", spec)
     ne.growth_series(phi, spec.indicator(0), 30)
     ne.invert(phi)
+    ne.linearization_matrix(phi)
+    ne.semidirect_unipotent(spec, phi)
     try:
         ne.is_automorphism(fib)
     except ne.SpecError:  # fib does not respect the surface relator
@@ -211,11 +217,19 @@ for spec in (ne.free_nilpotent(2, 4), ne.surface_quotient(2, 3)):
     ne.spectral_report(ne.abelianization_matrix(fib))
 ne.growth_series(ne.builtin_automorphism("fib", ne.free_nilpotent(2, 4)),
                  (1, 0, 0, 0, 0, 0, 0, 0), 30)
+ne.upper_central_dimensions(ne.surface_quotient(2, 3))
+ne.spectral_report(((1, -1), (1, 1)))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["semidirect", "--group", "free:2,2", "--aut", "builtin:unipotent-shear"]) == 0
+    assert cli.main(["aut-check", "--group", "free:2,2", "--aut", sys.argv[1]]) == 0
 print(sorted(m for m in ("sympy", "nilentropy") if m in sys.modules))
 """
 
 
-def test_growth_path_does_not_import_sympy():
-    proc = subprocess.run([sys.executable, "-c", SYMPY_FREE], capture_output=True,
+def test_package_does_not_import_sympy(tmp_path):
+    # abelianization ((1, -1), (1, 1)): eigenvalues 1 +- i
+    aut = tmp_path / "rotation.json"
+    aut.write_text('{"images": [[1, 1, 0], [-1, 1, 0]]}')
+    proc = subprocess.run([sys.executable, "-c", SYMPY_FREE, str(aut)], capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.split() == ["['nilentropy']"]

@@ -315,6 +315,15 @@ def test_spec_json_roundtrip_quotient():
     assert multiply(g, h, back) == multiply(g, h, s)
 
 
+def test_spec_equality_includes_generating_set():
+    basis = HallBasis(2, 2)
+    gens = ((1, 0, 0), (1, 1, 0))
+    skewed = GroupSpec(basis, generating_set=gens)
+    assert skewed != GroupSpec(basis)
+    assert skewed == GroupSpec(basis, generating_set=gens)
+    assert spec_from_json(json.loads(json.dumps(spec_to_json(skewed)))) == skewed
+
+
 def test_spec_json_rejects_relators_without_relations(f23):
     payload = spec_to_json(f23)
     payload["relators"] = [vector_to_json(identity(f23))]
@@ -343,6 +352,19 @@ def test_quotient_torsion_detected():
             relators=[(0, 0, 2)],
             free_cover=cover,
         )
+
+
+def test_quotient_relations_must_form_an_ideal():
+    # [x1, x2] = 1 forces [x1, x2, x1] = [x1, x2, x2] = 1 at weight 3
+    with pytest.raises(SpecError, match="do not bracket into weight 3"):
+        GroupSpec(HallBasis(2, 3), relations={2: [(1,)]})
+
+
+def test_quotient_relators_must_cut_the_graded_relations():
+    # the relator [x3, x1] against the graded relation [x2, x1]
+    with pytest.raises(SpecError, match="leaves the graded relations at weight 2"):
+        GroupSpec(HallBasis(3, 2), relations={2: [(1, 0, 0)]},
+                  relators=[(0, 0, 0, 0, 1, 0)])
 
 
 def test_quotient_relator_must_be_commutator_shaped():

@@ -1,0 +1,41 @@
+"""The declared runtime dependencies are exactly the packages the source imports."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "nilentropy").glob("*.py"))
+
+
+def _imported_names(path):
+    """Top-level names of every absolute import in ``path``, nested ones included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def _declared():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0] for dep in project["dependencies"]}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    assert SOURCES
+    declared = _declared()
+    imported = set()
+    for path in SOURCES:
+        names = _imported_names(path)
+        undeclared = names - set(sys.stdlib_module_names) - declared - {"nilentropy"}
+        assert not undeclared, f"{path.name} imports undeclared {sorted(undeclared)}"
+        imported |= names
+    assert declared <= imported, f"declared but never imported: {sorted(declared - imported)}"
