@@ -101,9 +101,6 @@ class PolyFit:
 
 def _normalform_costs(spec):
     """Word-length cost of each coordinate direction (an upper bound)."""
-    cached = getattr(spec, "_nf_costs", None)
-    if cached is not None:
-        return cached
     basis = spec.basis
     free_costs = []
     for entry in basis.entries:
@@ -118,24 +115,16 @@ def _normalform_costs(spec):
                 )
             )
     if spec.relations is None:
-        costs = tuple(free_costs)
-    else:
-        costs = tuple(free_costs[p] for p in spec._positions)
-    spec._nf_costs = costs
-    return costs
+        return tuple(free_costs)
+    return tuple(free_costs[p] for p in spec._positions)
 
 
-def _upper_length(g, spec):
-    costs = _normalform_costs(spec)
-    return float(sum(abs(v) * c for v, c in zip(g, costs)))
-
-
-def _length_in_mode(h, spec, mode, genset):
+def _length_in_mode(h, spec, mode, genset, costs):
     if mode == "exact-bfs":
         return geodesic_length(h, spec, genset=genset)
     if mode == "karidi":
         return nilgroup._box_length(h, spec.weights)
-    return _upper_length(h, spec)
+    return float(sum(abs(v) * c for v, c in zip(h, costs)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +143,12 @@ def growth_series(phi, g, n_max, mode="karidi", genset=None):
     if not is_automorphism(phi):
         raise SpecError("growth series requires an automorphism")
     g = spec.check_vector(g)
+    costs = _normalform_costs(spec) if mode == "normalform-upper" else None
     entries = []
     h = g
     for n in range(1, n_max + 1):
         h = apply(phi, h)
-        length = _length_in_mode(h, spec, mode, genset)
+        length = _length_in_mode(h, spec, mode, genset, costs)
         if length is None:
             warnings.warn(
                 f"exact length unknown at n={n}; entry omitted",
@@ -363,6 +353,8 @@ def distortion_profile(spec, i, radius=None, genset=None,
     Over the BFS ball, elements supported on coordinates of weight ≥ i are
     measured twice: ambient word length against intrinsic length in the
     subgroup's own coordinates (box proxy with the induced weights ⌊w/i⌋).
+    The intrinsic lengths are taken column by column over the layer, one
+    root per distinct absolute coordinate value.
     """
     c = spec.nilpotency_class
     if not 1 <= i <= c:
@@ -373,25 +365,18 @@ def distortion_profile(spec, i, radius=None, genset=None,
         # smallest radii giving >= 20 layer points on the desk-scale groups
         radius = 14 if spec.dim <= 3 else 12 if spec.dim <= 5 else 8
     ball = bfs_ball(spec, radius, genset=genset, budget=budget)
-    pairs = []
-    for h, dist in ball.items():
-        if dist == 0:
-            continue
-        if any(v and w < i for v, w in zip(h, spec.weights)):
-            continue
-        intrinsic = max(
-            nilgroup._root(abs(v), w // i)
-            for v, w in zip(h, spec.weights)
-            if v
-        )
-        pairs.append((dist, intrinsic))
-    if len(pairs) < min_points:
+    # weights never decrease, so the coordinates of weight < i are a prefix
+    low = sum(1 for w in spec.weights if w < i)
+    layer = {h: d for h, d in ball.items() if d and not any(h[:low])}
+    need = max(min_points, 1)
+    if len(layer) < need:
         raise SpecError(
-            f"only {len(pairs)} elements of the weight-{i} layer within "
-            f"radius {radius}; need at least {min_points}"
+            f"only {len(layer)} elements of the weight-{i} layer within "
+            f"radius {radius}; need at least {need}"
         )
-    xs = np.log([float(d) for d, _ in pairs])
-    ys = np.log([max(float(v), 1.0) for _, v in pairs])
+    intrinsic = nilgroup._box_lengths(layer, spec.weights, i)
+    xs = np.log([float(d) for d in layer.values()])
+    ys = np.log([max(v, 1.0) for v in intrinsic])
     design = np.column_stack([xs, np.ones_like(xs)])
     beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
     if np.allclose(ys, ys[0]) or np.allclose(xs, xs[0]):

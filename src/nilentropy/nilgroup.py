@@ -339,13 +339,11 @@ class GroupSpec:
                     f"relator closure cuts rank {len(leads)} at weight {d}, "
                     f"graded relations cut rank {ranks[d]}"
                 )
+            # no converse check: the leads are independent (distinct leading
+            # positions) and as many as rank(given), so inside its span they span it
             if not in_row_span(leads, given):
                 raise SpecError(
                     f"relator closure leaves the graded relations at weight {d}"
-                )
-            if not in_row_span(given, leads):
-                raise SpecError(
-                    f"graded relations at weight {d} exceed the relator closure"
                 )
 
     def _check_ideal(self, cover):
@@ -653,6 +651,22 @@ def _box_length(g, weights):
     return value
 
 
+def _box_lengths(vecs, weights, divisor=1):
+    """``_box_length`` of each vector under the weights ``w // divisor``.
+
+    Works column by column with one root per distinct absolute value, so
+    every length is the per-element float bit for bit.
+    """
+    columns = []
+    for col, w in zip(zip(*vecs), weights):
+        col = list(map(abs, col))
+        table = {v: _root(v, w // divisor) for v in set(col)}
+        columns.append(map(table.__getitem__, col))
+    if len(columns) == 1:
+        return list(columns[0])
+    return list(map(max, *columns))
+
+
 def karidi_length(g, spec):
     """Box-length proxy for the word metric: ``max_i |e_i|^(1/w_i)``."""
     g = spec.check_vector(g)
@@ -754,23 +768,17 @@ def karidi_band(spec, radius=8, genset=None, budget=DEFAULT_BALL_BUDGET):
     """Measured ratio band between word length and box length over a ball.
 
     Fits the two-sided comparison constant and returns it with the band;
-    nothing is recorded on the spec.
+    nothing is recorded on the spec.  The box lengths are taken column by
+    column, one root per distinct absolute coordinate value.
     """
     dist = bfs_ball(spec, radius, genset=genset, budget=budget)
-    weights = spec.weights
-    lower = math.inf
-    upper = 0.0
-    count = 0
-    for vec, length in dist.items():
-        if length == 0:
-            continue
-        box = _box_length(vec, weights)
-        ratio = length / box
-        lower = min(lower, ratio)
-        upper = max(upper, ratio)
-        count += 1
-    if count == 0:
+    # the identity, at length 0, comes first
+    vecs = list(dist)[1:]
+    if not vecs:
         raise SpecError("ball too small to fit a comparison band")
+    ratios = list(map(operator.truediv, list(dist.values())[1:],
+                      _box_lengths(vecs, spec.weights)))
+    lower, upper, count = min(ratios), max(ratios), len(ratios)
     constant = max(upper, 1.0 / lower if lower > 0 else math.inf, 1.0 + 1e-9)
     return KaridiBand(lower=lower, upper=upper, constant=constant,
                       radius=radius, size=count)

@@ -1,11 +1,20 @@
+import math
 import random
 
 import pytest
 
-from nilentropy import IntegralityError, free_nilpotent, multiply, power
+from nilentropy import (
+    IntegralityError,
+    KaridiBand,
+    SpecError,
+    bfs_ball,
+    free_nilpotent,
+    multiply,
+    power,
+)
 from nilentropy.autom import _basis_entries, _tree_evaluator
 from nilentropy.mpoly import ExactDivisionError
-from nilentropy.nilgroup import _law_commutator
+from nilentropy.nilgroup import _box_length, _law_commutator, _root
 
 
 @pytest.fixture(scope="session")
@@ -96,3 +105,47 @@ def apply_reference(phi, g):
         if e:
             out = multiply(out, power(image, e, spec), spec)
     return out
+
+
+def karidi_band_reference(spec, radius, genset=None):
+    """Reference Karidi band: one ``_box_length`` per ball element.
+
+    This is how ``karidi_band`` worked before it took the box lengths column
+    by column; tests keep it as an independent oracle.
+    """
+    dist = bfs_ball(spec, radius, genset=genset)
+    lower = math.inf
+    upper = 0.0
+    count = 0
+    for vec, length in dist.items():
+        if length == 0:
+            continue
+        ratio = length / _box_length(vec, spec.weights)
+        lower = min(lower, ratio)
+        upper = max(upper, ratio)
+        count += 1
+    if count == 0:
+        raise SpecError("ball too small to fit a comparison band")
+    constant = max(upper, 1.0 / lower if lower > 0 else math.inf, 1.0 + 1e-9)
+    return KaridiBand(lower=lower, upper=upper, constant=constant,
+                      radius=radius, size=count)
+
+
+def distortion_pairs_reference(spec, i, radius, genset=None):
+    """Reference ``(word length, intrinsic length)`` pairs of the weight-i layer.
+
+    This is the per-element loop ``distortion_profile`` ran before it took
+    the intrinsic lengths column by column; tests keep it as an independent
+    oracle.
+    """
+    pairs = []
+    for h, dist in bfs_ball(spec, radius, genset=genset).items():
+        if dist == 0:
+            continue
+        if any(v and w < i for v, w in zip(h, spec.weights)):
+            continue
+        intrinsic = max(
+            _root(abs(v), w // i) for v, w in zip(h, spec.weights) if v
+        )
+        pairs.append((dist, intrinsic))
+    return pairs

@@ -1,8 +1,12 @@
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import distortion_pairs_reference, karidi_band_reference
 from nilentropy import (
     DegenerateFitError,
     Endomorphism,
@@ -11,6 +15,7 @@ from nilentropy import (
     GrowthSeries,
     GrowthWarning,
     InsufficientDataError,
+    PolyFit,
     SpecError,
     abelian_comparison,
     apply,
@@ -22,10 +27,12 @@ from nilentropy import (
     growth_series,
     identity_endomorphism,
     iterate,
+    karidi_band,
     poly_degree_fit,
     quotient_tower,
     series_from_csv,
     series_to_csv,
+    surface_quotient,
 )
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -93,6 +100,16 @@ def test_growth_series_rejects_unknown_mode(heis):
     phi = builtin_automorphism("fib", heis)
     with pytest.raises(SpecError):
         growth_series(phi, heis.indicator(0), 5, mode="exotic")
+
+
+def test_growth_series_leaves_the_spec_as_it_was(f23):
+    phi = builtin_automorphism("fib", f23)
+    keys = sorted(vars(f23))
+    upper = growth_series(phi, f23.indicator(0), 6, mode="normalform-upper")
+    growth_series(phi, f23.indicator(0), 6, mode="karidi")
+    assert sorted(vars(f23)) == keys
+    again = growth_series(phi, f23.indicator(0), 6, mode="normalform-upper")
+    assert again.entries == upper.entries
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +239,70 @@ def test_distortion_requires_valid_term(heis):
         distortion_profile(heis, 3)
     with pytest.raises(SpecError):
         distortion_profile(heis, 0)
+    with pytest.raises(SpecError, match="only 0 elements"):
+        distortion_profile(heis, 2, radius=1, min_points=0)
 
 
 def test_distortion_center_of_heisenberg(heis):
     fit = distortion_profile(heis, 2)
     assert fit.degree == pytest.approx(2.0, abs=0.2)
     assert fit.correlation > 0.9
+
+
+# the column-wise box lengths against the per-element loops they replaced;
+# the extra generator's coefficients reach 2^70, past the integers a float
+# holds exactly, and F(1,3) has a single coordinate column
+METRIC_GROUPS = {
+    "F(1,3)": (lambda: free_nilpotent(1, 3), 6),
+    "F(2,1)": (lambda: free_nilpotent(2, 1), 5),
+    "F(2,2)": (lambda: free_nilpotent(2, 2), 4),
+    "F(2,3)": (lambda: free_nilpotent(2, 3), 3),
+    "F(3,2)": (lambda: free_nilpotent(3, 2), 3),
+    "surface(2,2)": (lambda: surface_quotient(2, 2), 3),
+}
+
+
+def fit_reference(pairs):
+    xs = np.log([float(d) for d, _ in pairs])
+    ys = np.log([max(float(v), 1.0) for _, v in pairs])
+    design = np.column_stack([xs, np.ones_like(xs)])
+    beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    if np.allclose(ys, ys[0]) or np.allclose(xs, xs[0]):
+        corr = 1.0
+    else:
+        corr = float(np.corrcoef(xs, ys)[0, 1])
+    return PolyFit(degree=max(float(beta[0]), 0.0), correlation=corr)
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_GROUPS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_band_and_distortion_match_the_per_element_loops(name, data):
+    build, max_radius = METRIC_GROUPS[name]
+    spec = build()
+    c = spec.nilpotency_class
+    i = data.draw(st.integers(min(2, c), c))
+    # an extra generator inside the weight-i layer puts its powers there
+    inside = data.draw(st.booleans())
+    big = st.integers(-2**70, 2**70)
+    small = big if c == 1 or spec.dim == 1 else st.integers(-2, 2)
+    extra = tuple(
+        0 if inside and w < i else data.draw(small if w == 1 else big)
+        for w in spec.weights
+    )
+    genset = spec.generating_set + (extra,)
+    radius = data.draw(st.integers(1, max_radius))
+    assert repr(karidi_band(spec, radius, genset=genset)) == repr(
+        karidi_band_reference(spec, radius, genset=genset))
+    if c == 1:
+        return
+    pairs = distortion_pairs_reference(spec, i, radius, genset=genset)
+    if len(pairs) < 2:
+        with pytest.raises(SpecError, match=f"only {len(pairs)} elements"):
+            distortion_profile(spec, i, radius=radius, genset=genset, min_points=2)
+    else:
+        fit = distortion_profile(spec, i, radius=radius, genset=genset, min_points=2)
+        assert repr(fit) == repr(fit_reference(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,13 @@ def test_quotient_relators_must_cut_the_graded_relations():
                   relators=[(0, 0, 0, 0, 1, 0)])
 
 
+def test_quotient_relators_must_cut_the_graded_rank():
+    # [x2, x1] and [x3, x1] close to rank 2 against the one graded relation
+    with pytest.raises(SpecError, match="relator closure cuts rank 2 at weight 2"):
+        GroupSpec(HallBasis(3, 2), relations={2: [(1, 0, 0)]},
+                  relators=[(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)])
+
+
 def test_quotient_relator_must_be_commutator_shaped():
     basis = HallBasis(2, 2)
     cover = free_nilpotent(2, 2)
