@@ -8,11 +8,14 @@ same commutator tree of brackets over those columns (for a quotient spec the
 trees are the free-cover entries at the kept positions).  ``L`` is cleared of
 denominators into an integer matrix once per endomorphism
 (:attr:`Endomorphism.linear_map`), and every linear invariant is read off
-it: :func:`apply` is one generated ``pack``, one sparse integer
-matrix-vector product and one generated ``unpack``, with every division
-checked; the graded actions are the diagonal weight blocks of ``L``; and
-:func:`invert` runs the same product with ``L^-1``, from the ``Fraction``
-inverse of :mod:`.linalg`.
+it.  The map acts on scaled logarithms ``p = D log g`` (``D`` being the
+law's ``log_scale``), which are integer vectors: one step is
+``p -> M p / denominator``, an exact division, followed by the generated
+exponential ``exp(p / D)``, every division checked.  :func:`apply` is one
+generated ``pack`` and one step; an orbit ``phi^n(g)`` keeps ``p`` from step
+to step and packs once; the graded actions are the diagonal weight blocks
+of ``L``; and :func:`invert` takes the same step with ``L^-1``, from the
+``Fraction`` inverse of :mod:`.linalg`.
 
 The spectral report of an integer matrix is exact integer code: a Berkowitz
 characteristic polynomial, cyclotomic deflation, and a spectral radius
@@ -119,13 +122,14 @@ class Endomorphism:
 
     @property
     def linear_map(self):
-        """``(rows, scale, denominator)`` of the map on the Mal'cev Lie algebra.
+        """``(rows, denominator)`` of the map on the Mal'cev Lie algebra.
 
         ``rows`` is an integer matrix ``M`` as sparse rows ``((j, m_ij), ...)``
-        with ``L = M / denominator`` on the Lie basis, and ``scale`` is
-        ``denominator`` times the law's ``log_scale``, so that
-        ``apply(g) = unpack_scaled(M pack_scaled(g), scale)``.  On a quotient
-        spec the images must respect the relators (:class:`SpecError`).
+        with ``L = M / denominator`` on the Lie basis.  It acts on scaled
+        logarithms: ``D log phi(g) = M (D log g) / denominator`` for the law's
+        ``log_scale`` ``D``, so that
+        ``apply(g) = unpack_scaled(M pack_scaled(g) / denominator)``.  On a
+        quotient spec the images must respect the relators (:class:`SpecError`).
         """
         if self._linear is None:
             spec = self.spec
@@ -139,12 +143,11 @@ class Endomorphism:
             value = _tree_evaluator(leaf, law.bracket_vec)
             if spec.relations is not None:
                 _check_relators(spec, value, d)
-            rows, denominator = _cleared(
+            self._linear = _cleared(
                 ((i, j, Fraction(v, d ** e.weight))
                  for j, e in enumerate(_basis_entries(spec)) for i, v in value(e).items()),
                 spec.dim,
             )
-            self._linear = (rows, denominator * d, denominator)
         return self._linear
 
     def __eq__(self, other):
@@ -183,13 +186,15 @@ def identity_endomorphism(spec):
     return Endomorphism(spec, [spec.indicator(k) for k in range(spec.rank)])
 
 
-def _linear_image(law, rows, scale, g):
-    """``exp(M log g / denominator)`` for sparse integer rows ``M`` and
-    ``scale = denominator * law.log_scale``, every division checked."""
+def _step(law, rows, denominator, p):
+    """``(q, exp(q / D))`` for ``q = M p / denominator``: one linear step on the
+    scaled logarithm ``p``, with sparse integer rows ``M`` and the law's
+    ``log_scale`` ``D``.  Every division is checked."""
     try:
-        p = law.pack_scaled(g)
-        z = [sum([m * p[j] for j, m in row]) for row in rows]
-        return law.unpack_scaled(z, scale)
+        q = [sum([m * p[j] for j, m in row]) for row in rows]
+        if denominator != 1:
+            q = [exact_quotient(v, denominator) for v in q]
+        return q, law.unpack_scaled(q)
     except ExactDivisionError as exc:
         raise IntegralityError(str(exc)) from exc
 
@@ -197,8 +202,23 @@ def _linear_image(law, rows, scale, g):
 def apply(phi, g):
     """Image of ``g``: ``exp(L log g)`` through the integer linear map of ``phi``."""
     g = phi.spec.check_vector(g)
-    rows, scale, _ = phi.linear_map
-    return _linear_image(phi.spec.law, rows, scale, g)
+    law = phi.spec.law
+    return _step(law, *phi.linear_map, law.pack_scaled(g))[1]
+
+
+def _orbit(phi, g):
+    """``phi(g), phi^2(g), ...`` without end, for a checked vector ``g``.
+
+    The scaled logarithm ``D log phi^n(g)`` is integral, since ``phi^n(g)`` is
+    a group element, and carries from one step to the next: the orbit packs
+    once.
+    """
+    law = phi.spec.law
+    rows, denominator = phi.linear_map
+    p = law.pack_scaled(g)
+    while True:
+        p, h = _step(law, rows, denominator, p)
+        yield h
 
 
 def compose(phi, psi):
@@ -248,7 +268,7 @@ def graded_matrix(phi, d):
         )
     idxs = [k for k, w in enumerate(spec.weights) if w == d]
     pos = {k: p for p, k in enumerate(idxs)}
-    rows, _, denominator = phi.linear_map
+    rows, denominator = phi.linear_map
     out = []
     for i in idxs:
         row = [0] * len(idxs)
@@ -266,7 +286,7 @@ def linearization_matrix(phi):
     the first kind.  The Lie basis is adapted to the weight filtration, so the
     matrix is block triangular with the graded actions on the diagonal.
     """
-    rows, _, denominator = phi.linear_map
+    rows, denominator = phi.linear_map
     out = [[Fraction(0)] * phi.spec.dim for _ in rows]
     for i, row in enumerate(rows):
         for j, m in row:
@@ -297,8 +317,8 @@ def invert(phi):
 
     ``L^-1`` is the inverse of :func:`linearization_matrix`, cleared of
     denominators the same way as :attr:`Endomorphism.linear_map`, and each
-    image goes through the same checked ``pack``, matrix-vector product and
-    ``unpack`` as :func:`apply`.
+    image goes through the same checked ``pack`` and linear step as
+    :func:`apply`.
     """
     spec = phi.spec
     if not is_automorphism(phi):
@@ -308,8 +328,9 @@ def invert(phi):
          for j, x in enumerate(row) if x),
         spec.dim,
     )
-    scale = inv_denominator * spec.law.log_scale
-    psi = Endomorphism(spec, [_linear_image(spec.law, inv_rows, scale, spec.indicator(j))
+    law = spec.law
+    psi = Endomorphism(spec, [_step(law, inv_rows, inv_denominator,
+                                    law.pack_scaled(spec.indicator(j)))[1]
                               for j in range(spec.rank)])
     for j in range(spec.rank):
         if apply(phi, psi.images[j]) != spec.indicator(j):

@@ -13,9 +13,11 @@ maps is generated once as a straight-line Python function
 ``int`` arithmetic with exact divisions and no per-term interpretation.
 Right multipliers ``g -> g * h`` get their own function with ``h`` folded
 into the coefficients.  The logarithm and the exponential themselves are
-generated the same way, in integer form (:meth:`CollectionLaw.pack_scaled`,
-:meth:`CollectionLaw.unpack_scaled`), for maps that act linearly on the
-Lie algebra.
+generated the same way, in integer form at one fixed scale ``D``, the
+common denominator of the logarithm: :meth:`CollectionLaw.pack_scaled` is
+``g -> D log g`` with no division, and :meth:`CollectionLaw.unpack_scaled`
+is ``z -> exp(z / D)`` with one exact division per coordinate.  Maps that
+act linearly on the Lie algebra iterate on these integer vectors.
 
 ``log_vectors[k]`` holds the logarithm of the k-th basis group element as a
 rational coordinate vector; its leading term is the k-th Lie basis vector,
@@ -36,7 +38,7 @@ from functools import cached_property
 from math import lcm
 
 from .assoc import bch_terms
-from .mpoly import MPoly, compile_poly, exact_quotient, straight_line
+from .mpoly import MPoly, compile_poly, straight_line
 
 
 def _vec_scale(vec, s):
@@ -258,25 +260,25 @@ class CollectionLaw:
 
     @cached_property
     def _unpack_compiled(self):
-        """``(degrees, polys)`` of ``z, S -> S^degree_k * unpack(z / S)_k``.
+        """Compiled ``z -> unpack(z / D)``, ``D`` being :attr:`log_scale`.
 
-        Output ``k`` is the unpack polynomial in ``z`` with every monomial
-        padded by ``S^(degree_k - deg)`` (``S`` is the last variable), so
-        its only division is the denominator of the unpack polynomial.
+        Output ``k`` is the unpack polynomial ``sum_m c_m z^m / denom_k``
+        with ``D`` folded in: a monomial of degree ``deg`` gets the
+        coefficient ``c_m * D^(top_k - deg)`` over the denominator
+        ``denom_k * D^top_k``, ``top_k`` being the output's top degree, so
+        each output is one exact division.
         """
         n = self.dim
-        polys = self._sym_polys(self.unpack({k: MPoly.var(n + 1, k) for k in range(n)}))
-        degrees = []
+        scale = self.log_scale
+        polys = self._sym_polys(self.unpack({k: MPoly.var(n, k) for k in range(n)}))
         compiled = []
         for denom, terms in map(compile_poly, polys):
             degs = [sum(e for _, e in ve) for _, ve in terms]
             top = max(degs, default=0)
-            degrees.append(top)
-            compiled.append((denom, tuple(
-                (c, ve + ((n, top - deg),) if deg < top else ve)
-                for (c, ve), deg in zip(terms, degs)
+            compiled.append((denom * scale ** top, tuple(
+                (c * scale ** (top - deg), ve) for (c, ve), deg in zip(terms, degs)
             )))
-        return tuple(degrees), tuple(compiled)
+        return tuple(compiled)
 
     @cached_property
     def _pow_compiled(self):
@@ -306,7 +308,7 @@ class CollectionLaw:
 
     @cached_property
     def _unpack(self):
-        return straight_line("unpack_scaled", self._unpack_compiled[1], (self.dim, 1))
+        return straight_line("unpack_scaled", self._unpack_compiled, (self.dim,))
 
     @property
     def log_scale(self):
@@ -326,19 +328,14 @@ class CollectionLaw:
         """``D * log g`` as an integer vector, ``D`` being :attr:`log_scale`."""
         return self._pack(g)
 
-    def unpack_scaled(self, z, scale):
-        """Coordinates of ``exp(z / scale)`` for an integer vector ``z``.
+    def unpack_scaled(self, z):
+        """Coordinates of ``exp(z / D)`` for an integer vector ``z``, ``D``
+        being :attr:`log_scale`.
 
-        Every division is checked; a remainder raises ``ExactDivisionError``.
+        Each output is one exact division; a remainder raises
+        ``ExactDivisionError``.
         """
-        out = self._unpack(z, (scale,))
-        if scale == 1:
-            return out
-        powers = [1]
-        for _ in range(self.nil_class):
-            powers.append(powers[-1] * scale)
-        return tuple(exact_quotient(v, powers[d])
-                     for v, d in zip(out, self._unpack_compiled[0]))
+        return self._unpack(z)
 
     def right_multiplier(self, h):
         """Specialized ``g -> g * h`` with the second factor folded in."""

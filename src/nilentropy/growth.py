@@ -18,6 +18,7 @@ import numpy as np
 from . import nilgroup
 from .autom import (
     Endomorphism,
+    _orbit,
     abelianization_matrix,
     apply,
     builtin_automorphism,
@@ -145,9 +146,7 @@ def growth_series(phi, g, n_max, mode="karidi", genset=None):
     g = spec.check_vector(g)
     costs = _normalform_costs(spec) if mode == "normalform-upper" else None
     entries = []
-    h = g
-    for n in range(1, n_max + 1):
-        h = apply(phi, h)
+    for n, h in zip(range(1, n_max + 1), _orbit(phi, g)):
         length = _length_in_mode(h, spec, mode, genset, costs)
         if length is None:
             warnings.warn(
@@ -281,9 +280,7 @@ def _subgroup_series(phi, g, lattice, n_max, mode):
     spec = phi.spec
     weights = [spec.weights[d] for d in lattice.depths]
     entries = []
-    h = tuple(g)
-    for n in range(1, n_max + 1):
-        h = apply(phi, h)
+    for n, h in zip(range(1, n_max + 1), _orbit(phi, g)):
         coeffs = lattice.reduce(h)
         if coeffs is None:
             raise SpecError("iterate left the subgroup")

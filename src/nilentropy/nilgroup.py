@@ -644,11 +644,7 @@ def _root(value, w):
 
 def _box_length(g, weights):
     """``max_i |e_i|^(1/w_i)`` over the nonzero coordinates, 0.0 at the identity."""
-    value = 0.0
-    for v, w in zip(g, weights):
-        if v:
-            value = max(value, _root(abs(v), w))
-    return value
+    return max(map(_root, map(abs, g), weights), default=0.0)
 
 
 def _box_lengths(vecs, weights, divisor=1):
@@ -699,20 +695,26 @@ class _Ball:
             new = []
             dist = self.dist
             r = self.radius + 1
-            for g in self.frontier:
-                for rmul in self.directions:
-                    try:
-                        h = rmul(g)
-                    except ExactDivisionError as exc:
-                        raise IntegralityError(str(exc)) from exc
-                    if h not in dist:
-                        dist[h] = r
-                        new.append(h)
-                        if len(dist) > budget:
-                            raise BallBudgetExceeded(
-                                f"ball budget {budget} exceeded at radius {r} "
-                                f"({len(dist)} elements)"
-                            )
+            try:
+                for g in self.frontier:
+                    for rmul in self.directions:
+                        try:
+                            h = rmul(g)
+                        except ExactDivisionError as exc:
+                            raise IntegralityError(str(exc)) from exc
+                        if h not in dist:
+                            dist[h] = r
+                            new.append(h)
+                            if len(dist) > budget:
+                                raise BallBudgetExceeded(
+                                    f"ball budget {budget} exceeded at radius {r} "
+                                    f"({len(dist)} elements)"
+                                )
+            except BaseException:
+                # a failed layer leaves the ball as it was at radius r - 1
+                for h in new:
+                    del dist[h]
+                raise
             self.frontier = new
             self.radius = r
 

@@ -1,6 +1,8 @@
 """Smoke test of the benchmark harness: three units of each workload, and
-the pinned band and fit outputs of the first metric-bfs units."""
+the pinned outputs of the first units of each workload."""
 
+import contextlib
+import hashlib
 import importlib.util
 import json
 import os
@@ -62,3 +64,67 @@ def test_metric_bfs_band_and_fit_are_pinned():
         fit = ne.distortion_profile(spec, spec.nilpotency_class, radius=radius,
                                     genset=genset)
         assert repr(fit) == fit_repr
+
+
+class _NoTimer:
+    def phase(self, name, opaque=False):
+        return contextlib.nullcontext()
+
+
+def _series_pin(series):
+    """sha256 of the ``repr`` of the lengths, and the ``repr`` of the entropy estimate."""
+    import nilentropy as ne
+
+    return (hashlib.sha256(repr(series.lengths()).encode()).hexdigest(),
+            repr(ne.entropy_estimate(series)))
+
+
+# series lengths and entropy estimates of the first three entropy-free and
+# quotient-surface units of seed 101, as computed when every step of an orbit
+# packed afresh and unpacked at the scale denominator * log_scale
+ENTROPY_FREE_101 = (
+    ("3f3b6aae327647a66932cd38df30f39675d1ef6a97b8970db122a0cffbfa6a11",
+     "EntropyEstimate(value=1.6180339877771175, residual=9.190909498715604e-10, "
+     "window=(20, 40), poly_exponent=1.8818149954968888e-08)"),
+    ("260d028cc5190df12a04f8f6f4eb8fc4d8827caabe6f36abe2e89090b7131d36",
+     "EntropyEstimate(value=3.302775637731985, residual=2.5359602949970988e-14, "
+     "window=(20, 40), poly_exponent=7.249756350802272e-14)"),
+    ("34c32ccfbf8bb1cadc533f82aa5c94c62ddb153e7f109d65acc2bec3474810af",
+     "EntropyEstimate(value=2.414213562373089, residual=1.6967517956397122e-14, "
+     "window=(20, 40), poly_exponent=6.510070260645762e-14)"),
+)
+QUOTIENT_SURFACE_101 = (
+    ("d7032cff522d0e18a251a1d71277e61c15be8384c9616ac1cb3c23481aa2813d",
+     "EntropyEstimate(value=2.6180339887498794, residual=1.8751175293791802e-14, "
+     "window=(20, 40), poly_exponent=1.7338908087083382e-13)"),
+    ("488b7b6860044f47fdf4ab13052d2daa6ed28e8906092ae15b30c6085d2ea4b7",
+     "EntropyEstimate(value=2.6180339887498993, residual=3.379304769209106e-15, "
+     "window=(20, 40), poly_exponent=-5.2235993308613615e-14)"),
+    ("f73c766fb116b49be3708237aa654fe9d07dbd11c5e5474fd6ba76ae30d3e105",
+     "EntropyEstimate(value=2.618033988749897, residual=2.4343836259842705e-14, "
+     "window=(20, 40), poly_exponent=-4.418687638008123e-14)"),
+)
+
+
+def test_entropy_free_series_are_pinned():
+    import nilentropy as ne
+
+    workload = _load_workloads().EntropyFree()
+    workload.setup(_NoTimer())
+    for i, pin in enumerate(ENTROPY_FREE_101):
+        inp = workload.inputs(101, i)
+        spec = workload.specs[inp["group"]]
+        phi = ne.Endomorphism(spec, inp["images"])
+        series = ne.growth_series(phi, spec.indicator(inp["subject"]), workload.n_max)
+        assert _series_pin(series) == pin
+
+
+def test_quotient_surface_series_are_pinned():
+    import nilentropy as ne
+
+    workload = _load_workloads().QuotientSurface()
+    workload.setup(_NoTimer())
+    phi = ne.Endomorphism(workload.spec, workload.images)
+    for i, pin in enumerate(QUOTIENT_SURFACE_101):
+        g = ne.eval_word(workload.inputs(101, i)["words"][0], workload.spec)
+        assert _series_pin(ne.growth_series(phi, g, workload.n_max)) == pin

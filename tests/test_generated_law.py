@@ -174,7 +174,7 @@ for law in (free_nilpotent(3, 4).law, surface_quotient(2, 3).law):
                                   ("inverse", law._inv_compiled, (n,)),
                                   ("power", law._pow_compiled, (n, 1)),
                                   ("pack", law._pack_compiled[1], (n,)),
-                                  ("unpack_scaled", law._unpack_compiled[1], (n, 1))):
+                                  ("unpack_scaled", law._unpack_compiled, (n,))):
         text = straight_line_source(name, compiled, sizes)
         print(name, len(text), hashlib.sha256(text.encode()).hexdigest())
 """

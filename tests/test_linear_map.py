@@ -5,7 +5,9 @@ commutator-tree basis images, and the package without sympy."""
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from functools import cache
+from itertools import islice
 
 import pytest
 import sympy
@@ -20,9 +22,11 @@ from nilentropy import (
     SpecError,
     apply,
     builtin_automorphism,
+    compose,
     conjugate,
     free_nilpotent,
     graded_matrix,
+    growth_series,
     identity_endomorphism,
     invert,
     linearization_matrix,
@@ -30,7 +34,8 @@ from nilentropy import (
     power,
     surface_quotient,
 )
-from nilentropy.mpoly import straight_line
+from nilentropy.autom import _orbit
+from nilentropy.mpoly import ExactDivisionError, straight_line
 
 from conftest import apply_reference, basis_images_reference
 
@@ -159,10 +164,73 @@ def test_iterated_orbit_matches_reference():
         assert got == g
 
 
+def _hyperbolic_block_images(spec):
+    """``x1 -> x1^2 x2``, ``x2 -> x1 x2`` on homology, with fixed tails of
+    weight 2 and more, and the other generators fixed."""
+    rng = random.Random(7)
+    images = [spec.indicator(k) for k in range(spec.rank)]
+    for j, (a, b) in enumerate(((2, 1), (1, 1))):
+        v = [0] * spec.dim
+        v[0], v[1] = a, b
+        for k, w in enumerate(spec.weights):
+            if w >= 2 and rng.random() < 0.3:
+                v[k] = rng.choice((-2, -1, 1, 2))
+        images[j] = tuple(v)
+    return images
+
+
+def _surface_twist_composite(spec):
+    a, b = (Endomorphism(spec, images) for images in _twists(spec))
+    return compose(a, b).images
+
+
+@pytest.mark.parametrize("make, images", [
+    (lambda: free_nilpotent(2, 5), _hyperbolic_block_images),
+    (lambda: free_nilpotent(3, 4), _hyperbolic_block_images),
+    (GROUPS["surface(2,3)"][0], _surface_twist_composite),
+], ids=["F(2,5) block", "F(3,4) block", "surface(2,3) twists"])
+def test_orbit_matches_reference(make, images):
+    spec = make()
+    phi = Endomorphism(spec, images(spec))
+    g = want = tuple(range(1, spec.dim + 1))
+    for n, got in enumerate(islice(_orbit(phi, g), 40), 1):
+        want = apply_reference(phi, want)
+        assert got == want, n
+    assert n == 40
+
+
+LAWS = {
+    "F(2,5)": lambda: free_nilpotent(2, 5).law,
+    "F(3,4)": lambda: free_nilpotent(3, 4).law,
+    "surface(2,3)": lambda: GROUPS["surface(2,3)"][0]().law,
+}
+
+
+@pytest.mark.parametrize("name", LAWS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_unpack_scaled_is_the_scaled_exponential(name, data):
+    law = LAWS[name]()
+    d = law.log_scale
+    g = data.draw(st.tuples(*[COORD] * law.dim))
+    assert law.unpack_scaled(law.pack_scaled(g)) == g
+    # any integer vector: exp(z / D) when integral, else a checked remainder
+    z = data.draw(st.one_of(
+        st.tuples(*[st.integers(-3 * d, 3 * d)] * law.dim),
+        st.tuples(*[COORD] * law.dim).map(law.pack_scaled),
+    ))
+    want = law.unpack({k: Fraction(v, d) for k, v in enumerate(z) if v})
+    if all(Fraction(v).denominator == 1 for v in want):
+        assert law.unpack_scaled(z) == tuple(want)
+    else:
+        with pytest.raises(ExactDivisionError):
+            law.unpack_scaled(z)
+
+
 def test_identity_map_has_unit_linearization():
     for spec in (free_nilpotent(2, 4), surface_quotient(2, 3)):
-        rows, scale, denominator = identity_endomorphism(spec).linear_map
-        assert denominator == 1 and scale == spec.law.log_scale
+        rows, denominator = identity_endomorphism(spec).linear_map
+        assert denominator == 1
         assert rows == tuple(((i, 1),) for i in range(spec.dim))
 
 
@@ -178,10 +246,27 @@ def test_apply_raises_integrality_error():
     spec = GroupSpec(HallBasis(2, 2))
     phi = builtin_automorphism("fib", spec)
     # every unpacked coordinate comes out with remainder 1 modulo 2
-    bad = straight_line("bad", ((2, ((1, ()),)),) * spec.dim, (spec.dim, 1))
+    bad = straight_line("bad", ((2, ((1, ()),)),) * spec.dim, (spec.dim,))
     spec.law._unpack = bad
     with pytest.raises(IntegralityError, match="expected multiple of 2, got remainder 1"):
         apply(phi, spec.indicator(0))
+
+
+def test_linear_step_raises_integrality_error():
+    spec = GroupSpec(HallBasis(2, 2))
+    phi = identity_endomorphism(spec)
+    # a denominator that does not divide M p = D log x1 = (2, 0, 0)
+    phi._linear = (phi.linear_map[0], 7)
+    with pytest.raises(IntegralityError, match="expected multiple of 7, got remainder 2"):
+        apply(phi, spec.indicator(0))
+
+
+def test_growth_series_raises_integrality_error():
+    spec = GroupSpec(HallBasis(2, 2))
+    phi = builtin_automorphism("fib", spec)
+    spec.law._unpack = straight_line("bad", ((2, ((1, ()),)),) * spec.dim, (spec.dim,))
+    with pytest.raises(IntegralityError, match="expected multiple of 2, got remainder 1"):
+        growth_series(phi, spec.indicator(0), 10)
 
 
 def test_free_linearization_is_pack_times_inverse_log_basis():

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilentropy import (
+    BallBudgetExceeded,
     GroupSpec,
     HallBasis,
+    IntegralityError,
     SpecError,
     SpecFormatError,
     TorsionDetected,
@@ -34,8 +36,10 @@ from nilentropy import (
     vector_to_json,
 )
 from nilentropy.assoc import magnus_normal_form
+from nilentropy.mpoly import ExactDivisionError
+from nilentropy.nilgroup import _box_length
 
-from conftest import random_vector, random_word
+from conftest import box_length_reference, random_vector, random_word
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +256,66 @@ def test_karidi_length_ignores_earlier_bands():
     before = repr(karidi_length((3, -1, 5), spec))
     karidi_band(spec, radius=4)
     assert repr(karidi_length((3, -1, 5), spec)) == before
+
+
+BIG = st.integers(2 ** 64, 2 ** 96)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(-9, 9), BIG, BIG.map(lambda v: -v)),
+                          st.integers(1, 6)), max_size=12),
+       st.booleans())
+def test_box_length_matches_reference(pairs, weight_one_only):
+    vec = tuple(v for v, _ in pairs)
+    weights = tuple(1 if weight_one_only else w for _, w in pairs)
+    assert repr(_box_length(vec, weights)) == repr(box_length_reference(vec, weights))
+    zero = (0,) * len(vec)
+    assert repr(_box_length(zero, weights)) == repr(box_length_reference(zero, weights)) == "0.0"
+
+
+def _fresh_ball(radius):
+    return dict(bfs_ball(GroupSpec(HallBasis(2, 2)), radius))
+
+
+def test_ball_over_budget_is_left_as_before():
+    spec = GroupSpec(HallBasis(2, 2))
+    with pytest.raises(BallBudgetExceeded, match="ball budget 100 exceeded at radius 4"):
+        bfs_ball(spec, 5, budget=100)
+    assert dict(bfs_ball(spec, 3)) == _fresh_ball(3)
+    ball = bfs_ball(spec, 5)
+    assert len(ball) == 299 and ball[(-2, 1, 1)] == 5
+    assert dict(ball) == _fresh_ball(5)
+
+
+def test_geodesic_length_after_budget_failure():
+    spec = GroupSpec(HallBasis(2, 2))
+    with pytest.raises(BallBudgetExceeded):
+        geodesic_length((3, 3, 0), spec, budget=50)
+    assert geodesic_length((3, 3, 0), spec) == 6
+
+
+def test_ball_after_integrality_failure_is_left_as_before(monkeypatch):
+    spec = GroupSpec(HallBasis(2, 2))
+    real = spec.law.right_multiplier
+    calls = [0]
+
+    def flaky(h):
+        rmul = real(h)
+
+        def step(g):
+            # the 10th step, in the radius-2 layer, fails once
+            calls[0] += 1
+            if calls[0] == 10:
+                raise ExactDivisionError("expected multiple of 2, got remainder 1")
+            return rmul(g)
+
+        return step
+
+    monkeypatch.setattr(spec.law, "right_multiplier", flaky)
+    with pytest.raises(IntegralityError, match="expected multiple of 2"):
+        bfs_ball(spec, 3)
+    assert dict(bfs_ball(spec, 1)) == _fresh_ball(1)
+    assert dict(bfs_ball(spec, 5)) == _fresh_ball(5)
 
 
 # ---------------------------------------------------------------------------
