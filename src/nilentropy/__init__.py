@@ -2,12 +2,13 @@
 with growth measurement under automorphism iteration.
 
 Groups are presented in Mal'cev coordinates of the second kind over a
-Hall basis of basic commutators; multiplication, inversion, and powers
-are integer polynomial maps compiled once per group.  On top of the
-arithmetic sit automorphisms with spectral reports, metric tools (BFS
-balls, box-length proxy), growth series with entropy and degree fits,
-and the constructions used by the experiments: quotients, subgroup
-lattices, semidirect extensions, and surface-relator quotients.
+Hall basis of basic commutators; multiplication, inversion and the scaled
+logarithm and exponential are integer polynomial maps compiled once per
+group, and a power ``g^n`` is ``exp(n log g)`` through the last two.  On
+top of the arithmetic sit automorphisms with spectral reports, metric
+tools (BFS balls, box-length proxy), growth series with entropy and
+degree fits, and the constructions used by the experiments: quotients,
+subgroup lattices, semidirect extensions, and surface-relator quotients.
 """
 
 from .autom import (

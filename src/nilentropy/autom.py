@@ -13,7 +13,8 @@ law's ``log_scale``), which are integer vectors: one step is
 ``p -> M p / denominator``, an exact division, followed by the generated
 exponential ``exp(p / D)``, every division checked.  :func:`apply` is one
 generated ``pack`` and one step; an orbit ``phi^n(g)`` keeps ``p`` from step
-to step and packs once; the graded actions are the diagonal weight blocks
+to step and packs once, and :func:`iterate` reads ``phi^n`` off the orbits
+of the generators; the graded actions are the diagonal weight blocks
 of ``L``; and :func:`invert` takes the same step with ``L^-1``, from the
 ``Fraction`` inverse of :mod:`.linalg`.
 
@@ -32,6 +33,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .collect import _vec_add, _vec_scale
 from .linalg import bareiss_det, inverse
@@ -108,7 +110,7 @@ def _cleared(entries, n):
 class Endomorphism:
     """Endomorphism given by generator images in Mal'cev coordinates."""
 
-    __slots__ = ("spec", "images", "_linear", "_powers")
+    __slots__ = ("spec", "images", "_linear")
 
     def __init__(self, spec, images):
         if len(images) != spec.rank:
@@ -118,7 +120,6 @@ class Endomorphism:
         self.spec = spec
         self.images = tuple(spec.check_vector(g) for g in images)
         self._linear = None
-        self._powers = {}
 
     @property
     def linear_map(self):
@@ -229,25 +230,18 @@ def compose(phi, psi):
 
 
 def iterate(phi, n):
-    """``phi`` composed with itself ``n`` times (``n >= 0``)."""
+    """``phi`` composed with itself ``n`` times (``n >= 0``).
+
+    The images ``phi^n(x_j)`` are read off the orbits of the generators, so
+    nothing is cached on ``phi``.
+    """
     if n < 0:
         raise SpecError("iterate exponent must be non-negative")
-    cached = phi._powers.get(n)
-    if cached is not None:
-        return cached
+    spec = phi.spec
     if n == 0:
-        result = identity_endomorphism(phi.spec)
-        phi._powers[0] = result
-        return result
-    best = max((k for k in phi._powers if 1 <= k <= n), default=0)
-    if best == 0:
-        phi._powers[1] = phi
-        best = 1
-    result = phi._powers[best]
-    for k in range(best + 1, n + 1):
-        result = compose(phi, result)
-        phi._powers[k] = result
-    return result
+        return identity_endomorphism(spec)
+    return Endomorphism(spec, [next(islice(_orbit(phi, spec.indicator(j)), n - 1, None))
+                               for j in range(spec.rank)])
 
 
 def abelianization_matrix(phi):

@@ -26,7 +26,7 @@ from .constructions import (
     upper_central_lengths,
 )
 from .growth import (
-    entropy_estimate,
+    abelian_comparison,
     growth_series,
     quotient_tower,
     distortion_profile,
@@ -34,7 +34,6 @@ from .growth import (
 )
 from .hall import HallBasis
 from .nilgroup import (
-    SpecError,
     SpecFormatError,
     eval_word,
     geodesic_length,
@@ -166,25 +165,12 @@ def cmd_grow(args):
 def cmd_entropy(args):
     spec = _load_group(args.group)
     phi = _load_automorphism(args.aut, spec)
-    report = spectral_report(abelianization_matrix(phi))
-    rho = float(report.spectral_radius)
     if args.subject:
         subjects = [_parse_element(s, spec) for s in args.subject]
     else:
         subjects = [spec.indicator(k) for k in range(spec.rank)]
-
-    estimates = [
-        entropy_estimate(growth_series(phi, g, args.n, mode=args.mode))
-        for g in subjects
-    ]
-    best = max(estimates, key=lambda e: e.value)
-    _emit_json({
-        "spectral_radius": rho,
-        "entropy_estimate": best.value,
-        "ratio": best.value / rho,
-        "window": list(best.window),
-        "residual": best.residual,
-    }, args.out)
+    _emit_json(abelian_comparison(phi, generators=subjects, n_max=args.n,
+                                  mode=args.mode), args.out)
     if args.plot:
         modes = [m.strip() for m in args.plot_modes.split(",") if m.strip()]
         for mode in modes:

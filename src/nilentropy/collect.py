@@ -5,10 +5,10 @@ An element is a tuple of integer exponents along the group's basis sequence
 the rational graded Lie algebra attached to its structure constants:
 coordinates are packed into a logarithm with the Campbell-Hausdorff series,
 combined there, and peeled off again.  Running that derivation on symbolic
-exponents produces integer polynomials for multiplication, inversion and
-powers (P. Hall's multiplication polynomials, computed as in the "Deep
-Thought" approach of Leedham-Green and Soicher).  Each of those polynomial
-maps is generated once as a straight-line Python function
+exponents produces integer polynomials for multiplication and inversion
+(P. Hall's multiplication polynomials, computed as in the "Deep Thought"
+approach of Leedham-Green and Soicher).  Each of those polynomial maps is
+generated once as a straight-line Python function
 (:func:`~nilentropy.mpoly.straight_line`), so the runtime path is plain
 ``int`` arithmetic with exact divisions and no per-term interpretation.
 Right multipliers ``g -> g * h`` get their own function with ``h`` folded
@@ -16,8 +16,10 @@ into the coefficients.  The logarithm and the exponential themselves are
 generated the same way, in integer form at one fixed scale ``D``, the
 common denominator of the logarithm: :meth:`CollectionLaw.pack_scaled` is
 ``g -> D log g`` with no division, and :meth:`CollectionLaw.unpack_scaled`
-is ``z -> exp(z / D)`` with one exact division per coordinate.  Maps that
-act linearly on the Lie algebra iterate on these integer vectors.
+is ``z -> exp(z / D)`` with one exact division per coordinate.  Whatever
+acts linearly on the Lie algebra goes through these integer vectors: an
+endomorphism, ``log phi(g) = L log g``, and a power,
+``log g^n = n log g``.
 
 ``log_vectors[k]`` holds the logarithm of the k-th basis group element as a
 rational coordinate vector; its leading term is the k-th Lie basis vector,
@@ -63,7 +65,8 @@ def _vec_add(x, y):
 
 
 class CollectionLaw:
-    """Multiplication, inversion and power maps for one group presentation."""
+    """Multiplication, inversion, powers and the scaled logarithm for one
+    group presentation."""
 
     def __init__(self, weights, nil_class, struct, log_vectors):
         self.weights = tuple(weights)
@@ -280,14 +283,6 @@ class CollectionLaw:
             )))
         return tuple(compiled)
 
-    @cached_property
-    def _pow_compiled(self):
-        n = self.dim
-        e = [MPoly.var(n + 1, k) for k in range(n)]
-        t = MPoly.var(n + 1, n)
-        polys = self._sym_polys(self.unpack(_vec_scale(self.pack(e), t)))
-        return tuple(compile_poly(p) for p in polys)
-
     # ---- generated evaluators and runtime entry points ----
 
     @cached_property
@@ -297,10 +292,6 @@ class CollectionLaw:
     @cached_property
     def _inv(self):
         return straight_line("inverse", self._inv_compiled, (self.dim,))
-
-    @cached_property
-    def _pow(self):
-        return straight_line("power", self._pow_compiled, (self.dim, 1))
 
     @cached_property
     def _pack(self):
@@ -322,7 +313,9 @@ class CollectionLaw:
         return self._inv(g)
 
     def power(self, g, n):
-        return self._pow(g, (n,))
+        """``g^n = exp(n log g)``: :meth:`pack_scaled`, scaled by ``n``, then
+        :meth:`unpack_scaled`, every division checked."""
+        return self.unpack_scaled([n * v for v in self.pack_scaled(g)])
 
     def pack_scaled(self, g):
         """``D * log g`` as an integer vector, ``D`` being :attr:`log_scale`."""

@@ -13,9 +13,10 @@ import math
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from . import autom, nilgroup
-from .autom import Endomorphism, apply, invert, iterate, linearization_matrix, spectral_report, abelianization_matrix
+from .autom import _orbit, invert, linearization_matrix, spectral_report, abelianization_matrix
 from .hall import HallBasis, LieElement, bracket
 from .linalg import nullspace
 from .nilgroup import (
@@ -221,7 +222,6 @@ class SemidirectSpec:
                 "monodromy must act unipotently on the base homology"
             )
         self._inverse = invert(monodromy)
-        self._power_cache = {}
         self.nilpotency_class = self._compute_class()
 
     @property
@@ -232,14 +232,13 @@ class SemidirectSpec:
         return (0, self.base.identity())
 
     def monodromy_power(self, k, n):
-        """Apply the k-th power of the monodromy (k any integer)."""
+        """Apply the k-th power of the monodromy (k any integer): step ``|k|``
+        of the orbit of ``n`` under the monodromy, or under its inverse when
+        ``k < 0``."""
         if k == 0:
             return tuple(n)
         phi = self.monodromy if k > 0 else self._inverse
-        out = tuple(n)
-        for _ in range(abs(k)):
-            out = apply(phi, out)
-        return out
+        return next(islice(_orbit(phi, self.base.check_vector(n)), abs(k) - 1, None))
 
     def multiply(self, a, b):
         k1, n1 = a

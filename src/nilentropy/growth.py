@@ -231,6 +231,8 @@ def abelian_comparison(phi, generators=None, n_max=30, mode="karidi",
     rho = float(report.spectral_radius)
     if generators is None:
         generators = [spec.indicator(k) for k in range(spec.rank)]
+    if not generators:
+        raise SpecError("abelian comparison needs at least one generator")
     best = None
     for g in generators:
         series = growth_series(phi, g, n_max, mode=mode, genset=genset)
@@ -285,10 +287,7 @@ def _subgroup_series(phi, g, lattice, n_max, mode):
         if coeffs is None:
             raise SpecError("iterate left the subgroup")
         if mode == "karidi":
-            length = max(
-                (nilgroup._root(abs(t), w) for t, w in zip(coeffs, weights) if t),
-                default=0.0,
-            )
+            length = nilgroup._box_length(coeffs, weights)
         elif mode == "exact-bfs":
             length = geodesic_length(h, spec, genset=lattice.rows)
             if length is None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import warnings
 from dataclasses import dataclass
 
 from .collect import CollectionLaw
@@ -600,7 +599,11 @@ def eval_word(word, spec):
     try:
         for gen, e in letters:
             if e:
-                out = law.multiply(out, law.power(spec.indicator(gen), int(e)))
+                # relators lie in [G, G], so coordinate gen is the generator
+                # itself and its power x_gen^e is e at that coordinate
+                letter = [0] * spec.dim
+                letter[gen] = int(e)
+                out = law.multiply(out, letter)
     except ExactDivisionError as exc:
         raise IntegralityError(str(exc)) from exc
     return out

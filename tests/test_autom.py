@@ -79,6 +79,33 @@ def test_compose_iterate_invert(f23, rng):
     assert iterate(phi, 1).images == phi.images
 
 
+@pytest.mark.parametrize("make, names", [
+    (lambda: free_nilpotent(2, 3), ("fib", "unipotent-shear")),
+    (lambda: free_nilpotent(3, 3), ("fib", "central-shear")),
+    (lambda: surface_quotient(2, 3), ()),
+], ids=["F(2,3)", "F(3,3)", "surface(2,3)"])
+def test_iterate_is_the_compose_chain_and_caches_nothing(make, names):
+    spec = make()
+    maps = [builtin_automorphism(name, spec) for name in names]
+    if not maps:
+        # the handle twist x2 -> x1 x2 respects the surface relator
+        x = [spec.indicator(k) for k in range(spec.rank)]
+        maps = [Endomorphism(spec, [x[0], multiply(x[0], x[1], spec)] + x[2:])]
+    for phi in maps:
+        phi.linear_map  # built before the snapshot: it is phi's own, not a power's
+        # every slot, by identity and by value
+        state = {slot: (getattr(phi, slot), repr(getattr(phi, slot)))
+                 for slot in Endomorphism.__slots__}
+        chain = identity_endomorphism(spec)
+        for n in range(6):
+            got = iterate(phi, n)
+            assert got.images == chain.images, n
+            assert got.spec is spec
+            chain = compose(phi, chain)
+        assert all(getattr(phi, slot) is value and repr(value) == text
+                   for slot, (value, text) in state.items())
+
+
 def test_invert_rejects_non_automorphism(heis):
     doubling = Endomorphism(heis, [(2, 0, 0), (0, 1, 0)])
     assert not is_automorphism(doubling)

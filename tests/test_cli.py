@@ -1,6 +1,10 @@
+import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,50 @@ def test_malformed_relations_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(dict(base, relations={"2": [5]})))
     assert main(["mul", "--group", str(path), "--left", "x1", "--right", "x2"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+# sha256 of stdout, and of the file ``surface --out`` writes, for each command
+# of the README's "Command line" block
+README_DIGESTS = {
+    "nilentropy hall --rank 2 --class 3":
+        "aebe0ad279eec2bc42e64c09dc648a9c6e3f15a268e1cc13dc3743cc7c3af04c",
+    'nilentropy eval --group free:2,2 --word "x2 x1"':
+        "66ace5fa4483c3ee835807d8ff7cf14f1eb126662d58a0edacb1be424d40270d",
+    'nilentropy mul --group free:2,2 --left "[1,0,0]" --right "x2"':
+        "b5f65fb2eb777837da3abb804d5c2e3ae09d32a7786c504bfa02cc9a4314921b",
+    'nilentropy len --group free:2,2 --element "[0,0,1]"':
+        "2ad9ef6d9af14a114eb98160e0d631bbf2ce6476abb67bf35e44b1efc9f98e50",
+    "nilentropy aut-check --group free:2,3 --aut builtin:fib":
+        "87441c1fde13077a8499efcc58e77a0227a639693fc7964497aa8d4f113c7dba",
+    "nilentropy grow --group free:2,2 --aut builtin:fib --subject x1 --n 30":
+        "a748a29f93d13645d339dad4dcbc8eeae532500831d593e8b6128fcfc63361f3",
+    "nilentropy entropy --group free:2,2 --aut builtin:fib --n 30":
+        "1dadd7fcc4c847441a556887088b78b8bea7400aca7806c5bc408a314ae7c3b7",
+    "nilentropy tower --group free:2,3 --aut builtin:fib --subject x1 --classes 2,3,4":
+        "8a9f95d62ce109a8d276f2c5b9ba1ebbee8a9dd7bd3548a7748093272a0aefde",
+    "nilentropy distortion --group free:2,2 --weight 2":
+        "3dc31121fecb40abacfdf042857932e3304c831832257aa981a5a45a34e925da",
+    "nilentropy semidirect --group free:2,2 --aut builtin:unipotent-shear":
+        "b0568fa9a368521efbb6852adef943b1c980c50bb62f37ac67ba5d8ea4137f4f",
+    "nilentropy surface --genus 2 --class 3 --out surface.json":
+        "47432a75fe78de40608b18aa504bd11892a1cff162da6c5ba24578a6939c2169",
+}
+SURFACE_JSON_DIGEST = "3d072cda5221211eb8a6a8e9de552e13eb703a9d9f1c01054552f2e3136e90b9"
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    return re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
+
+
+def test_readme_commands_print_pinned_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands == list(README_DIGESTS)
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[line], line
+    written = (tmp_path / "surface.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == SURFACE_JSON_DIGEST

@@ -17,6 +17,7 @@ from nilentropy import (
     identity,
     identity_endomorphism,
     inverse,
+    invert,
     lower_central_series,
     multiply,
     power,
@@ -246,6 +247,25 @@ def test_semidirect_monodromy_power(heis, rng):
     assert sd.monodromy_power(2, g) == apply(phi, apply(phi, g))
     assert sd.monodromy_power(-1, sd.monodromy_power(1, g)) == g
     assert sd.monodromy_power(0, g) == g
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: free_nilpotent(2, 2), "unipotent-shear"),
+    (lambda: free_nilpotent(2, 3), "unipotent-shear"),
+    (lambda: free_nilpotent(3, 3), "central-shear"),
+], ids=["F(2,2)", "F(2,3)", "F(3,3)"])
+def test_monodromy_power_is_repeated_apply(make, name, rng):
+    base = make()
+    phi = builtin_automorphism(name, base)
+    sd = semidirect_unipotent(base, phi)
+    inv = invert(phi)
+    for _ in range(10):
+        g = random_vector(base, rng)
+        for k, step in ((3, phi), (-3, inv)):
+            want = g
+            for _ in range(3):
+                want = apply(step, want)
+            assert sd.monodromy_power(k, g) == want
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from nilentropy import (
     series_from_csv,
     series_to_csv,
     surface_quotient,
+    unipotent_degree_sweep,
 )
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -177,6 +178,21 @@ def test_abelian_comparison_fib(f23):
     out = abelian_comparison(builtin_automorphism("fib", f23))
     assert out["spectral_radius"] == pytest.approx(GOLDEN, abs=1e-9)
     assert 0.95 <= out["ratio"] <= 1.05
+
+
+def test_abelian_comparison_needs_a_generator(heis):
+    with pytest.raises(SpecError, match="at least one generator"):
+        abelian_comparison(builtin_automorphism("fib", heis), generators=[])
+
+
+def test_unipotent_degree_sweep_is_pinned():
+    out = unipotent_degree_sweep(ranks=(2, 3))
+    assert repr(out) == (
+        "[{'rank': 2, 'homology_rank': 2, 'degrees': [0.0, 0.999999999999999], "
+        "'max_degree': 0.999999999999999}, "
+        "{'rank': 3, 'homology_rank': 3, 'degrees': [0.0, 0.999999999999999, 0.0], "
+        "'max_degree': 0.999999999999999}]"
+    )
 
 
 def test_quotient_tower_fib(f24):

@@ -35,7 +35,7 @@ from nilentropy import (
     vector_from_json,
     vector_to_json,
 )
-from nilentropy.assoc import magnus_normal_form
+from nilentropy.assoc import _tree_word, magnus_normal_form
 from nilentropy.mpoly import ExactDivisionError
 from nilentropy.nilgroup import _box_length
 
@@ -106,6 +106,32 @@ def test_collection_matches_magnus_rank3():
     for _ in range(60):
         word = random_word(3, rng.randint(1, 10), rng)
         assert eval_word(word, spec) == magnus_normal_form(word, spec.basis)
+
+
+def _normal_form_word(g, basis):
+    """A word spelling ``g = b_1^{e_1} ... b_n^{e_n}``, each basis element
+    spelled as its commutator tree."""
+    word = []
+    for entry, e in zip(basis.entries, g):
+        letters = _tree_word(entry)
+        if e < 0:
+            letters = [(gen, -x) for gen, x in reversed(letters)]
+        word += letters * abs(e)
+    return word
+
+
+@pytest.mark.parametrize("rank,nil_class", [(2, 3), (3, 3), (2, 4)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_power_matches_magnus_normal_form(rank, nil_class, data):
+    spec = free_nilpotent(rank, nil_class)
+    g = data.draw(st.tuples(*[st.integers(-2, 2)] * spec.dim))
+    n = data.draw(st.integers(-4, 4))
+    word = _normal_form_word(g, spec.basis)
+    assert magnus_normal_form(word, spec.basis) == g
+    if n < 0:
+        word = [(gen, -e) for gen, e in reversed(word)]
+    assert power(g, n, spec) == magnus_normal_form(word * abs(n), spec.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The declared runtime dependencies are exactly the packages the source imports."""
+"""The declared runtime dependencies are exactly the packages the source
+imports, and every module-level import is used."""
 
 import ast
 import re
@@ -39,3 +40,26 @@ def test_declared_dependencies_are_the_imported_ones():
         assert not undeclared, f"{path.name} imports undeclared {sorted(undeclared)}"
         imported |= names
     assert declared <= imported, f"declared but never imported: {sorted(declared - imported)}"
+
+
+def _unused_imports(path):
+    """Names bound by module-level imports of ``path`` that nothing else in
+    the module mentions."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_no_unused_module_imports():
+    # the package's __init__ imports only to re-export
+    modules = [path for path in SOURCES if path.name != "__init__.py"]
+    assert modules
+    for path in modules:
+        unused = _unused_imports(path)
+        assert not unused, f"{path.name} never uses {unused}"
