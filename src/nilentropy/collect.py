@@ -11,15 +11,17 @@ approach of Leedham-Green and Soicher).  Each of those polynomial maps is
 generated once as a straight-line Python function
 (:func:`~nilentropy.mpoly.straight_line`), so the runtime path is plain
 ``int`` arithmetic with exact divisions and no per-term interpretation.
-Right multipliers ``g -> g * h`` get their own function with ``h`` folded
-into the coefficients.  The logarithm and the exponential themselves are
-generated the same way, in integer form at one fixed scale ``D``, the
-common denominator of the logarithm: :meth:`CollectionLaw.pack_scaled` is
-``g -> D log g`` with no division, and :meth:`CollectionLaw.unpack_scaled`
-is ``z -> exp(z / D)`` with one exact division per coordinate.  Whatever
-acts linearly on the Lie algebra goes through these integer vectors: an
-endomorphism, ``log phi(g) = L log g``, and a power,
-``log g^n = n log g``.
+A word-metric ball gets one generated layer expander: the right products
+``g -> g * h`` by all of its directions ``h``, each ``h`` folded into the
+coefficients, evaluated inline for every element of a breadth-first layer
+(:meth:`CollectionLaw.layer_expander`).  The logarithm and the exponential
+themselves are generated the same way, in integer form at one fixed scale
+``D``, the common denominator of the logarithm:
+:meth:`CollectionLaw.pack_scaled` is ``g -> D log g`` with no division,
+and :meth:`CollectionLaw.unpack_scaled` is ``z -> exp(z / D)`` with one
+exact division per coordinate.  Whatever acts linearly on the Lie algebra
+goes through these integer vectors: an endomorphism,
+``log phi(g) = L log g``, and a power, ``log g^n = n log g``.
 
 ``log_vectors[k]`` holds the logarithm of the k-th basis group element as a
 rational coordinate vector; its leading term is the k-th Lie basis vector,
@@ -40,7 +42,7 @@ from functools import cached_property
 from math import lcm
 
 from .assoc import bch_terms
-from .mpoly import MPoly, compile_poly, straight_line
+from .mpoly import MPoly, compile_poly, layer_expander, straight_line
 
 
 def _vec_scale(vec, s):
@@ -76,7 +78,6 @@ class CollectionLaw:
         self.struct = struct
         self.log_vectors = log_vectors
         self._terms = bch_terms(nil_class)
-        self._rm_cache = {}
 
     @classmethod
     def for_free(cls, basis):
@@ -330,13 +331,21 @@ class CollectionLaw:
         """
         return self._unpack(z)
 
-    def right_multiplier(self, h):
-        """Specialized ``g -> g * h`` with the second factor folded in."""
-        key = tuple(h)
-        rmul = self._rm_cache.get(key)
-        if rmul is None:
-            assign = {self.dim + i: v for i, v in enumerate(key)}
-            compiled = tuple(compile_poly(p.partial_eval(assign)) for p in self._mul_sym)
-            rmul = straight_line("right_multiply", compiled, (self.dim,))
-            self._rm_cache[key] = rmul
-        return rmul
+    def _layer_compiled(self, directions):
+        """The multiply polynomials with each of ``directions`` substituted
+        for the second factor: one compiled tuple per direction."""
+        compiled = []
+        for h in directions:
+            assign = {self.dim + i: v for i, v in enumerate(h)}
+            compiled.append(tuple(compile_poly(p.partial_eval(assign))
+                                  for p in self._mul_sym))
+        return compiled
+
+    def layer_expander(self, directions):
+        """Generated function expanding one BFS layer by right products.
+
+        ``directions`` are the vectors ``h`` of the products ``g -> g * h``,
+        taken in order, each folded into the coefficients of the multiply
+        polynomials; see :func:`~nilentropy.mpoly.layer_expander_source`.
+        """
+        return layer_expander(self._layer_compiled(directions), self.dim)

@@ -24,6 +24,7 @@ from .nilgroup import (
     GrowthWarning,
     SpecError,
     _generator_commutators,
+    _integer,
     _sift_closure,
     bfs_ball,
     commutator,
@@ -235,10 +236,12 @@ class SemidirectSpec:
         """Apply the k-th power of the monodromy (k any integer): step ``|k|``
         of the orbit of ``n`` under the monodromy, or under its inverse when
         ``k < 0``."""
+        k = _integer(k, "monodromy power")
+        n = self.base.check_vector(n)
         if k == 0:
-            return tuple(n)
+            return n
         phi = self.monodromy if k > 0 else self._inverse
-        return next(islice(_orbit(phi, self.base.check_vector(n)), abs(k) - 1, None))
+        return next(islice(_orbit(phi, n), abs(k) - 1, None))
 
     def multiply(self, a, b):
         k1, n1 = a

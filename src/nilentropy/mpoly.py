@@ -5,7 +5,10 @@ polynomial is flattened by :func:`compile_poly` into an integer
 ``(denominator, terms)`` form, and every polynomial map of a law is then
 turned by :func:`straight_line` into one generated Python function: plain
 ``int`` arithmetic with an exact-division check per non-unit denominator.
-That generated function is the only runtime evaluation path.
+The right products of a word-metric ball are generated together by
+:func:`layer_expander`, one function per ball that expands a whole
+breadth-first layer.  Generated functions are the only runtime evaluation
+path.
 """
 
 from __future__ import annotations
@@ -195,6 +198,38 @@ def _sum_text(texts):
     return "".join(parts)
 
 
+def _power_lines(compiled, indent):
+    """One statement per power ``v_i ** e`` (``e > 1``) used by ``compiled``."""
+    powers = sorted({(v, e) for _, terms in compiled for _, ve in terms
+                     for v, e in ve if e > 1})
+    return [f"{indent}v{v}_{e} = v{v} ** {e}" for v, e in powers]
+
+
+def _output_lines(compiled, indent):
+    """Statements and result expressions evaluating each compiled output.
+
+    An output is one integer sum (split into statements of ``_CHUNK`` terms
+    when longer), followed by an exact ``divmod`` check when its denominator
+    is not 1; a short sum over denominator 1 stays an inline expression.
+    """
+    lines, outputs = [], []
+    for k, (denom, terms) in enumerate(compiled):
+        texts = [_term_text(c, ve) for c, ve in terms]
+        chunks = [_sum_text(texts[i:i + _CHUNK])
+                  for i in range(0, len(texts), _CHUNK)] or ["0"]
+        if denom == 1 and len(chunks) == 1:
+            outputs.append(chunks[0])
+            continue
+        lines.append(f"{indent}s{k} = {chunks[0]}")
+        lines.extend(f"{indent}s{k} += {chunk}" for chunk in chunks[1:])
+        if denom != 1:
+            lines.append(f"{indent}s{k}, r = divmod(s{k}, {denom!r})")
+            lines.append(f"{indent}if r:")
+            lines.append(f"{indent}    _inexact({denom!r}, r)")
+        outputs.append(f"s{k}")
+    return lines, outputs
+
+
 def straight_line_source(name, compiled, arg_sizes):
     """Python source of one function evaluating a tuple of compiled polynomials.
 
@@ -213,26 +248,56 @@ def straight_line_source(name, compiled, arg_sizes):
         names = ", ".join(f"v{first + k}" for k in range(size))
         lines.append(f"    {names}, = {param}")
         first += size
-    powers = sorted({(v, e) for _, terms in compiled for _, ve in terms
-                     for v, e in ve if e > 1})
-    lines.extend(f"    v{v}_{e} = v{v} ** {e}" for v, e in powers)
-    outputs = []
-    for k, (denom, terms) in enumerate(compiled):
-        texts = [_term_text(c, ve) for c, ve in terms]
-        chunks = [_sum_text(texts[i:i + _CHUNK])
-                  for i in range(0, len(texts), _CHUNK)] or ["0"]
-        if denom == 1 and len(chunks) == 1:
-            outputs.append(chunks[0])
-            continue
-        lines.append(f"    s{k} = {chunks[0]}")
-        lines.extend(f"    s{k} += {chunk}" for chunk in chunks[1:])
-        if denom != 1:
-            lines.append(f"    s{k}, r = divmod(s{k}, {denom!r})")
-            lines.append("    if r:")
-            lines.append(f"        _inexact({denom!r}, r)")
-        outputs.append(f"s{k}")
+    lines.extend(_power_lines(compiled, "    "))
+    body, outputs = _output_lines(compiled, "    ")
+    lines.extend(body)
     lines.append(f"    return ({', '.join(outputs)},)")
     return "\n".join(lines) + "\n"
+
+
+def layer_expander_source(directions, size):
+    """Python source of ``expand(frontier, dist, new, radius, budget)``.
+
+    ``directions`` holds one tuple of compiled polynomials in ``size``
+    variables per direction ``h``: the right product ``g -> g * h``.  The
+    function expands one breadth-first layer.  For each ``g`` of
+    ``frontier`` it unpacks ``g`` into ``v0, v1, ...`` once and computes
+    each power ``v_i ** e`` once, then takes every direction's product in
+    order, with the same exact ``divmod`` checks as :func:`straight_line`.
+    A product not yet in ``dist`` is recorded there at ``radius`` and
+    appended to ``new``.  The function returns ``True`` right after the
+    insertion that takes ``len(dist)`` past ``budget``, and ``False`` once
+    the layer is done.  The text is a deterministic function of its
+    arguments.
+    """
+    names = ", ".join(f"v{k}" for k in range(size))
+    lines = ["def expand(frontier, dist, new, radius, budget):",
+             "    append = new.append",
+             "    room = budget - len(dist)",
+             "    for g in frontier:",
+             f"        {names}, = g"]
+    lines.extend(_power_lines([cp for compiled in directions for cp in compiled],
+                              "        "))
+    for compiled in directions:
+        body, outputs = _output_lines(compiled, "        ")
+        lines.extend(body)
+        lines.extend([f"        h = ({', '.join(outputs)},)",
+                      "        if h not in dist:",
+                      "            dist[h] = radius",
+                      "            append(h)",
+                      "            room -= 1",
+                      "            if room < 0:",
+                      "                return True"])
+    lines.append("    return False")
+    return "\n".join(lines) + "\n"
+
+
+def _define(name, source):
+    namespace = {"_inexact": _inexact}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    # popped, so the function and its globals form no reference cycle and a
+    # dropped function is freed at once
+    return namespace.pop(name)
 
 
 def straight_line(name, compiled, arg_sizes):
@@ -240,7 +305,12 @@ def straight_line(name, compiled, arg_sizes):
 
     A non-integral output raises :class:`ExactDivisionError`.
     """
-    namespace = {"_inexact": _inexact}
-    exec(compile(straight_line_source(name, compiled, arg_sizes), f"<{name}>", "exec"),
-         namespace)
-    return namespace[name]
+    return _define(name, straight_line_source(name, compiled, arg_sizes))
+
+
+def layer_expander(directions, size):
+    """Compile :func:`layer_expander_source` into a function; the text is dropped.
+
+    A non-integral product raises :class:`ExactDivisionError`.
+    """
+    return _define("expand", layer_expander_source(directions, size))

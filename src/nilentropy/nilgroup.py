@@ -53,6 +53,14 @@ class GrowthWarning(UserWarning):
     """Non-fatal measurement issues (unresolved lengths, exhausted searches)."""
 
 
+def _integer(value, what):
+    """``value`` as an ``int``; a float or other non-integral count is refused."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise SpecError(f"{what} must be an integer: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # integer Smith invariants (small matrices; used for graded quotients)
 
@@ -169,7 +177,8 @@ class WordExpr:
     _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
     def __init__(self, letters):
-        self.letters = tuple((int(g), int(e)) for g, e in letters if e)
+        self.letters = tuple((_integer(g, "generator index"), _integer(e, "exponent"))
+                             for g, e in letters if e)
 
     @classmethod
     def parse(cls, text):
@@ -225,7 +234,7 @@ class GroupSpec:
         self.nilpotency_class = basis.nil_class
         self.relations = None
         self.relators = None
-        self._balls = {}
+        self._ball = None
         if not relations:
             self.dim = len(basis)
             self.weights = basis.weights
@@ -569,7 +578,7 @@ def inverse(g, spec):
 def power(g, n, spec):
     g = spec.check_vector(g)
     try:
-        return spec.law.power(g, int(n))
+        return spec.law.power(g, _integer(n, "power"))
     except ExactDivisionError as exc:
         raise IntegralityError(str(exc)) from exc
 
@@ -590,7 +599,11 @@ def eval_word(word, spec):
     """Evaluate a word over the generators into coordinates."""
     if isinstance(word, str):
         word = WordExpr.parse(word)
-    letters = word.letters if isinstance(word, WordExpr) else tuple(word)
+    if isinstance(word, WordExpr):
+        letters = word.letters
+    else:
+        letters = [(_integer(gen, "generator index"), _integer(e, "exponent"))
+                   for gen, e in word]
     for gen, _ in letters:
         if not 0 <= gen < spec.rank:
             raise SpecError(f"generator index {gen} out of range 0..{spec.rank - 1}")
@@ -602,7 +615,7 @@ def eval_word(word, spec):
                 # relators lie in [G, G], so coordinate gen is the generator
                 # itself and its power x_gen^e is e at that coordinate
                 letter = [0] * spec.dim
-                letter[gen] = int(e)
+                letter[gen] = e
                 out = law.multiply(out, letter)
     except ExactDivisionError as exc:
         raise IntegralityError(str(exc)) from exc
@@ -677,18 +690,21 @@ def karidi_length(g, spec):
 
 
 class _Ball:
-    """Incrementally grown word-metric ball for one generating set."""
+    """Incrementally grown word-metric ball for one generating set.
+
+    Directions are each generator and then its inverse, skipping the
+    identity and repeats; one generated expander takes all of their right
+    products, layer by layer.
+    """
 
     def __init__(self, spec, genset):
-        self.spec = spec
+        self.genset = genset
         directions = []
-        seen = set()
         for g in genset:
             for vec in (tuple(g), inverse(g, spec)):
-                if vec != spec.identity() and vec not in seen:
-                    seen.add(vec)
-                    directions.append(spec.law.right_multiplier(vec))
-        self.directions = directions
+                if vec != spec.identity() and vec not in directions:
+                    directions.append(vec)
+        self.expand = spec.law.layer_expander(directions)
         self.dist = {spec.identity(): 0}
         self.frontier = [spec.identity()]
         self.radius = 0
@@ -699,20 +715,15 @@ class _Ball:
             dist = self.dist
             r = self.radius + 1
             try:
-                for g in self.frontier:
-                    for rmul in self.directions:
-                        try:
-                            h = rmul(g)
-                        except ExactDivisionError as exc:
-                            raise IntegralityError(str(exc)) from exc
-                        if h not in dist:
-                            dist[h] = r
-                            new.append(h)
-                            if len(dist) > budget:
-                                raise BallBudgetExceeded(
-                                    f"ball budget {budget} exceeded at radius {r} "
-                                    f"({len(dist)} elements)"
-                                )
+                try:
+                    over = self.expand(self.frontier, dist, new, r, budget)
+                except ExactDivisionError as exc:
+                    raise IntegralityError(str(exc)) from exc
+                if over:
+                    raise BallBudgetExceeded(
+                        f"ball budget {budget} exceeded at radius {r} "
+                        f"({len(dist)} elements)"
+                    )
             except BaseException:
                 # a failed layer leaves the ball as it was at radius r - 1
                 for h in new:
@@ -729,20 +740,23 @@ def _normalized_genset(spec, genset):
 
 
 def _get_ball(spec, genset):
+    """The spec's ball for ``genset``; a new generating set replaces the
+    ball of the previous one."""
     key = _normalized_genset(spec, genset)
-    ball = spec._balls.get(key)
-    if ball is None:
-        ball = _Ball(spec, key)
-        spec._balls[key] = ball
-    return ball
+    if spec._ball is None or spec._ball.genset != key:
+        spec._ball = None  # free the old ball before growing the new one
+        spec._ball = _Ball(spec, key)
+    return spec._ball
 
 
 def bfs_ball(spec, radius, genset=None, budget=DEFAULT_BALL_BUDGET):
     """Word lengths of all elements within ``radius``: ``{vector: length}``.
 
     The returned mapping may be the live cache for the generating set;
-    treat it as read-only.  Results depend only on the requested radius,
-    never on how far earlier calls grew the cache.
+    treat it as read-only.  The spec keeps only the ball of its latest
+    generating set: a call with another set frees it and starts anew.
+    Results depend only on the requested radius, never on how far earlier
+    calls grew the cache or which generating sets they used.
     """
     ball = _get_ball(spec, genset)
     ball.expand_to(radius, budget)

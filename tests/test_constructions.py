@@ -249,6 +249,15 @@ def test_semidirect_monodromy_power(heis, rng):
     assert sd.monodromy_power(0, g) == g
 
 
+def test_monodromy_power_refuses_non_integral_input(heis):
+    sd = semidirect_unipotent(heis, builtin_automorphism("unipotent-shear", heis))
+    for k, n in ((0, (1.5, 0, 0)), (1, (1.5, 0, 0)), (1.5, (1, 0, 0)), (0.0, (1, 0, 0))):
+        with pytest.raises(SpecError, match="must be integers|must be an integer"):
+            sd.monodromy_power(k, n)
+    with pytest.raises(SpecError, match="vector of length 2"):
+        sd.monodromy_power(0, (1, 0))
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda: free_nilpotent(2, 2), "unipotent-shear"),
     (lambda: free_nilpotent(2, 3), "unipotent-shear"),

@@ -19,7 +19,13 @@ from nilentropy import (
     free_nilpotent,
     surface_quotient,
 )
-from nilentropy.mpoly import ExactDivisionError, MPoly, compile_poly, straight_line
+from nilentropy.mpoly import (
+    ExactDivisionError,
+    MPoly,
+    compile_poly,
+    layer_expander,
+    straight_line,
+)
 
 from conftest import eval_compiled
 
@@ -141,9 +147,16 @@ def test_inverse_matches_reference(name, data):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_right_multiplier_matches_reference(name, data):
+    """Every right product of a generated layer expander, in direction order."""
     spec = GROUPS[name]()
-    g, h = _vector(data, spec), _vector(data, spec)
-    assert spec.law.right_multiplier(h)(g) == ReferenceLaw(spec).multiply(g, h)
+    g = _vector(data, spec)
+    directions = data.draw(st.lists(st.tuples(*[COORD] * spec.dim),
+                                    min_size=1, max_size=3, unique=True))
+    dist, new = {}, []
+    assert spec.law.layer_expander(directions)([g], dist, new, 1, 10) is False
+    ref = ReferenceLaw(spec)
+    assert new == [ref.multiply(g, h) for h in directions]
+    assert dist == dict.fromkeys(new, 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -188,8 +201,9 @@ def test_long_sums_match_reference():
 def test_bfs_step_raises_integrality_error(monkeypatch):
     spec = GroupSpec(HallBasis(2, 2))
     # every right multiplication yields a coordinate 1/2
-    bad = straight_line("bad", ((2, ((1, ()),)),) * spec.dim, (spec.dim,))
-    monkeypatch.setattr(spec.law, "right_multiplier", lambda h: bad)
+    bad = ((2, ((1, ()),)),) * spec.dim
+    monkeypatch.setattr(spec.law, "layer_expander",
+                        lambda directions: layer_expander([bad] * len(directions), spec.dim))
     with pytest.raises(IntegralityError, match="expected multiple of 2, got remainder 1"):
         bfs_ball(spec, 1)
 
@@ -197,7 +211,7 @@ def test_bfs_step_raises_integrality_error(monkeypatch):
 SOURCE_DIGEST = """
 import hashlib
 from nilentropy import free_nilpotent, surface_quotient
-from nilentropy.mpoly import straight_line_source
+from nilentropy.mpoly import layer_expander_source, straight_line_source
 for law in (free_nilpotent(3, 4).law, surface_quotient(2, 3).law):
     n = law.dim
     for name, compiled, sizes in (("multiply", law._mul_compiled, (n, n)),
@@ -206,6 +220,13 @@ for law in (free_nilpotent(3, 4).law, surface_quotient(2, 3).law):
                                   ("unpack_scaled", law._unpack_compiled, (n,))):
         text = straight_line_source(name, compiled, sizes)
         print(name, len(text), hashlib.sha256(text.encode()).hexdigest())
+for spec in (free_nilpotent(2, 3), surface_quotient(2, 3)):
+    law = spec.law
+    genset = [spec.indicator(k) for k in range(spec.rank)]
+    genset.append(tuple(range(-2, spec.dim - 2)))
+    directions = [v for g in genset for v in (g, law.inverse(g))]
+    text = layer_expander_source(law._layer_compiled(directions), law.dim)
+    print("expand", len(text), hashlib.sha256(text.encode()).hexdigest())
 """
 
 
@@ -216,5 +237,5 @@ def test_generated_source_independent_of_hash_seed():
         proc = subprocess.run([sys.executable, "-c", SOURCE_DIGEST], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 8
+    assert len(outputs[0].splitlines()) == 10
     assert outputs[0] == outputs[1]

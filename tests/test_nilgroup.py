@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,16 @@ def test_conjugate_and_eval_word(heis):
 def test_eval_word_rejects_out_of_range_generator(heis):
     with pytest.raises(SpecError):
         eval_word([(2, 1)], heis)
+
+
+def test_non_integral_counts_are_refused(heis):
+    with pytest.raises(SpecError, match="power must be an integer"):
+        power((1, 0, 0), 2.5, heis)
+    with pytest.raises(SpecError, match="exponent must be an integer"):
+        eval_word([(0, 2.5)], heis)
+    with pytest.raises(SpecError, match="generator index must be an integer"):
+        eval_word([(0.0, 1)], heis)
+    assert power((1, 0, 0), True, heis) == (1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,26 +333,94 @@ def test_geodesic_length_after_budget_failure():
 
 def test_ball_after_integrality_failure_is_left_as_before(monkeypatch):
     spec = GroupSpec(HallBasis(2, 2))
-    real = spec.law.right_multiplier
-    calls = [0]
+    real = spec.law.layer_expander
 
-    def flaky(h):
-        rmul = real(h)
+    failures = [1]
 
-        def step(g):
-            # the 10th step, in the radius-2 layer, fails once
-            calls[0] += 1
-            if calls[0] == 10:
-                raise ExactDivisionError("expected multiple of 2, got remainder 1")
-            return rmul(g)
+    def flaky(directions):
+        expand = real(directions)
+
+        def step(frontier, dist, new, radius, budget):
+            # the radius-2 layer adds the products of two elements, then
+            # fails, once
+            if radius != 2 or not failures:
+                return expand(frontier, dist, new, radius, budget)
+            failures.pop()
+            expand(frontier[:2], dist, new, radius, budget)
+            assert new
+            raise ExactDivisionError("expected multiple of 2, got remainder 1")
 
         return step
 
-    monkeypatch.setattr(spec.law, "right_multiplier", flaky)
+    monkeypatch.setattr(spec.law, "layer_expander", flaky)
     with pytest.raises(IntegralityError, match="expected multiple of 2"):
         bfs_ball(spec, 3)
     assert dict(bfs_ball(spec, 1)) == _fresh_ball(1)
     assert dict(bfs_ball(spec, 5)) == _fresh_ball(5)
+
+
+# generating sets of F(2,2) for the call-order checks
+GENSETS = (
+    ((1, 0, 0), (0, 1, 0)),
+    ((1, 0, 0), (0, 1, 0), (1, 1, 3)),
+    ((1, 1, 0), (0, -1, 2)),
+)
+BALL_CALL = st.one_of(
+    st.tuples(st.just("ball"), st.integers(0, 2), st.integers(0, 5)),
+    st.tuples(st.just("length"), st.integers(0, 2),
+              st.tuples(*[st.integers(-3, 3)] * 3), st.integers(0, 5)),
+    st.tuples(st.just("band"), st.integers(0, 2), st.integers(1, 4)),
+    st.tuples(st.just("over"), st.integers(0, 2), st.integers(3, 6)),
+)
+
+
+def _ball_call(spec, call):
+    kind, which, *args = call
+    genset = GENSETS[which]
+    if kind == "ball":
+        return dict(bfs_ball(spec, args[0], genset=genset))
+    if kind == "length":
+        return geodesic_length(args[0], spec, radius_cap=args[1], genset=genset)
+    if kind == "band":
+        return repr(karidi_band(spec, radius=args[0], genset=genset))
+    try:
+        bfs_ball(spec, args[0], genset=genset, budget=20)
+    except BallBudgetExceeded:
+        return "over"
+    return "within"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(BALL_CALL, min_size=2, max_size=10))
+def test_balls_do_not_depend_on_call_order(calls):
+    spec = GroupSpec(HallBasis(2, 2))
+    # then, on every set, caps and radii below a deeper cached ball
+    for which in range(len(GENSETS)):
+        calls += [("ball", which, 5), ("length", which, (3, 0, 0), 2),
+                  ("length", which, (3, 0, 0), 4), ("ball", which, 2)]
+    for call in calls:
+        got = _ball_call(spec, call)
+        if call[0] != "over":
+            assert got == _ball_call(GroupSpec(HallBasis(2, 2)), call), call
+
+
+def test_ball_memory_stays_bounded_over_generating_sets():
+    spec = GroupSpec(HallBasis(2, 2))
+    bfs_ball(spec, 1)  # derive the law before tracing
+
+    def grow(i):
+        bfs_ball(spec, 6, genset=((1, 0, 0), (0, 1, 0), (1, -1, 1000 + i)))
+
+    tracemalloc.start()
+    try:
+        grow(0)
+        one = tracemalloc.get_traced_memory()[0]
+        for i in range(1, 40):
+            grow(i)
+        forty = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert forty <= 2 * one, (one, forty)
 
 
 # ---------------------------------------------------------------------------
