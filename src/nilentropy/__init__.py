@@ -60,7 +60,7 @@ from .growth import (
     series_to_csv,
     unipotent_degree_sweep,
 )
-from .hall import BasicCommutator, HallBasis, LieElement, bracket, graded_dimension
+from .hall import BasicCommutator, HallBasis
 from .nilgroup import (
     BallBudgetExceeded,
     GroupSpec,

@@ -70,11 +70,8 @@ def mat_identity(n):
 
 
 def _basis_entries(spec):
-    """The commutator trees of the spec's basis: kept free-cover entries for a quotient."""
-    entries = spec.basis.entries
-    if spec.relations is not None:
-        entries = [entries[p] for p in spec._positions]
-    return entries
+    """The commutator trees of the spec's basis: the free entries it keeps."""
+    return [spec.basis.entries[p] for p in spec._positions]
 
 
 def _tree_evaluator(leaf, node):
@@ -98,13 +95,19 @@ def _tree_evaluator(leaf, node):
 def _cleared(entries, n):
     """Sparse integer rows ``M`` and the least ``denominator`` such that
     ``M / denominator`` is the ``n x n`` rational matrix with nonzero entries
-    ``(i, j, x)``; each row lists its entries in the order given."""
-    entries = [(i, j, Fraction(x)) for i, j, x in entries]
-    denominator = math.lcm(*(x.denominator for _, _, x in entries))
+    ``(i, j, num, den)`` of value ``num / den``; each row lists its entries
+    in the order given.
+
+    The entries are scaled to ``lcm(den)`` and divided by the gcd of that
+    scale and every scaled numerator, which leaves the least denominator.
+    """
+    scale = math.lcm(*(den for _, _, _, den in entries))
+    scaled = [(i, j, num * (scale // den)) for i, j, num, den in entries]
+    g = math.gcd(scale, *(m for _, _, m in scaled))
     rows = [[] for _ in range(n)]
-    for i, j, x in entries:
-        rows[i].append((j, x.numerator * (denominator // x.denominator)))
-    return tuple(map(tuple, rows)), denominator
+    for i, j, m in scaled:
+        rows[i].append((j, m // g))
+    return tuple(map(tuple, rows)), scale // g
 
 
 class Endomorphism:
@@ -144,11 +147,13 @@ class Endomorphism:
             value = _tree_evaluator(leaf, law.bracket_vec)
             if spec.relations is not None:
                 _check_relators(spec, value, d)
-            self._linear = _cleared(
-                ((i, j, Fraction(v, d ** e.weight))
-                 for j, e in enumerate(_basis_entries(spec)) for i, v in value(e).items()),
-                spec.dim,
-            )
+            entries = []
+            for j, e in enumerate(_basis_entries(spec)):
+                scale = d ** e.weight
+                for i, v in value(e).items():
+                    num, den = v.as_integer_ratio()
+                    entries.append((i, j, num, den * scale))
+            self._linear = _cleared(entries, spec.dim)
         return self._linear
 
     def __eq__(self, other):
@@ -318,8 +323,8 @@ def invert(phi):
     if not is_automorphism(phi):
         raise SpecError("endomorphism is not invertible over the integers")
     inv_rows, inv_denominator = _cleared(
-        ((i, j, x) for i, row in enumerate(inverse(linearization_matrix(phi)))
-         for j, x in enumerate(row) if x),
+        [(i, j, *x.as_integer_ratio()) for i, row in enumerate(inverse(linearization_matrix(phi)))
+         for j, x in enumerate(row) if x],
         spec.dim,
     )
     law = spec.law

@@ -115,8 +115,6 @@ def _normalform_costs(spec):
                     + free_costs[basis.index[entry.right]]
                 )
             )
-    if spec.relations is None:
-        return tuple(free_costs)
     return tuple(free_costs[p] for p in spec._positions)
 
 

@@ -1,9 +1,9 @@
-"""Hall bases of free nilpotent Lie rings and exact bracket arithmetic.
+"""Hall bases of free nilpotent Lie rings and their structure constants.
 
 A basis entry is either a generator or a bracket ``[u, v]`` of earlier
 entries satisfying the Hall condition.  Brackets of arbitrary entries are
 straightened onto the basis with the Jacobi identity; the resulting pair
-table doubles as the structure-constant table for group collection.
+table is the structure-constant table of every group law.
 """
 
 from __future__ import annotations
@@ -141,81 +141,3 @@ class HallBasis:
             result = {k: c for k, c in result.items() if c}
         self._pair_cache[(i, j)] = result
         return result
-
-
-class LieElement:
-    """Integer linear combination of Hall basis entries (sparse, no zeros)."""
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis, coeffs=None):
-        self.basis = basis
-        self.coeffs = {} if coeffs is None else {k: c for k, c in coeffs.items() if c}
-
-    @classmethod
-    def from_entry(cls, basis, index, coeff=1):
-        return cls(basis, {index: coeff})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and self.basis is other.basis
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LieElement(self.basis, out)
-
-    def __neg__(self):
-        return LieElement(self.basis, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, n):
-        if n == 0:
-            return LieElement(self.basis)
-        return LieElement(self.basis, {k: c * n for k, c in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "LieElement(0)"
-        bits = [
-            f"{c}*{self.basis.entries[k]!r}"
-            for k, c in sorted(self.coeffs.items())
-        ]
-        return "LieElement(" + " + ".join(bits) + ")"
-
-
-def bracket(u, v, basis=None):
-    """Lie bracket of two elements, straightened onto the Hall basis."""
-    if basis is None:
-        basis = u.basis
-    assert u.basis is v.basis
-    out = {}
-    for i, ci in u.coeffs.items():
-        for j, cj in v.coeffs.items():
-            for k, c in basis.pair_bracket(i, j).items():
-                s = out.get(k, 0) + ci * cj * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-    return LieElement(basis, out)
-
-
-def graded_dimension(basis, d):
-    return basis.graded_dimension(d)

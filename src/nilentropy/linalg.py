@@ -1,8 +1,7 @@
 """Exact linear algebra: one ``Fraction`` row reduction and a Bareiss determinant.
 
-:func:`echelon` is the only elimination over the rationals; row-span
-membership, the rational nullspace and the inverse are read off its reduced
-rows.  Integer determinants use fraction-free elimination instead
+:func:`echelon` is the only elimination over the rationals; the rational
+nullspace and the inverse are read off its reduced rows.  Integer determinants use fraction-free elimination instead
 (E. Bareiss, Math. Comp. 22, 1968), which stays in the integers.
 """
 
@@ -36,12 +35,6 @@ def echelon(rows):
             pivots[q] = _eliminate(pivots[q], {p: row})
         pivots[p] = row
     return pivots
-
-
-def in_row_span(vecs, rows):
-    """True when every vector of ``vecs`` lies in the rational span of ``rows``."""
-    pivots = echelon(rows)
-    return not any(any(_eliminate(v, pivots)) for v in vecs)
 
 
 def nullspace(rows, width):

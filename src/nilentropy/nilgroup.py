@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .collect import CollectionLaw
 from .hall import HallBasis
-from .linalg import in_row_span
 from .mpoly import ExactDivisionError
 
 DEFAULT_RADIUS_CAP = 10
@@ -216,15 +215,18 @@ class WordExpr:
 class GroupSpec:
     """Presentation-level data for one torsion-free nilpotent group.
 
+    ``relators`` gives the group relators as free-cover coordinate vectors;
+    when omitted, each row of ``relations`` is read as the group element
+    supported on its weight layer.  The normal closure of the relators in
+    the free cover decides the quotient: a leading entry other than 1 raises
+    :class:`TorsionDetected`, its leading rows give the graded ranks, and the
+    law is derived on the cover's Mal'cev algebra modulo their logarithms.
     ``relations`` maps a weight to integer rows cutting that graded piece of
-    the free Lie ring; every piece of the quotient must stay torsion-free and
-    the rows must form an ideal (both are checked).  ``relators`` optionally
-    gives the group relators as free-cover coordinate vectors; when omitted,
-    each relation row is read as the group element supported on its weight
-    layer.  The group law is derived on the cover's Mal'cev algebra modulo
-    the logarithms of the normal closure of the relators, so the graded data
-    and the relators must agree (also checked).  Without relations the spec
-    is the free nilpotent group on ``basis``.
+    the free Lie ring.  A row lattice with invariant factors other than 0 and
+    1 raises :class:`TorsionDetected`; otherwise it must equal the lattice of
+    the closure's leading rows at its weight, one integral cross-check per
+    weight (:class:`SpecError`).  Without relations the spec is the free
+    nilpotent group on ``basis``.
     """
 
     def __init__(self, basis, relations=None, generating_set=None, free_cover=None,
@@ -240,6 +242,8 @@ class GroupSpec:
             self.weights = basis.weights
             self.free_cover = None
             self.law = CollectionLaw.for_free(basis)
+            # the free basis entries a spec keeps as its coordinates: all here
+            self._positions = tuple(range(self.dim))
         else:
             self.relations = {
                 int(d): tuple(tuple(int(x) for x in row) for row in rows)
@@ -278,17 +282,14 @@ class GroupSpec:
                     )
         # graded side: rank and torsion of each quotient piece
         ranks = {}
-        for d in range(1, c + 1):
-            width = basis.graded_dimension(d)
-            rows = self.relations.get(d, ())
-            factors = _smith_factors(rows, width)
+        for d in range(2, c + 1):
+            factors = _smith_factors(self.relations.get(d, ()), basis.graded_dimension(d))
             bad = [f for f in factors if f not in (0, 1)]
             if bad:
                 raise TorsionDetected(
                     f"graded piece at weight {d} has invariant factors {bad}"
                 )
             ranks[d] = sum(1 for f in factors if f == 1)
-        self._check_ideal(cover)
         # group side: normal closure of the relators in the free cover
         if relators is None:
             relators = self._default_relators(cover)
@@ -299,6 +300,12 @@ class GroupSpec:
         self.relators = relators
         nrows = _sift_closure(cover, relators, _generator_commutators(cover),
                               what="normal closure")
+        # the closure's leading rows at weight d span the graded piece of N
+        # there; with unit leads that lattice is saturated, so it equals the
+        # saturated lattice of the given rows exactly when the ranks agree and
+        # each given row reduces to zero against the leads
+        depths = set()
+        leads = {d: [] for d in ranks}
         for row in nrows:
             depth = next(i for i, v in enumerate(row) if v)
             if row[depth] != 1:
@@ -306,8 +313,24 @@ class GroupSpec:
                     f"free coordinate {depth} gains torsion of order "
                     f"{row[depth]} in the closure of the relators"
                 )
-        self._check_graded_consistency(cover, nrows, ranks)
-        depths = {next(i for i, v in enumerate(row) if v) for row in nrows}
+            depths.add(depth)
+            d = cover.weights[depth]
+            layer = basis.by_weight[d]
+            leads[d].append((depth - layer[0], row[layer[0]:layer[-1] + 1]))
+        for d, rank in ranks.items():
+            if len(leads[d]) != rank:
+                raise SpecError(
+                    f"relator closure cuts rank {len(leads[d])} at weight {d}, "
+                    f"graded relations cut rank {rank}"
+                )
+            for row in self.relations.get(d, ()):
+                for pivot, lead in leads[d]:
+                    f = row[pivot]
+                    row = [x - f * y for x, y in zip(row, lead)]
+                if any(row):
+                    raise SpecError(
+                        f"relator closure leaves the graded relations at weight {d}"
+                    )
         positions = tuple(p for p in range(cover.dim) if p not in depths)
         self._positions = positions
         self._nrows = nrows
@@ -327,52 +350,6 @@ class GroupSpec:
                 if any(vec):
                     out.append(tuple(vec))
         return tuple(out)
-
-    def _check_graded_consistency(self, cover, nrows, ranks):
-        """The closure's leading terms must cut exactly the graded relations."""
-        basis = self.basis
-        by_weight = {}
-        for row in nrows:
-            depth = next(i for i, v in enumerate(row) if v)
-            d = cover.weights[depth]
-            layer = basis.by_weight[d]
-            by_weight.setdefault(d, []).append(
-                tuple(row[k] for k in layer)
-            )
-        for d in range(1, basis.nil_class + 1):
-            leads = by_weight.get(d, ())
-            given = self.relations.get(d, ())
-            if len(leads) != ranks[d]:
-                raise SpecError(
-                    f"relator closure cuts rank {len(leads)} at weight {d}, "
-                    f"graded relations cut rank {ranks[d]}"
-                )
-            # no converse check: the leads are independent (distinct leading
-            # positions) and as many as rank(given), so inside its span they span it
-            if not in_row_span(leads, given):
-                raise SpecError(
-                    f"relator closure leaves the graded relations at weight {d}"
-                )
-
-    def _check_ideal(self, cover):
-        basis = self.basis
-        for d in sorted(self.relations):
-            if d == basis.nil_class:
-                continue
-            layer, next_layer = basis.by_weight[d], basis.by_weight[d + 1]
-            images = []
-            for row in self.relations[d]:
-                for gen in range(self.rank):
-                    image = {}
-                    for pos, coeff in enumerate(row):
-                        if coeff:
-                            for k, sc in basis.pair_bracket(layer[pos], gen).items():
-                                image[k] = image.get(k, 0) + coeff * sc
-                    images.append([image.get(k, 0) for k in next_layer])
-            if not in_row_span(images, self.relations.get(d + 1, ())):
-                raise SpecError(
-                    f"relations at weight {d} do not bracket into weight {d + 1}"
-                )
 
     # -- basic queries ----------------------------------------------------
 
@@ -694,7 +671,8 @@ class _Ball:
 
     Directions are each generator and then its inverse, skipping the
     identity and repeats; one generated expander takes all of their right
-    products, layer by layer.
+    products, layer by layer.  Once ``dist`` has been handed to a caller it
+    is copied before it grows, so a mapping the caller holds never changes.
     """
 
     def __init__(self, spec, genset):
@@ -706,10 +684,14 @@ class _Ball:
                     directions.append(vec)
         self.expand = spec.law.layer_expander(directions)
         self.dist = {spec.identity(): 0}
+        self.handed_out = False
         self.frontier = [spec.identity()]
         self.radius = 0
 
     def expand_to(self, radius, budget):
+        if self.handed_out and self.radius < radius and self.frontier:
+            self.dist = dict(self.dist)
+            self.handed_out = False
         while self.radius < radius and self.frontier:
             new = []
             dist = self.dist
@@ -752,15 +734,17 @@ def _get_ball(spec, genset):
 def bfs_ball(spec, radius, genset=None, budget=DEFAULT_BALL_BUDGET):
     """Word lengths of all elements within ``radius``: ``{vector: length}``.
 
-    The returned mapping may be the live cache for the generating set;
-    treat it as read-only.  The spec keeps only the ball of its latest
-    generating set: a call with another set frees it and starts anew.
-    Results depend only on the requested radius, never on how far earlier
-    calls grew the cache or which generating sets they used.
+    The returned mapping may be the cache for the generating set; treat it
+    as read-only.  A later call never changes it: the cache is copied before
+    it grows further.  The spec keeps only the ball of its latest generating
+    set: a call with another set frees it and starts anew.  Results depend
+    only on the requested radius, never on how far earlier calls grew the
+    cache or which generating sets they used.
     """
     ball = _get_ball(spec, genset)
     ball.expand_to(radius, budget)
     if ball.radius <= radius:
+        ball.handed_out = True
         return ball.dist
     return {g: d for g, d in ball.dist.items() if d <= radius}
 

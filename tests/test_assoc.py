@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from nilentropy import HallBasis, LieElement, bracket
+from nilentropy import HallBasis, free_nilpotent
 from nilentropy.assoc import (
     bch_terms,
     elt_inverse,
@@ -13,6 +13,7 @@ from nilentropy.assoc import (
     mul,
     one,
 )
+from nilentropy.collect import _vec_add, _vec_scale
 
 from conftest import random_word
 
@@ -64,42 +65,36 @@ def test_elt_power_matches_repeated_product():
     assert elt_power(a, -1, 3) == elt_inverse(a, 3)
 
 
-def _bch_as_lie(terms, basis):
+def _bch_as_lie(terms, bracket):
     """Evaluate {degree: ((coeff, 01-word), ...)} into the free Lie algebra."""
-    x = LieElement.from_entry(basis, 0)
-    y = LieElement.from_entry(basis, 1)
-    letters = (x, y)
-    total = LieElement(basis)
-    for _, pairs in terms.items():
+    letters = ({0: 1}, {1: 1})
+    total = {}
+    for pairs in terms.values():
         for coeff, w in pairs:
             el = letters[w[0]]
             for k in w[1:]:
-                el = bracket(el, letters[k], basis)
-            total = total + el.scaled(coeff)
+                el = bracket(el, letters[k])
+            total = _vec_add(total, _vec_scale(el, coeff))
     return total
 
 
 def test_bch_degree_two_and_three_coefficients():
-    basis = HallBasis(2, 3)
-    x = LieElement.from_entry(basis, 0)
-    y = LieElement.from_entry(basis, 1)
-    xy = bracket(x, y, basis)
-    expect = (
-        xy.scaled(Fraction(1, 2))
-        + bracket(x, xy, basis).scaled(Fraction(1, 12))
-        + bracket(y, bracket(y, x, basis), basis).scaled(Fraction(1, 12))
+    bracket = free_nilpotent(2, 3).law.bracket_vec
+    x, y = {0: 1}, {1: 1}
+    xy = bracket(x, y)
+    expect = _vec_add(
+        _vec_add(_vec_scale(xy, Fraction(1, 2)), _vec_scale(bracket(x, xy), Fraction(1, 12))),
+        _vec_scale(bracket(y, bracket(y, x)), Fraction(1, 12)),
     )
-    assert _bch_as_lie(bch_terms(3), basis) == expect
+    assert _bch_as_lie(bch_terms(3), bracket) == expect
 
 
 def test_bch_degree_four_has_single_mixed_term():
-    basis = HallBasis(2, 4)
-    x = LieElement.from_entry(basis, 0)
-    y = LieElement.from_entry(basis, 1)
-    xy = bracket(x, y, basis)
+    bracket = free_nilpotent(2, 4).law.bracket_vec
+    x, y = {0: 1}, {1: 1}
     deg4 = {4: bch_terms(4)[4]}
-    expect = bracket(y, bracket(x, xy, basis), basis).scaled(Fraction(-1, 24))
-    assert _bch_as_lie(deg4, basis) == expect
+    expect = _vec_scale(bracket(y, bracket(x, bracket(x, y))), Fraction(-1, 24))
+    assert _bch_as_lie(deg4, bracket) == expect
 
 
 def test_magnus_normal_form_single_letters():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -7,12 +9,12 @@ import sympy
 from nilentropy import (
     Endomorphism,
     GroupSpec,
-    GrowthWarning,
     HallBasis,
     SpecError,
     apply,
     builtin_automorphism,
     commutator,
+    eval_word,
     free_nilpotent,
     identity,
     identity_endomorphism,
@@ -25,6 +27,7 @@ from nilentropy import (
     quotient_ranks,
     relator_check,
     semidirect_unipotent,
+    spec_to_json,
     subgroup_closure,
     surface_quotient,
     truncate,
@@ -34,7 +37,7 @@ from nilentropy import (
 
 from nilentropy.constructions import _semidirect_lie_matrices
 
-from conftest import random_vector
+from conftest import random_vector, random_word
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +383,64 @@ def test_relator_check_conjugated_images():
         multiply(multiply(inverse(h, spec), spec.indicator(k), spec), h, spec)
         for k in range(4)
     ]
-    assert relator_check(images, 2, 3, search_radius=2)
-    # with no search budget the conjugator is out of reach: refuse, loudly
-    with pytest.warns(GrowthWarning):
-        assert not relator_check(images, 2, 3, search_radius=0)
+    assert relator_check(images, 2, 3)
+
+
+def _surface_map_words(rng):
+    """Generator images of genus-2 surface maps, as words in x1..x4."""
+    x = [[(k, 1)] for k in range(4)]
+
+    def conjugated(words, h):
+        return [[(g, -e) for g, e in reversed(h)] + w + h for w in words]
+
+    twist_a = [x[0], x[0] + x[1], x[2], x[3]]  # x2 -> x1 x2
+    twist_b = [x[1] + x[0], x[1], x[2], x[3]]  # x1 -> x2 x1
+    maps = {
+        "twist a": twist_a,
+        "twist b": twist_b,
+        "a after b": [x[0] + x[1] + x[0], x[0] + x[1], x[2], x[3]],
+        "x1 -> x1 [x3, x4]": [x[0] + [(2, -1), (3, -1), (2, 1), (3, 1)], x[1], x[2], x[3]],
+    }
+    for i in range(3):
+        maps[f"inner {i}"] = conjugated(x, random_word(4, 6, rng))
+        maps[f"twist a, conjugated {i}"] = conjugated(twist_a, random_word(4, 6, rng))
+        maps[f"each conjugated apart {i}"] = [conjugated([w], random_word(4, 4, rng))[0]
+                                              for w in x]
+    return maps
+
+
+@pytest.mark.parametrize("nil_class", [2, 3])
+def test_relator_check_agrees_with_the_quotient(nil_class):
+    # the images define a map on the surface quotient exactly when the
+    # linearization accepts them; relator_check decides the same in the cover
+    rng = random.Random(nil_class)
+    cover, surface = free_nilpotent(4, nil_class), surface_quotient(2, nil_class)
+    seen = set()
+    for name, words in _surface_map_words(rng).items():
+        try:
+            Endomorphism(surface, [eval_word(w, surface) for w in words]).linear_map
+            respected = True
+        except SpecError:
+            respected = False
+        assert relator_check([eval_word(w, cover) for w in words], 2, nil_class) == respected, name
+        seen.add(respected)
+    assert seen == ({True} if nil_class == 2 else {True, False})
+    # the collapse kills the relator, which the exact test accepts: the
+    # degree-2 screen is what refuses it
+    collapse = [cover.indicator(0)] * 4
+    assert not relator_check(collapse, 2, nil_class)
+
+
+SURFACE_SPEC_DIGESTS = {
+    (1, 4): "4f068f95f3b6506c1873e8168f8267afbc4eda9fccce3b14ac9a581a0f375c43",
+    (2, 2): "0d91352f0bfa75151281068700ab3f83acc6993abfc1f2f395e0157b2531785b",
+    (2, 3): "a5cc2d44506be6b62b673226c173ce1af279eaa8cdc27186cc227e6625c0f1e1",
+    (3, 3): "83baeb2cd8091e7b1e1edb8956d59a2001ad1f9094f4840e33d9edcca235de3c",
+}
+
+
+@pytest.mark.parametrize("genus, nil_class", sorted(SURFACE_SPEC_DIGESTS))
+def test_surface_spec_json_is_pinned(genus, nil_class):
+    # sha256 of the spec JSON, keys sorted: relations, relator and ranks
+    text = json.dumps(spec_to_json(surface_quotient(genus, nil_class)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SURFACE_SPEC_DIGESTS[genus, nil_class]

@@ -378,7 +378,7 @@ def _ball_call(spec, call):
     kind, which, *args = call
     genset = GENSETS[which]
     if kind == "ball":
-        return dict(bfs_ball(spec, args[0], genset=genset))
+        return bfs_ball(spec, args[0], genset=genset)
     if kind == "length":
         return geodesic_length(args[0], spec, radius_cap=args[1], genset=genset)
     if kind == "band":
@@ -394,14 +394,21 @@ def _ball_call(spec, call):
 @given(st.lists(BALL_CALL, min_size=2, max_size=10))
 def test_balls_do_not_depend_on_call_order(calls):
     spec = GroupSpec(HallBasis(2, 2))
-    # then, on every set, caps and radii below a deeper cached ball
+    # then, on every set, a ball grown past a held mapping, and caps and
+    # radii below a deeper cached ball
     for which in range(len(GENSETS)):
-        calls += [("ball", which, 5), ("length", which, (3, 0, 0), 2),
+        calls += [("ball", which, 3), ("ball", which, 5), ("length", which, (3, 0, 0), 2),
                   ("length", which, (3, 0, 0), 4), ("ball", which, 2)]
+    held = []
     for call in calls:
         got = _ball_call(spec, call)
         if call[0] != "over":
             assert got == _ball_call(GroupSpec(HallBasis(2, 2)), call), call
+        if call[0] == "ball":
+            held.append((call, got, dict(got)))
+    # later calls leave every mapping handed out as it was
+    for call, got, snapshot in held:
+        assert got == snapshot, call
 
 
 def test_ball_memory_stays_bounded_over_generating_sets():
@@ -525,7 +532,7 @@ def test_quotient_torsion_detected():
 
 def test_quotient_relations_must_form_an_ideal():
     # [x1, x2] = 1 forces [x1, x2, x1] = [x1, x2, x2] = 1 at weight 3
-    with pytest.raises(SpecError, match="do not bracket into weight 3"):
+    with pytest.raises(SpecError, match="relator closure cuts rank 2 at weight 3"):
         GroupSpec(HallBasis(2, 3), relations={2: [(1,)]})
 
 
@@ -541,6 +548,24 @@ def test_quotient_relators_must_cut_the_graded_rank():
     with pytest.raises(SpecError, match="relator closure cuts rank 2 at weight 2"):
         GroupSpec(HallBasis(3, 2), relations={2: [(1, 0, 0)]},
                   relators=[(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)])
+
+
+@pytest.mark.parametrize("rank, nil_class, relations, relators, error, match", [
+    # non-ideal relations: the closure of [x2, x1] also cuts weight 3
+    (2, 3, {2: [(1,)]}, None, SpecError, "relator closure cuts rank 2 at weight 3"),
+    # the relator [x3, x1] leaves the graded relation [x2, x1]
+    (3, 2, {2: [(1, 0, 0)]}, [(0, 0, 0, 0, 1, 0)], SpecError,
+     "relator closure leaves the graded relations at weight 2"),
+    # [x2, x1] and [x3, x1] cut rank 2 against the one graded relation
+    (3, 2, {2: [(1, 0, 0)]}, [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)], SpecError,
+     "relator closure cuts rank 2 at weight 2"),
+    # a saturated relator against non-saturated relations: the Smith screen
+    (3, 2, {2: [(2, 0, 0)]}, [(0, 0, 0, 1, 0, 0)], TorsionDetected,
+     r"graded piece at weight 2 has invariant factors \[2\]"),
+])
+def test_quotient_cross_check_refusals(rank, nil_class, relations, relators, error, match):
+    with pytest.raises(error, match=match):
+        GroupSpec(HallBasis(rank, nil_class), relations=relations, relators=relators)
 
 
 def test_quotient_relator_must_be_commutator_shaped():

@@ -1,5 +1,6 @@
 """The declared runtime dependencies are exactly the packages the source
-imports, and every module-level import is used."""
+imports, every module-level import is used, and every module-level
+definition is referenced elsewhere in the package."""
 
 import ast
 import re
@@ -63,3 +64,33 @@ def test_no_unused_module_imports():
     for path in modules:
         unused = _unused_imports(path)
         assert not unused, f"{path.name} never uses {unused}"
+
+
+# kept unreferenced on purpose: the independent oracle the tests compare against
+UNREFERENCED_OK = {("assoc", "magnus_normal_form")}
+
+
+def _mentioned(node):
+    """Names a statement reads: loaded names, attributes and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_every_module_level_definition_is_referenced():
+    statements = [(path.stem, node) for path in SOURCES
+                  for node in ast.parse(path.read_text(), str(path)).body]
+    mentions = [(node, _mentioned(node)) for _, node in statements]
+    unreferenced = {
+        (module, node.name) for module, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        # referenced by any top-level statement of the package but its own
+        and not any(node.name in names for other, names in mentions if other is not node)
+    }
+    assert unreferenced == UNREFERENCED_OK
