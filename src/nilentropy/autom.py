@@ -113,7 +113,7 @@ def _cleared(entries, n):
 class Endomorphism:
     """Endomorphism given by generator images in Mal'cev coordinates."""
 
-    __slots__ = ("spec", "images", "_linear")
+    __slots__ = ("spec", "images", "_linear", "_automorphic")
 
     def __init__(self, spec, images):
         if len(images) != spec.rank:
@@ -123,6 +123,7 @@ class Endomorphism:
         self.spec = spec
         self.images = tuple(spec.check_vector(g) for g in images)
         self._linear = None
+        self._automorphic = None
 
     @property
     def linear_map(self):
@@ -303,12 +304,15 @@ def is_automorphism(phi):
 
     The graded actions are the diagonal blocks of :attr:`Endomorphism.linear_map`,
     so on a quotient spec images that do not respect the relators raise
-    :class:`SpecError`.
+    :class:`SpecError`.  The answer is kept on ``phi``, whose images are
+    immutable, so later calls take no determinants.
     """
-    return all(
-        bareiss_det(graded_matrix(phi, d)) in (1, -1)
-        for d in range(1, phi.spec.nilpotency_class + 1)
-    )
+    if phi._automorphic is None:
+        phi._automorphic = all(
+            bareiss_det(graded_matrix(phi, d)) in (1, -1)
+            for d in range(1, phi.spec.nilpotency_class + 1)
+        )
+    return phi._automorphic
 
 
 def invert(phi):

@@ -418,13 +418,7 @@ def surface_quotient(genus, nil_class):
     for d in range(2, nil_class + 1):
         relations[d] = [tuple(el.get(k, 0) for k in cover.basis.by_weight[d]) for el in layer]
         layer = [img for el in layer for x in units if (img := bracket(el, x))]
-    relator = cover.identity()
-    for i in range(genus):
-        relator = multiply(
-            relator,
-            commutator(cover.indicator(2 * i), cover.indicator(2 * i + 1), cover),
-            cover,
-        )
+    relator = _surface_relator(cover, [cover.indicator(k) for k in range(rank)], genus)
     return GroupSpec(
         cover.basis,
         relations=relations,
@@ -433,34 +427,48 @@ def surface_quotient(genus, nil_class):
     )
 
 
+def _surface_relator(spec, gens, genus):
+    """``[g1, g2] ... [g{2g-1}, g{2g}]`` over the elements ``gens``."""
+    out = spec.identity()
+    for i in range(genus):
+        out = multiply(out, commutator(gens[2 * i], gens[2 * i + 1], spec), spec)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _surface_relator_closure(genus, nil_class):
+    """Lattice of the surface relator's normal closure in the free group.
+
+    This is the closure :func:`surface_quotient` sifts, kept for
+    :func:`relator_check` without building the quotient, which refuses
+    torsion the membership test does not mind (genus 2 at class 4).
+    """
+    spec = free_nilpotent(2 * genus, nil_class)
+    base = _surface_relator(spec, [spec.indicator(k) for k in range(2 * genus)], genus)
+    rows = _sift_closure(spec, [base], _generator_commutators(spec), what="normal closure")
+    return SubgroupLattice(spec, rows)
+
+
 def relator_check(images, genus, nil_class):
     """Test whether generator images respect the surface relator.
 
     Evaluates the relator over the images inside the free class-c group.
     The images define an endomorphism of ``surface_quotient(genus,
     nil_class)`` exactly when that value lies in the relator's normal
-    closure, which is decided by membership in the closure's lattice.  A
-    degree-2 screen runs first: the value must carry the degree-2 class of
-    the relator or of its inverse, as the image of a surface relation under
-    a mapping class does, so maps such as the collapse onto one generator,
-    whose relator value is trivial, are refused.
+    closure, which is decided by membership in the closure's lattice; the
+    closure is sifted once per ``(genus, nil_class)``.  A degree-2 screen
+    runs first: the value must carry the degree-2 class of the relator or
+    of its inverse, as the image of a surface relation under a mapping
+    class does, so maps such as the collapse onto one generator, whose
+    relator value is trivial, are refused.
     """
     rank = 2 * genus
     spec = free_nilpotent(rank, nil_class)
     images = [spec.check_vector(g) for g in images]
     if len(images) != rank:
         raise SpecError(f"{len(images)} images for {rank} generators")
-
-    def relator_over(gens):
-        out = spec.identity()
-        for i in range(genus):
-            out = multiply(
-                out, commutator(gens[2 * i], gens[2 * i + 1], spec), spec
-            )
-        return out
-
-    target = relator_over(images)
-    base = relator_over([spec.indicator(k) for k in range(rank)])
+    target = _surface_relator(spec, images, genus)
+    base = _surface_relator(spec, [spec.indicator(k) for k in range(rank)], genus)
     # quick graded screen: conjugation cannot move the degree-2 class
     w2 = [k for k, w in enumerate(spec.weights) if w == 2]
     t2 = tuple(target[k] for k in w2)
@@ -469,5 +477,4 @@ def relator_check(images, genus, nil_class):
         tuple(inverse(base, spec)[k] for k in w2),
     ):
         return False
-    closure = _sift_closure(spec, [base], _generator_commutators(spec), what="normal closure")
-    return target in SubgroupLattice(spec, closure)
+    return target in _surface_relator_closure(genus, nil_class)

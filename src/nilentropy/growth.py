@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -347,8 +349,9 @@ def distortion_profile(spec, i, radius=None, genset=None,
     Over the BFS ball, elements supported on coordinates of weight ≥ i are
     measured twice: ambient word length against intrinsic length in the
     subgroup's own coordinates (box proxy with the induced weights ⌊w/i⌋).
-    The intrinsic lengths are taken column by column over the layer, one
-    root per distinct absolute coordinate value.
+    The layer is found by a C-level filter on coordinate 0 before the rest
+    of the weight-below-i prefix is tested; its intrinsic lengths are taken
+    column by column, one root per distinct absolute coordinate value.
     """
     c = spec.nilpotency_class
     if not 1 <= i <= c:
@@ -361,7 +364,10 @@ def distortion_profile(spec, i, radius=None, genset=None,
     ball = bfs_ball(spec, radius, genset=genset, budget=budget)
     # weights never decrease, so the coordinates of weight < i are a prefix
     low = sum(1 for w in spec.weights if w < i)
-    layer = {h: d for h, d in ball.items() if d and not any(h[:low])}
+    # a C-level pass keeps the elements with coordinate 0 zero; only those
+    # test the rest of the prefix
+    kept = compress(ball.items(), map(operator.not_, map(operator.itemgetter(0), ball)))
+    layer = {h: d for h, d in kept if d and not any(h[1:low])}
     need = max(min_points, 1)
     if len(layer) < need:
         raise SpecError(

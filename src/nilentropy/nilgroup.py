@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 from .collect import CollectionLaw
 from .hall import HallBasis
@@ -225,8 +227,9 @@ class GroupSpec:
     the free Lie ring.  A row lattice with invariant factors other than 0 and
     1 raises :class:`TorsionDetected`; otherwise it must equal the lattice of
     the closure's leading rows at its weight, one integral cross-check per
-    weight (:class:`SpecError`).  Without relations the spec is the free
-    nilpotent group on ``basis``.
+    weight (:class:`SpecError`).  Weights given no rows cut nothing: without
+    rows or relators the spec is the free nilpotent group on ``basis``, and
+    relators without rows meet the cross-check against rank 0.
     """
 
     def __init__(self, basis, relations=None, generating_set=None, free_cover=None,
@@ -237,7 +240,12 @@ class GroupSpec:
         self.relations = None
         self.relators = None
         self._ball = None
-        if not relations:
+        rows = {
+            int(d): tuple(tuple(int(x) for x in row) for row in rows)
+            for d, rows in (relations or {}).items()
+            if rows
+        }
+        if not rows and relators is None:
             self.dim = len(basis)
             self.weights = basis.weights
             self.free_cover = None
@@ -245,11 +253,7 @@ class GroupSpec:
             # the free basis entries a spec keeps as its coordinates: all here
             self._positions = tuple(range(self.dim))
         else:
-            self.relations = {
-                int(d): tuple(tuple(int(x) for x in row) for row in rows)
-                for d, rows in relations.items()
-                if rows
-            }
+            self.relations = rows
             cover = free_cover if free_cover is not None else GroupSpec(basis)
             self.free_cover = cover
             self._build_quotient(cover, relators)
@@ -640,20 +644,38 @@ def _box_length(g, weights):
     return max(map(_root, map(abs, g), weights), default=0.0)
 
 
+def _add_roots(tables, columns, weights):
+    """Add ``_root(a, w)`` for every new absolute value ``a`` of each column.
+
+    ``columns`` hold absolute coordinate values; a value already in its
+    column's table keeps its root.  Returns each column's set of values.
+    """
+    out = []
+    for table, col, w in zip(tables, columns, weights):
+        values = set(col)
+        table.update({a: _root(a, w) for a in values.difference(table)})
+        out.append(values)
+    return out
+
+
+def _boxes(tables, columns):
+    """The box length of each row of ``columns``, one table lookup per entry."""
+    looked = [map(t.__getitem__, col) for t, col in zip(tables, columns)]
+    return looked[0] if len(looked) == 1 else map(max, *looked)
+
+
 def _box_lengths(vecs, weights, divisor=1):
     """``_box_length`` of each vector under the weights ``w // divisor``.
 
     Works column by column with one root per distinct absolute value, so
-    every length is the per-element float bit for bit.
+    every length is the per-element float bit for bit.  The distortion fit
+    takes it over its layer; :func:`karidi_band` lists per-element lengths
+    the same way, but only on spheres whose least box is not 1.0.
     """
-    columns = []
-    for col, w in zip(zip(*vecs), weights):
-        col = list(map(abs, col))
-        table = {v: _root(v, w // divisor) for v in set(col)}
-        columns.append(map(table.__getitem__, col))
-    if len(columns) == 1:
-        return list(columns[0])
-    return list(map(max, *columns))
+    columns = [list(map(abs, col)) for col in zip(*vecs)]
+    tables = [{} for _ in columns]
+    _add_roots(tables, columns, [w // divisor for w in weights])
+    return list(_boxes(tables, columns))
 
 
 def karidi_length(g, spec):
@@ -767,24 +789,66 @@ def geodesic_length(g, spec, radius_cap=DEFAULT_RADIUS_CAP, genset=None,
     return found
 
 
+# the coordinates of an element whose box length is 1.0
+_UNIT = frozenset((-1, 0, 1))
+
+
 def karidi_band(spec, radius=8, genset=None, budget=DEFAULT_BALL_BUDGET):
     """Measured ratio band between word length and box length over a ball.
 
     Fits the two-sided comparison constant and returns it with the band;
-    nothing is recorded on the spec.  The box lengths are taken column by
-    column, one root per distinct absolute coordinate value.
+    nothing is recorded on the spec.  The band is read sphere by sphere from
+    the distinct values of each coordinate on each sphere, with one root per
+    distinct absolute value of a coordinate:
+
+    - ``lower`` is the least ``d / maxbox_d``, where ``maxbox_d`` is the
+      largest root over the values on sphere ``d``.  Float division is
+      monotone, so this is the least per-element ratio exactly.
+    - ``upper``: every non-identity box is at least 1.0, so sphere ``d``
+      gives at most ``d``.  The spheres are scanned from the outermost
+      inwards until ``d <= upper``.  A sphere with an element whose
+      coordinates all lie in ``-1..1`` has least box exactly 1.0; only a
+      sphere without one lists its per-element box lengths.
     """
     dist = bfs_ball(spec, radius, genset=genset, budget=budget)
-    # the identity, at length 0, comes first
-    vecs = list(dist)[1:]
-    if not vecs:
+    lengths = list(dist.values())
+    if len(lengths) < 2:
         raise SpecError("ball too small to fit a comparison band")
-    ratios = list(map(operator.truediv, list(dist.values())[1:],
-                      _box_lengths(vecs, spec.weights)))
-    lower, upper, count = min(ratios), max(ratios), len(ratios)
+    vecs = list(dist)
+    weights = spec.weights
+    getters = [operator.itemgetter(k) for k in range(len(weights))]
+    # bfs_ball lists the ball sphere by sphere, the identity alone first, so
+    # sphere d is spheres[d - 1]
+    bounds = [bisect_left(lengths, d) for d in range(1, lengths[-1] + 2)]
+    spheres = [vecs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    tables = [{} for _ in weights]
+    heavy = getters[max(range(len(weights)), key=weights.__getitem__)]
+    upper = 0.0
+    most = {}  # each sphere's largest box, first where its boxes are listed
+    for d in range(len(spheres), 0, -1):
+        if d <= upper:
+            break
+        sphere = spheres[d - 1]
+        # filter on the heaviest coordinate first, then test the survivors
+        unit = compress(sphere, map(_UNIT.__contains__, map(heavy, sphere)))
+        if any(map(_UNIT.issuperset, unit)):
+            least = 1.0
+        else:
+            columns = [list(map(abs, col)) for col in zip(*sphere)]
+            _add_roots(tables, columns, weights)
+            boxes = list(_boxes(tables, columns))
+            least, most[d] = min(boxes), max(boxes)
+        upper = max(upper, d / least)
+    lower = math.inf
+    for d, sphere in enumerate(spheres, 1):
+        if d not in most:
+            values = _add_roots(
+                tables, [map(abs, set(map(get, sphere))) for get in getters], weights)
+            most[d] = max(max(map(t.__getitem__, v)) for t, v in zip(tables, values))
+        lower = min(lower, d / most[d])
     constant = max(upper, 1.0 / lower if lower > 0 else math.inf, 1.0 + 1e-9)
     return KaridiBand(lower=lower, upper=upper, constant=constant,
-                      radius=radius, size=count)
+                      radius=radius, size=len(lengths) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ import sympy
 from nilentropy import (
     Endomorphism,
     SpecError,
+    abelian_comparison,
     abelianization_matrix,
     apply,
     builtin_automorphism,
     compose,
     free_nilpotent,
     graded_matrix,
+    growth_series,
     identity,
     identity_endomorphism,
     invert,
@@ -26,6 +28,7 @@ from nilentropy import (
     surface_quotient,
 )
 
+from nilentropy import autom
 from nilentropy.linalg import bareiss_det
 
 from conftest import random_vector
@@ -118,6 +121,52 @@ def test_is_automorphism(heis, f24):
     assert not is_automorphism(Endomorphism(heis, [(2, 0, 0), (0, 1, 0)]))
     # swap of the generators
     assert is_automorphism(Endomorphism(heis, [(0, 1, 0), (1, 0, 0)]))
+
+
+def _count_determinants(monkeypatch):
+    calls = []
+    real = autom.bareiss_det
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(autom, "bareiss_det", counting)
+    return calls
+
+
+def test_is_automorphism_takes_its_determinants_once(monkeypatch):
+    calls = _count_determinants(monkeypatch)
+    spec = free_nilpotent(2, 4)
+    phi = builtin_automorphism("fib", spec)
+    assert is_automorphism(phi)
+    # one Bareiss determinant per graded block
+    assert len(calls) == spec.nilpotency_class
+    growth_series(phi, spec.indicator(0), 10)
+    assert is_automorphism(phi)
+    assert len(calls) == spec.nilpotency_class
+    # a fresh map pays once over all of its generators' series
+    psi = builtin_automorphism("fib", spec)
+    calls.clear()
+    abelian_comparison(psi, n_max=20)
+    assert len(calls) == spec.nilpotency_class
+    # a non-automorphism keeps its answer too
+    doubling = Endomorphism(spec, [multiply(spec.indicator(0), spec.indicator(0), spec),
+                                   spec.indicator(1)])
+    calls.clear()
+    assert not is_automorphism(doubling)
+    assert not is_automorphism(doubling)
+    assert len(calls) == 1
+
+
+def test_is_automorphism_refusal_is_raised_every_time():
+    surface = surface_quotient(2, 3)
+    fib = builtin_automorphism("fib", surface)  # breaks the surface relator
+    for _ in range(2):
+        with pytest.raises(SpecError, match="do not respect the relators"):
+            is_automorphism(fib)
+    with pytest.raises(SpecError, match="do not respect the relators"):
+        growth_series(fib, surface.indicator(0), 5)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,10 @@ def _load_workloads():
     return module
 
 
-# band and fit of the first three metric-bfs units of seed 101, as computed
-# by the per-element loops before the box lengths went column by column
+# band and fit of the first nine metric-bfs units of seed 101 (each group
+# three times, within one set of specs), as computed by the per-element
+# loops before the box lengths went column by column and, for the last six,
+# before the band went sphere by sphere
 METRIC_BFS_101 = (
     ("KaridiBand(lower=0.003616264052230466, upper=4.242640687119286, "
      "constant=276.5284795459592, radius=7, size=6692)",
@@ -49,6 +51,24 @@ METRIC_BFS_101 = (
     ("KaridiBand(lower=0.0010931410157327508, upper=5.0, "
      "constant=914.7950590159525, radius=5, size=12652)",
      "PolyFit(degree=12.924507443750112, correlation=0.38854018269768553)"),
+    ("KaridiBand(lower=0.001430940281369189, upper=4.242640687119286, "
+     "constant=698.8411836748032, radius=7, size=6692)",
+     "PolyFit(degree=1.787455862580475, correlation=0.09543054906038345)"),
+    ("KaridiBand(lower=0.012393200586831814, upper=6.0, "
+     "constant=80.68940650105615, radius=6, size=13864)",
+     "PolyFit(degree=0.0, correlation=-0.134372236507022)"),
+    ("KaridiBand(lower=0.001184698586885906, upper=5.0, "
+     "constant=844.0965584576209, radius=5, size=12652)",
+     "PolyFit(degree=12.772050368584212, correlation=0.3885401826976757)"),
+    ("KaridiBand(lower=0.006240014217264587, upper=4.242640687119286, "
+     "constant=160.25604512778924, radius=7, size=6692)",
+     "PolyFit(degree=1.4854554350303852, correlation=0.10290075502521606)"),
+    ("KaridiBand(lower=0.010925762589937795, upper=6.0, "
+     "constant=91.52679199902818, radius=6, size=13864)",
+     "PolyFit(degree=0.0, correlation=-0.13493766170113372)"),
+    ("KaridiBand(lower=0.0010784957898211107, upper=5.0, "
+     "constant=927.2173423744837, radius=5, size=12652)",
+     "PolyFit(degree=12.950073154743928, correlation=0.38854018269768653)"),
 )
 
 

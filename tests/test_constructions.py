@@ -35,6 +35,7 @@ from nilentropy import (
     upper_central_lengths,
 )
 
+from nilentropy import constructions
 from nilentropy.constructions import _semidirect_lie_matrices
 
 from conftest import random_vector, random_word
@@ -384,6 +385,32 @@ def test_relator_check_conjugated_images():
         for k in range(4)
     ]
     assert relator_check(images, 2, 3)
+
+
+def test_relator_check_sifts_the_closure_once(monkeypatch):
+    constructions._surface_relator_closure.cache_clear()
+    sifts = []
+    real = constructions._sift_closure
+
+    def counting(*args, **kwargs):
+        sifts.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "_sift_closure", counting)
+    for nil_class in (3, 4):
+        # class 4 has a closure lead of 2, which surface_quotient refuses;
+        # the membership test still decides
+        spec = free_nilpotent(4, nil_class)
+        x = [spec.indicator(k) for k in range(4)]
+        twist = [x[0], multiply(x[0], x[1], spec), x[2], x[3]]
+        assert relator_check(x, 2, nil_class)
+        assert relator_check(twist, 2, nil_class)
+        assert not relator_check([x[0]] * 4, 2, nil_class)
+        assert not relator_check([x[0], x[1], x[2], multiply(x[3], x[0], spec)], 2, nil_class)
+    assert len(sifts) == 2
+    spec = free_nilpotent(4, 3)
+    assert relator_check([spec.indicator(k) for k in range(4)], 2, 3)
+    assert len(sifts) == 2
 
 
 def _surface_map_words(rng):

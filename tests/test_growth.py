@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import distortion_pairs_reference, karidi_band_reference
+from nilentropy import nilgroup
 from nilentropy import (
     DegenerateFitError,
     Endomorphism,
@@ -307,6 +308,12 @@ def test_band_and_distortion_match_the_per_element_loops(name, data):
         for w in spec.weights
     )
     genset = spec.generating_set + (extra,)
+    if data.draw(st.booleans()):
+        # large vectors only: hardly any sphere holds an element of box 1,
+        # so the band lists per-element boxes sphere after sphere
+        large = st.integers(2, 2**70).flatmap(lambda v: st.sampled_from((v, -v)))
+        genset = tuple(tuple(data.draw(large) for _ in spec.weights)
+                       for _ in range(data.draw(st.integers(1, 2))))
     radius = data.draw(st.integers(1, max_radius))
     assert repr(karidi_band(spec, radius, genset=genset)) == repr(
         karidi_band_reference(spec, radius, genset=genset))
@@ -319,6 +326,50 @@ def test_band_and_distortion_match_the_per_element_loops(name, data):
     else:
         fit = distortion_profile(spec, i, radius=radius, genset=genset, min_points=2)
         assert repr(fit) == repr(fit_reference(pairs))
+
+
+# bands over generating sets of large vectors only, at radius 1 and deeper,
+# as computed by the per-element band before it went sphere by sphere; no
+# sphere of these balls holds an element of box 1
+LARGE_VECTOR_BANDS = (
+    ((2, 2), ((5, -3, 7), (-2, 9, 4)), 1,
+     "KaridiBand(lower=0.1111111111111111, upper=0.2, constant=9.0, radius=1, size=4)"),
+    ((2, 2), ((5, -3, 7), (-2, 9, 4)), 5,
+     "KaridiBand(lower=0.1111111111111111, upper=0.6681531047810608, constant=9.0, "
+     "radius=5, size=298)"),
+    ((2, 3), ((3, 2, -5, 11, 2 ** 70), (-7, 4, 6, -2, 9)), 1,
+     "KaridiBand(lower=9.461647581864584e-08, upper=0.14285714285714285, "
+     "constant=10568983.798516542, radius=1, size=4)"),
+    ((2, 3), ((3, 2, -5, 11, 2 ** 70), (-7, 4, 6, -2, 9)), 4,
+     "KaridiBand(lower=9.461647581864584e-08, upper=0.7844645405527361, "
+     "constant=10568983.798516542, radius=4, size=160)"),
+    ((3, 2), ((2, 3, 5, -7, 11, 13), (-17, 19, -2, 23, 29, -31),
+              (4, -6, 8, 10, -12, 2 ** 66)), 1,
+     "KaridiBand(lower=1.1641532182693469e-10, upper=0.2, constant=8589934592.00001, "
+     "radius=1, size=6)"),
+    ((3, 2), ((2, 3, 5, -7, 11, 13), (-17, 19, -2, 23, 29, -31),
+              (4, -6, 8, 10, -12, 2 ** 66)), 3,
+     "KaridiBand(lower=1.1641532182693469e-10, upper=0.46852128566581813, "
+     "constant=8589934592.00001, radius=3, size=186)"),
+)
+
+
+@pytest.mark.parametrize("group, genset, radius, want", LARGE_VECTOR_BANDS)
+def test_large_vector_bands_are_pinned(group, genset, radius, want, monkeypatch):
+    spec = free_nilpotent(*group)
+    listed = []
+    real = nilgroup._boxes
+
+    def boxes(tables, columns):
+        listed.append(1)
+        return real(tables, columns)
+
+    monkeypatch.setattr(nilgroup, "_boxes", boxes)
+    band = karidi_band(spec, radius, genset=genset)
+    assert repr(band) == want
+    assert repr(karidi_band_reference(spec, radius, genset=genset)) == want
+    # every sphere took the per-element branch
+    assert len(listed) == radius
 
 
 # ---------------------------------------------------------------------------

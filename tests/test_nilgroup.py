@@ -405,10 +405,41 @@ def test_balls_do_not_depend_on_call_order(calls):
         if call[0] != "over":
             assert got == _ball_call(GroupSpec(HallBasis(2, 2)), call), call
         if call[0] == "ball":
+            assert _spheres_in_order(got), call
             held.append((call, got, dict(got)))
     # later calls leave every mapping handed out as it was
     for call, got, snapshot in held:
         assert got == snapshot, call
+
+
+def _spheres_in_order(ball):
+    lengths = list(ball.values())
+    return lengths == sorted(lengths)
+
+
+def test_ball_lists_its_spheres_in_order():
+    # karidi_band reads the spheres off the mapping's order
+    spec = GroupSpec(HallBasis(2, 2))
+    gens = GENSETS[1]
+    fresh = bfs_ball(spec, 4, genset=gens)
+    assert _spheres_in_order(fresh)
+    # a smaller radius filters the cached ball
+    smaller = bfs_ball(spec, 2, genset=gens)
+    assert smaller is not fresh and _spheres_in_order(smaller)
+    # the handed-out radius-4 mapping is copied before it grows
+    grown = bfs_ball(spec, 5, genset=gens)
+    assert grown is not fresh and _spheres_in_order(grown) and _spheres_in_order(fresh)
+    # growth through geodesic_length, one layer per step
+    spec = GroupSpec(HallBasis(2, 2))
+    assert geodesic_length((3, 3, 0), spec) == 6
+    assert _spheres_in_order(bfs_ball(spec, 6))
+    # a layer over budget is rolled back, and the ball grows on from there
+    spec = GroupSpec(HallBasis(2, 2))
+    bfs_ball(spec, 2)
+    with pytest.raises(BallBudgetExceeded):
+        bfs_ball(spec, 5, budget=100)
+    assert _spheres_in_order(bfs_ball(spec, 3))
+    assert _spheres_in_order(bfs_ball(spec, 5))
 
 
 def test_ball_memory_stays_bounded_over_generating_sets():
@@ -498,6 +529,25 @@ def test_spec_equality_includes_generating_set():
     assert skewed != GroupSpec(basis)
     assert skewed == GroupSpec(basis, generating_set=gens)
     assert spec_from_json(json.loads(json.dumps(spec_to_json(skewed)))) == skewed
+
+
+@pytest.mark.parametrize("relations", [{}, {2: []}, {2: [], 3: ()}])
+def test_empty_relations_give_the_free_spec(relations):
+    spec = GroupSpec(HallBasis(2, 3), relations=relations)
+    free = free_nilpotent(2, 3)
+    assert repr(spec) == repr(free) == "GroupSpec(free, rank=2, class=3, hirsch=5)"
+    assert spec.relations is None and spec.relators is None
+    assert spec == free and hash(spec) == hash(free)
+    assert spec_to_json(spec) == spec_to_json(free)
+    assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+
+@pytest.mark.parametrize("relations", [None, {}, {2: []}])
+def test_relators_with_empty_relations_are_refused(relations):
+    # [x2, x1] cuts weight 2 while the relations cut nothing
+    with pytest.raises(SpecError, match="relator closure cuts rank 1 at weight 2, "
+                                        "graded relations cut rank 0"):
+        GroupSpec(HallBasis(2, 2), relations=relations, relators=[(0, 0, 1)])
 
 
 def test_spec_json_rejects_relators_without_relations(f23):
