@@ -7,8 +7,12 @@ coordinates are packed into a logarithm with the Campbell-Hausdorff series,
 combined there, and peeled off again.  Running that derivation on symbolic
 exponents produces integer polynomials for multiplication and inversion
 (P. Hall's multiplication polynomials, computed as in the "Deep Thought"
-approach of Leedham-Green and Soicher).  Each of those polynomial maps is
-generated once as a straight-line Python function
+approach of Leedham-Green and Soicher).  The symbolic exponents are
+:class:`~nilentropy.mpoly.MPoly` polynomials (packed monomials, integer
+numerators over one denominator), and the symbolic logarithm ``pack(e)``
+is derived once: inversion negates it, and multiplication combines it
+with a copy whose variables are shifted past the first factor's.  Each of
+those polynomial maps is generated once as a straight-line Python function
 (:func:`~nilentropy.mpoly.straight_line`), so the runtime path is plain
 ``int`` arithmetic with exact divisions and no per-term interpretation.
 A word-metric ball gets one generated layer expander: the right products
@@ -232,11 +236,20 @@ class CollectionLaw:
         )
 
     @cached_property
-    def _mul_sym(self):
+    def _pack_sym(self):
+        """``log g`` for symbolic ``g``: :meth:`pack` on the variables
+        ``e_0 .. e_{n-1}``, derived once for multiply, inverse and pack."""
         n = self.dim
-        e = [MPoly.var(2 * n, k) for k in range(n)]
-        f = [MPoly.var(2 * n, n + k) for k in range(n)]
-        return self._sym_polys(self.unpack(self.bch(self.pack(e), self.pack(f))))
+        return self.pack([MPoly.var(n, k) for k in range(n)])
+
+    @cached_property
+    def _mul_sym(self):
+        """``unpack(BCH(log g, log h))`` in the variables of ``g`` (bytes
+        ``0 .. n-1`` of a monomial) and ``h`` (bytes ``n .. 2n-1``)."""
+        n = self.dim
+        log_g = {k: p.shifted(2 * n, 0) for k, p in self._pack_sym.items()}
+        log_h = {k: p.shifted(2 * n, n) for k, p in self._pack_sym.items()}
+        return self._sym_polys(self.unpack(self.bch(log_g, log_h)))
 
     @cached_property
     def _mul_compiled(self):
@@ -244,16 +257,14 @@ class CollectionLaw:
 
     @cached_property
     def _inv_compiled(self):
-        n = self.dim
-        e = [MPoly.var(n, k) for k in range(n)]
-        polys = self._sym_polys(self.unpack(_vec_neg(self.pack(e))))
+        polys = self._sym_polys(self.unpack(_vec_neg(self._pack_sym)))
         return tuple(compile_poly(p) for p in polys)
 
     @cached_property
     def _pack_compiled(self):
         """``(D, polys)``: ``D * log g`` as integer polynomials, no division."""
         n = self.dim
-        vec = self.pack([MPoly.var(n, k) for k in range(n)])
+        vec = self._pack_sym
         compiled = [compile_poly(p)
                     for p in self._sym_polys([vec.get(k, 0) for k in range(n)])]
         scale = lcm(*(denom for denom, _ in compiled))

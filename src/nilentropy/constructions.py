@@ -439,14 +439,14 @@ def _surface_relator(spec, gens, genus):
 def _surface_relator_closure(genus, nil_class):
     """Lattice of the surface relator's normal closure in the free group.
 
-    This is the closure :func:`surface_quotient` sifts, kept for
-    :func:`relator_check` without building the quotient, which refuses
-    torsion the membership test does not mind (genus 2 at class 4).
+    These are the rows :func:`surface_quotient` builds on, sifted once
+    (``nilgroup._normal_closure``) and kept for :func:`relator_check`
+    without building the quotient, which refuses torsion the membership
+    test does not mind (genus 2 at class 4).
     """
     spec = free_nilpotent(2 * genus, nil_class)
     base = _surface_relator(spec, [spec.indicator(k) for k in range(2 * genus)], genus)
-    rows = _sift_closure(spec, [base], _generator_commutators(spec), what="normal closure")
-    return SubgroupLattice(spec, rows)
+    return SubgroupLattice(spec, nilgroup._normal_closure(spec, (base,)))
 
 
 def relator_check(images, genus, nil_class):

@@ -1,11 +1,14 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials with rational coefficients.
 
-:class:`MPoly` is only used while deriving a group's laws.  Each derived
-polynomial is flattened by :func:`compile_poly` into an integer
-``(denominator, terms)`` form, and every polynomial map of a law is then
-turned by :func:`straight_line` into one generated Python function: plain
-``int`` arithmetic with an exact-division check per non-unit denominator.
-The right products of a word-metric ball are generated together by
+:class:`MPoly` is only used while deriving a group's laws.  A polynomial is
+held as integer numerators over one positive denominator, and each monomial
+is one ``int`` with one byte per variable exponent (little-endian), so a
+monomial product is one integer addition.  Each derived polynomial is
+flattened by :func:`compile_poly` into an integer ``(denominator, terms)``
+form, and every polynomial map of a law is then turned by
+:func:`straight_line` into one generated Python function: plain ``int``
+arithmetic with an exact-division check per non-unit denominator.  The
+right products of a word-metric ball are generated together by
 :func:`layer_expander`, one function per ball that expands a whole
 breadth-first layer.  Generated functions are the only runtime evaluation
 path.
@@ -14,25 +17,55 @@ path.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+
+# Bits per variable in a packed monomial, and the largest exponent they hold.
+_BITS = 8
+_MAX_EXP = (1 << _BITS) - 1
 
 
 class ExactDivisionError(ArithmeticError):
     """A value that must be an integer came out fractional."""
 
 
-class MPoly:
-    """Polynomial with ``Fraction`` coefficients in a fixed number of variables.
+def _normal(nvars, terms, den, top):
+    """``MPoly`` of ``terms / den`` with zero numerators dropped and the common
+    factor of ``den`` and the numerators divided out."""
+    if 0 in terms.values():
+        terms = {m: c for m, c in terms.items() if c}
+    if not terms:
+        return MPoly(nvars)
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+    return MPoly(nvars, terms, den, top)
 
-    Terms map exponent tuples (one slot per variable) to nonzero coefficients.
-    Instances are treated as immutable by all callers.
+
+class MPoly:
+    """Polynomial with rational coefficients in a fixed number of variables.
+
+    The polynomial is ``sum(c * x^m for m, c in terms.items()) / den``:
+    ``terms`` maps packed monomials to nonzero integer numerators, ``den`` is
+    positive and ``gcd(den, *numerators) == 1``, so equal polynomials have
+    equal fields.  Variable ``i``'s exponent in a packed monomial ``m`` is
+    byte ``i`` of ``m``, ``(m >> 8 * i) & 255``; ``m.to_bytes(nvars,
+    "little")`` is the exponent tuple.  ``top`` bounds the total degree, so
+    every exponent.  Law derivations keep degrees at most ``2 * nil_class``
+    (a coordinate's degree is at most its weight, or twice it with the extra
+    scaling variable of a power polynomial), far inside a byte; a product
+    whose bound passes 255 raises ``ValueError`` instead of carrying into
+    the next variable.  Instances are treated as immutable by all callers.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "den", "top")
 
-    def __init__(self, nvars, terms=None):
+    def __init__(self, nvars, terms=None, den=1, top=0):
         self.nvars = nvars
         self.terms = {} if terms is None else terms
+        self.den = den
+        self.top = top
 
     @classmethod
     def zero(cls, nvars):
@@ -43,13 +76,23 @@ class MPoly:
         value = Fraction(value)
         if value == 0:
             return cls(nvars)
-        return cls(nvars, {(0,) * nvars: value})
+        return cls(nvars, {0: value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, nvars, index):
-        mono = [0] * nvars
-        mono[index] = 1
-        return cls(nvars, {tuple(mono): Fraction(1)})
+        if not 0 <= index < nvars:
+            raise IndexError(f"variable {index} out of range for {nvars} variables")
+        return cls(nvars, {1 << _BITS * index: 1}, 1, 1)
+
+    def shifted(self, nvars, offset):
+        """The same polynomial in ``nvars`` variables, variable ``i`` renamed
+        ``offset + i``: every monomial shifted up by ``offset`` bytes."""
+        if offset < 0 or self.nvars + offset > nvars:
+            raise ValueError(f"cannot place {self.nvars} variables at offset "
+                             f"{offset} of {nvars}")
+        shift = _BITS * offset
+        terms = {m << shift: c for m, c in self.terms.items()} if shift else self.terms
+        return MPoly(nvars, terms, self.den, self.top)
 
     def is_zero(self):
         return not self.terms
@@ -59,106 +102,137 @@ class MPoly:
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (self.nvars == other.nvars and self.den == other.den
+                    and self.terms == other.terms)
         if other == 0:
             return not self.terms
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.terms.items())))
+
+    def _same_ring(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError(f"polynomials in {self.nvars} and {other.nvars} variables")
 
     def __add__(self, other):
-        if other == 0:
-            return self
         if not isinstance(other, MPoly):
+            if other == 0:
+                return self
             other = MPoly.const(self.nvars, other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return MPoly(self.nvars, out)
+        self._same_ring(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, den // other.den
+        out = {m: c * s1 for m, c in self.terms.items()} if s1 != 1 else dict(self.terms)
+        get = out.get
+        for m, c in other.terms.items():
+            out[m] = get(m, 0) + c * s2
+        return _normal(self.nvars, out, den, max(self.top, other.top))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return MPoly(self.nvars, {m: -c for m, c in self.terms.items()}, self.den, self.top)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MPoly) else MPoly.const(self.nvars, -Fraction(other)))
+        return self + (-other if isinstance(other, MPoly) else -Fraction(other))
 
     def __mul__(self, other):
-        if isinstance(other, MPoly):
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    s = out.get(mono, 0) + c1 * c2
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-            return MPoly(self.nvars, out)
-        if other == 1:
-            return self
-        if other == 0:
-            return MPoly(self.nvars)
-        return MPoly(self.nvars, {m: v * other for m, v in self.terms.items()})
+        if not isinstance(other, MPoly):
+            if isinstance(other, int):
+                return self._scaled(other, 1)
+            other = Fraction(other)
+            return self._scaled(other.numerator, other.denominator)
+        self._same_ring(other)
+        top = self.top + other.top
+        if top > _MAX_EXP:
+            raise ValueError(f"product degree bound {top} exceeds {_MAX_EXP}, "
+                             "the largest exponent a packed monomial holds")
+        out = {}
+        get = out.get
+        right = other.terms.items()
+        for m1, c1 in self.terms.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        return _normal(self.nvars, out, self.den * other.den, top)
 
     __rmul__ = __mul__
 
+    def _scaled(self, num, den):
+        if not num:
+            return MPoly(self.nvars)
+        if num == den == 1:
+            return self
+        return _normal(self.nvars, {m: c * num for m, c in self.terms.items()},
+                       self.den * den, self.top)
+
     def partial_eval(self, values):
-        """Substitute integers for some variables (``values``: index -> int)."""
+        """Substitute integers for some variables (``values``: index -> int).
+
+        The substituted variables stay in the ring with exponent 0.  Each
+        distinct substituted part of a monomial is evaluated once.
+        """
+        mask = 0
+        for idx in values:
+            if not 0 <= idx < self.nvars:
+                raise IndexError(f"variable {idx} out of range for {self.nvars} variables")
+            mask |= _MAX_EXP << _BITS * idx
+        factors = {}
         out = {}
-        for mono, c in self.terms.items():
-            factor = 1
-            reduced = list(mono)
-            for idx, val in values.items():
-                e = mono[idx]
-                if e:
-                    factor *= val ** e
-                    reduced[idx] = 0
-            if factor == 0:
-                continue
-            key = tuple(reduced)
-            s = out.get(key, 0) + c * factor
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return MPoly(self.nvars, out)
+        get = out.get
+        for m, c in self.terms.items():
+            sub = m & mask
+            factor = factors.get(sub)
+            if factor is None:
+                factor = 1
+                for idx, val in values.items():
+                    e = (sub >> _BITS * idx) & _MAX_EXP
+                    if e:
+                        factor *= val ** e
+                factors[sub] = factor
+            if factor:
+                key = m - sub
+                out[key] = get(key, 0) + c * factor
+        return _normal(self.nvars, out, self.den, self.top)
+
+    def _sorted_terms(self):
+        """``(exponent bytes, numerator)`` pairs, sorted by exponent tuple."""
+        n = self.nvars
+        return sorted((m.to_bytes(n, "little"), c) for m, c in self.terms.items())
 
     def __repr__(self):
         if not self.terms:
             return "MPoly(0)"
         bits = []
-        for mono, c in sorted(self.terms.items()):
+        for mono, c in self._sorted_terms():
             vs = "*".join(
                 f"v{i}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(mono)
                 if e
             )
-            bits.append(f"{c}" + (f"*{vs}" if vs else ""))
+            bits.append(f"{Fraction(c, self.den)}" + (f"*{vs}" if vs else ""))
         return "MPoly(" + " + ".join(bits) + ")"
 
 
 def compile_poly(poly):
     """Flatten an :class:`MPoly` into ``(denominator, terms)`` for int evaluation.
 
-    ``terms`` is a tuple of ``(integer coefficient, ((var, exp), ...))``; the
-    polynomial equals ``sum(...) / denominator``.
+    ``terms`` is a tuple of ``(integer coefficient, ((var, exp), ...))``,
+    sorted by exponent tuple; the polynomial equals ``sum(...) /
+    denominator``.  The denominator is the least one: the numerators share
+    no factor with it.
     """
     if not poly.terms:
         return (1, ())
-    denom = lcm(*(c.denominator for c in poly.terms.values()))
-    out = []
-    for mono, c in sorted(poly.terms.items()):
-        ic = c.numerator * (denom // c.denominator)
-        ve = tuple((i, e) for i, e in enumerate(mono) if e)
-        out.append((ic, ve))
-    return (denom, tuple(out))
+    return (poly.den, tuple(
+        (c, tuple((i, e) for i, e in enumerate(mono) if e))
+        for mono, c in poly._sorted_terms()
+    ))
 
 
 # Terms per generated sum expression; CPython's compiler recurses once per

@@ -18,6 +18,7 @@ import operator
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 
 from .collect import CollectionLaw
@@ -52,6 +53,17 @@ class BallBudgetExceeded(RuntimeError):
 
 class GrowthWarning(UserWarning):
     """Non-fatal measurement issues (unresolved lengths, exhausted searches)."""
+
+
+def _coordinates(g, dim):
+    """``g`` as a tuple of ``dim`` ints; anything else raises :class:`SpecError`."""
+    try:
+        g = tuple(operator.index(x) for x in g)
+    except TypeError as exc:
+        raise SpecError(f"coordinates must be integers: {exc}") from exc
+    if len(g) != dim:
+        raise SpecError(f"vector of length {len(g)}, expected {dim}")
+    return g
 
 
 def _integer(value, what):
@@ -227,9 +239,10 @@ class GroupSpec:
     the free Lie ring.  A row lattice with invariant factors other than 0 and
     1 raises :class:`TorsionDetected`; otherwise it must equal the lattice of
     the closure's leading rows at its weight, one integral cross-check per
-    weight (:class:`SpecError`).  Weights given no rows cut nothing: without
-    rows or relators the spec is the free nilpotent group on ``basis``, and
-    relators without rows meet the cross-check against rank 0.
+    weight (:class:`SpecError`).  Weights given no rows and identity
+    relators cut nothing: without rows or relators the spec is the free
+    nilpotent group on ``basis``, and relators without rows meet the
+    cross-check against rank 0.
     """
 
     def __init__(self, basis, relations=None, generating_set=None, free_cover=None,
@@ -245,6 +258,9 @@ class GroupSpec:
             for d, rows in (relations or {}).items()
             if rows
         }
+        if relators is not None:
+            relators = tuple(filter(any, (_coordinates(r, len(basis)) for r in relators)))
+            relators = relators or None
         if not rows and relators is None:
             self.dim = len(basis)
             self.weights = basis.weights
@@ -297,13 +313,11 @@ class GroupSpec:
         # group side: normal closure of the relators in the free cover
         if relators is None:
             relators = self._default_relators(cover)
-        relators = tuple(cover.check_vector(r) for r in relators)
         for r in relators:
             if any(v for v, w in zip(r, cover.weights) if w == 1):
                 raise SpecError("relators must lie in the commutator subgroup")
         self.relators = relators
-        nrows = _sift_closure(cover, relators, _generator_commutators(cover),
-                              what="normal closure")
+        nrows = _normal_closure(cover, relators)
         # the closure's leading rows at weight d span the graded piece of N
         # there; with unit leads that lattice is saturated, so it equals the
         # saturated lattice of the given rows exactly when the ranks agree and
@@ -375,13 +389,7 @@ class GroupSpec:
         return self.dim
 
     def check_vector(self, g):
-        try:
-            g = tuple(operator.index(x) for x in g)
-        except TypeError as exc:
-            raise SpecError(f"coordinates must be integers: {exc}") from exc
-        if len(g) != self.dim:
-            raise SpecError(f"vector of length {len(g)}, expected {self.dim}")
-        return g
+        return _coordinates(g, self.dim)
 
     def __eq__(self, other):
         return (
@@ -529,6 +537,18 @@ def _sift_closure(spec, generators, maps=(), budget=DEFAULT_CLOSURE_BUDGET,
                 row = law.multiply(row, law.power(rows[j], -q))
         rows[i] = row
     return tuple(rows)
+
+
+@lru_cache(maxsize=64)
+def _normal_closure(cover, relators):
+    """Echelon rows of the normal closure of ``relators`` in ``cover``.
+
+    Sifted once per ``(cover, relators)`` value: a quotient build and a
+    membership test on the same closure (``constructions.relator_check``)
+    share the rows.
+    """
+    return _sift_closure(cover, relators, _generator_commutators(cover),
+                         what="normal closure")
 
 
 # ---------------------------------------------------------------------------

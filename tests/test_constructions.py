@@ -35,7 +35,7 @@ from nilentropy import (
     upper_central_lengths,
 )
 
-from nilentropy import constructions
+from nilentropy import constructions, nilgroup
 from nilentropy.constructions import _semidirect_lie_matrices
 
 from conftest import random_vector, random_word
@@ -387,16 +387,24 @@ def test_relator_check_conjugated_images():
     assert relator_check(images, 2, 3)
 
 
-def test_relator_check_sifts_the_closure_once(monkeypatch):
+def _count_sifts(monkeypatch):
+    """Empty the closure caches and record every ``_sift_closure`` call."""
     constructions._surface_relator_closure.cache_clear()
+    nilgroup._normal_closure.cache_clear()
     sifts = []
-    real = constructions._sift_closure
+    real = nilgroup._sift_closure
 
     def counting(*args, **kwargs):
         sifts.append(args[1])
         return real(*args, **kwargs)
 
+    monkeypatch.setattr(nilgroup, "_sift_closure", counting)
     monkeypatch.setattr(constructions, "_sift_closure", counting)
+    return sifts
+
+
+def test_relator_check_sifts_the_closure_once(monkeypatch):
+    sifts = _count_sifts(monkeypatch)
     for nil_class in (3, 4):
         # class 4 has a closure lead of 2, which surface_quotient refuses;
         # the membership test still decides
@@ -411,6 +419,18 @@ def test_relator_check_sifts_the_closure_once(monkeypatch):
     spec = free_nilpotent(4, 3)
     assert relator_check([spec.indicator(k) for k in range(4)], 2, 3)
     assert len(sifts) == 2
+
+
+def test_surface_quotient_and_relator_check_share_one_sift(monkeypatch):
+    sifts = _count_sifts(monkeypatch)
+    surface = surface_quotient(2, 3)
+    spec = free_nilpotent(4, 3)
+    x = [spec.indicator(k) for k in range(4)]
+    twist = [x[0], multiply(x[0], x[1], spec), x[2], x[3]]
+    assert relator_check(x, 2, 3)
+    assert relator_check(twist, 2, 3)
+    assert sifts == [surface.relators]
+    assert constructions._surface_relator_closure(2, 3).rows == surface._nrows
 
 
 def _surface_map_words(rng):

@@ -230,6 +230,22 @@ for spec in (free_nilpotent(2, 3), surface_quotient(2, 3)):
 """
 
 
+# Length and sha256 of each text SOURCE_DIGEST prints: any change to the
+# text of a derived law, however it is derived, shows here.
+SOURCE_DIGEST_LINES = """\
+multiply 4782 59cb2b0932f147b6ac08473e124a72415c7cf8c3052dd6a46dd703d8ec440aae
+inverse 3519 bbd48ee6a1b4a79fcda16c2b730a459fb37b23f1371e969ce24e24f9814e6141
+pack 2102 364c4856c4b9dd1e5f67a22e58deffba83975e72183a8ee14cee95cd40e123dc
+unpack_scaled 5837 9b3d3ab7d2e9c4ff44c4f00e9fd842d0eaea50924c32a66cdd0f00039d736f69
+multiply 2647 dd6130f4cbc831e00198db6a8ce3b8999109d994f7957ea3c39377c618599a7d
+inverse 2024 4f945dbe22a280d7e74c321c28c5ae5bfde920a53aaf98203d3838ca14ee46f4
+pack 1091 b3e5a8ba567755eabab12a29025c444fc88b0261b7ed854f982a46764a5e1eeb
+unpack_scaled 3263 a5b862a1e9c263125afdfee45118a1688fb15cb5fbae9c481002cb5426940cf8
+expand 1680 198eaf54d1cf1bdd95dfc7dab362d9905fb7c6457d7ea2c583355b09d8019f8c
+expand 6307 59244f67ce7f36a92d664e345223ef16afa458ae822d50a570a275019fd46d78
+"""
+
+
 def test_generated_source_independent_of_hash_seed():
     outputs = []
     for seed in ("0", "4242"):
@@ -239,3 +255,4 @@ def test_generated_source_independent_of_hash_seed():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 10
     assert outputs[0] == outputs[1]
+    assert outputs[0] == SOURCE_DIGEST_LINES

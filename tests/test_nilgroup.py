@@ -550,6 +550,36 @@ def test_relators_with_empty_relations_are_refused(relations):
         GroupSpec(HallBasis(2, 2), relations=relations, relators=[(0, 0, 1)])
 
 
+@pytest.mark.parametrize("relations", [None, {}, {2: []}])
+@pytest.mark.parametrize("relators", [[], [(0, 0, 0)], [(0, 0, 0), [0, 0, 0]]])
+def test_identity_relators_give_the_free_spec(relations, relators):
+    spec = GroupSpec(HallBasis(2, 2), relations=relations, relators=relators)
+    free = free_nilpotent(2, 2)
+    assert repr(spec) == repr(free)
+    assert spec.relations is None and spec.relators is None
+    assert spec == free and hash(spec) == hash(free)
+    assert spec_to_json(spec) == spec_to_json(free)
+    assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+
+def test_identity_relators_are_dropped_beside_real_ones():
+    basis = HallBasis(2, 3)
+    # relation rows with only identity relators read as rows without relators
+    spec = GroupSpec(basis, relations={2: [(1,)], 3: [(1, 0), (0, 1)]},
+                     relators=[(0,) * 5])
+    assert spec == GroupSpec(basis, relations={2: [(1,)], 3: [(1, 0), (0, 1)]})
+    assert spec.dim == 2
+    # a real relator beside an identity one still meets the rank cross-check
+    with pytest.raises(SpecError, match="relator closure cuts rank 1 at weight 2, "
+                                        "graded relations cut rank 0"):
+        GroupSpec(HallBasis(2, 2), relators=[(0, 0, 0), (0, 0, 1)])
+    # an identity relator is still checked as a cover vector
+    with pytest.raises(SpecError, match="vector of length 2, expected 3"):
+        GroupSpec(HallBasis(2, 2), relators=[(0, 0)])
+    with pytest.raises(SpecError, match="coordinates must be integers"):
+        GroupSpec(HallBasis(2, 2), relators=[(0, 0, 0.0)])
+
+
 def test_spec_json_rejects_relators_without_relations(f23):
     payload = spec_to_json(f23)
     payload["relators"] = [vector_to_json(identity(f23))]
