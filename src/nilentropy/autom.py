@@ -33,11 +33,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 
 from .collect import _vec_add, _vec_scale
 from .linalg import bareiss_det, inverse
-from .mpoly import ExactDivisionError, exact_quotient
+from .mpoly import ExactDivisionError, _inexact, exact_quotient
 from .nilgroup import IntegralityError, SpecError
 
 def _exact(x):
@@ -93,10 +93,10 @@ def _tree_evaluator(leaf, node):
 
 
 def _cleared(entries, n):
-    """Sparse integer rows ``M`` and the least ``denominator`` such that
+    """Sparse integer columns ``M`` and the least ``denominator`` such that
     ``M / denominator`` is the ``n x n`` rational matrix with nonzero entries
-    ``(i, j, num, den)`` of value ``num / den``; each row lists its entries
-    in the order given.
+    ``(i, j, num, den)`` of value ``num / den``; column ``j`` lists its
+    entries ``(i, m_ij)`` in the order given.
 
     The entries are scaled to ``lcm(den)`` and divided by the gcd of that
     scale and every scaled numerator, which leaves the least denominator.
@@ -104,16 +104,26 @@ def _cleared(entries, n):
     scale = math.lcm(*(den for _, _, _, den in entries))
     scaled = [(i, j, num * (scale // den)) for i, j, num, den in entries]
     g = math.gcd(scale, *(m for _, _, m in scaled))
-    rows = [[] for _ in range(n)]
+    columns = [[] for _ in range(n)]
     for i, j, m in scaled:
-        rows[i].append((j, m // g))
-    return tuple(map(tuple, rows)), scale // g
+        columns[j].append((i, m // g))
+    return tuple(map(tuple, columns)), scale // g
+
+
+def _transpose(columns):
+    """Sparse rows ``((j, m_ij), ...)`` of the matrix with sparse columns
+    ``((i, m_ij), ...)``, each row in column order."""
+    rows = [[] for _ in columns]
+    for j, column in enumerate(columns):
+        for i, m in column:
+            rows[i].append((j, m))
+    return tuple(map(tuple, rows))
 
 
 class Endomorphism:
     """Endomorphism given by generator images in Mal'cev coordinates."""
 
-    __slots__ = ("spec", "images", "_linear", "_automorphic")
+    __slots__ = ("spec", "images", "_linear", "_columns", "_automorphic")
 
     def __init__(self, spec, images):
         if len(images) != spec.rank:
@@ -123,6 +133,7 @@ class Endomorphism:
         self.spec = spec
         self.images = tuple(spec.check_vector(g) for g in images)
         self._linear = None
+        self._columns = None
         self._automorphic = None
 
     @property
@@ -135,6 +146,7 @@ class Endomorphism:
         ``log_scale`` ``D``, so that
         ``apply(g) = unpack_scaled(M pack_scaled(g) / denominator)``.  On a
         quotient spec the images must respect the relators (:class:`SpecError`).
+        The same ``M`` is kept as sparse columns for :func:`_step`.
         """
         if self._linear is None:
             spec = self.spec
@@ -154,7 +166,8 @@ class Endomorphism:
                 for i, v in value(e).items():
                     num, den = v.as_integer_ratio()
                     entries.append((i, j, num, den * scale))
-            self._linear = _cleared(entries, spec.dim)
+            self._columns, denominator = _cleared(entries, spec.dim)
+            self._linear = _transpose(self._columns), denominator
         return self._linear
 
     def __eq__(self, other):
@@ -193,24 +206,42 @@ def identity_endomorphism(spec):
     return Endomorphism(spec, [spec.indicator(k) for k in range(spec.rank)])
 
 
-def _step(law, rows, denominator, p):
+def _step(law, columns, denominator, p):
     """``(q, exp(q / D))`` for ``q = M p / denominator``: one linear step on the
-    scaled logarithm ``p``, with sparse integer rows ``M`` and the law's
-    ``log_scale`` ``D``.  Every division is checked."""
+    scaled logarithm ``p``, with the law's ``log_scale`` ``D``.
+
+    ``M p`` is scattered over the sparse integer columns ``((i, m_ij), ...)``
+    of ``M``, skipping the zero entries of ``p``; the division by
+    ``denominator`` is one ``divmod`` per entry, and the first nonzero
+    remainder raises.  Every division is checked.
+    """
+    q = [0] * len(columns)
+    for v, column in zip(p, columns):
+        if v:
+            for i, m in column:
+                q[i] += m * v
     try:
-        q = [sum([m * p[j] for j, m in row]) for row in rows]
         if denominator != 1:
-            q = [exact_quotient(v, denominator) for v in q]
+            q, remainders = zip(*map(divmod, q, repeat(denominator)))
+            if any(remainders):
+                _inexact(denominator, next(filter(None, remainders)))
         return q, law.unpack_scaled(q)
     except ExactDivisionError as exc:
         raise IntegralityError(str(exc)) from exc
+
+
+def _step_map(phi):
+    """``(columns, denominator)`` of :attr:`Endomorphism.linear_map`, the
+    form :func:`_step` takes."""
+    denominator = phi.linear_map[1]
+    return phi._columns, denominator
 
 
 def apply(phi, g):
     """Image of ``g``: ``exp(L log g)`` through the integer linear map of ``phi``."""
     g = phi.spec.check_vector(g)
     law = phi.spec.law
-    return _step(law, *phi.linear_map, law.pack_scaled(g))[1]
+    return _step(law, *_step_map(phi), law.pack_scaled(g))[1]
 
 
 def _orbit(phi, g):
@@ -221,10 +252,10 @@ def _orbit(phi, g):
     once.
     """
     law = phi.spec.law
-    rows, denominator = phi.linear_map
+    columns, denominator = _step_map(phi)
     p = law.pack_scaled(g)
     while True:
-        p, h = _step(law, rows, denominator, p)
+        p, h = _step(law, columns, denominator, p)
         yield h
 
 
@@ -302,16 +333,20 @@ def is_homologically_trivial(phi):
 def is_automorphism(phi):
     """True when every graded piece is acted on invertibly over the integers.
 
+    One determinant decides it, that of the weight-1 block.  Each graded
+    piece ``gr_d = gamma_d / gamma_{d+1}`` is free abelian and generated by
+    the d-fold commutators of weight-1 classes, so a map onto ``gr_1`` is
+    onto every ``gr_d``; and an onto endomorphism of ``Z^r`` is invertible
+    (``Z^r`` is Hopfian).  The blocks of higher weight thus have
+    determinant +-1 whenever the weight-1 block does.
+
     The graded actions are the diagonal blocks of :attr:`Endomorphism.linear_map`,
-    so on a quotient spec images that do not respect the relators raise
-    :class:`SpecError`.  The answer is kept on ``phi``, whose images are
-    immutable, so later calls take no determinants.
+    which is built first, so on a quotient spec images that do not respect
+    the relators raise :class:`SpecError`.  The answer is kept on ``phi``,
+    whose images are immutable, so later calls take no determinant.
     """
     if phi._automorphic is None:
-        phi._automorphic = all(
-            bareiss_det(graded_matrix(phi, d)) in (1, -1)
-            for d in range(1, phi.spec.nilpotency_class + 1)
-        )
+        phi._automorphic = bareiss_det(graded_matrix(phi, 1)) in (1, -1)
     return phi._automorphic
 
 
@@ -326,13 +361,13 @@ def invert(phi):
     spec = phi.spec
     if not is_automorphism(phi):
         raise SpecError("endomorphism is not invertible over the integers")
-    inv_rows, inv_denominator = _cleared(
+    inv_columns, inv_denominator = _cleared(
         [(i, j, *x.as_integer_ratio()) for i, row in enumerate(inverse(linearization_matrix(phi)))
          for j, x in enumerate(row) if x],
         spec.dim,
     )
     law = spec.law
-    psi = Endomorphism(spec, [_step(law, inv_rows, inv_denominator,
+    psi = Endomorphism(spec, [_step(law, inv_columns, inv_denominator,
                                     law.pack_scaled(spec.indicator(j)))[1]
                               for j in range(spec.rank)])
     for j in range(spec.rank):

@@ -147,23 +147,32 @@ class CollectionLaw:
 
     # ---- Lie algebra layer (generic over Fraction / MPoly coefficients) ----
 
+    @cached_property
+    def _partners(self):
+        """``{i: {j: pairs}}`` with ``[e_i, e_j] = sum c e_k`` over ``(k, c)``
+        in ``pairs``, for both orders of every pair in :attr:`struct`."""
+        table = {}
+        for (i, j), pairs in self.struct.items():
+            table.setdefault(i, {})[j] = pairs
+            table.setdefault(j, {})[i] = tuple((k, -c) for k, c in pairs)
+        return table
+
     def bracket_vec(self, x, y):
+        """``[x, y]`` of two sparse vectors ``{index: coefficient}``.
+
+        Only the pairs with a structure constant are visited: for each
+        ``i`` of ``x``, the partners of ``e_i`` in :attr:`_partners`
+        intersected with the keys of ``y``.
+        """
         out = {}
-        struct = self.struct
+        partners = self._partners
         for i, xi in x.items():
-            for j, yj in y.items():
-                if i > j:
-                    pairs = struct.get((i, j))
-                    sign = 1
-                elif i < j:
-                    pairs = struct.get((j, i))
-                    sign = -1
-                else:
-                    continue
-                if pairs is None:
-                    continue
-                p = xi * yj if sign > 0 else -(xi * yj)
-                for k, c in pairs:
+            row = partners.get(i)
+            if row is None:
+                continue
+            for j in row.keys() & y.keys():
+                p = xi * y[j]
+                for k, c in row[j]:
                     t = out.get(k, 0) + p * c
                     if t:
                         out[k] = t

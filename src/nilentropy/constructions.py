@@ -391,8 +391,9 @@ def upper_central_dimensions(spec_or_semidirect):
 # surface relator quotients
 
 
+@lru_cache(maxsize=None)
 def surface_quotient(genus, nil_class):
-    """Class-c quotient of the genus-g surface group.
+    """Class-c quotient of the genus-g surface group (cached).
 
     The group is the free class-c group cut by the surface relator
     ``[x1,x2]...[x{2g-1},x{2g}]``.  Its graded relations, the ideal that the

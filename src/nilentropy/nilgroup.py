@@ -226,6 +226,30 @@ class WordExpr:
         return f"WordExpr({body!r})"
 
 
+def _relation_rows(basis, relations):
+    """The rows of ``relations`` by weight, as int tuples, each checked for
+    its weight (2 to the class) and its layer's width.  Weights given no
+    rows, and rows of zeros, cut nothing and are dropped."""
+    c = basis.nil_class
+    out = {}
+    for d, rows in (relations or {}).items():
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        if not rows:
+            continue
+        d = int(d)
+        if d < 2 or d > c:
+            raise SpecError(f"relation weight {d} outside 2..{c}")
+        width = basis.graded_dimension(d)
+        for row in rows:
+            if len(row) != width:
+                raise SpecError(
+                    f"relation row at weight {d} has length {len(row)}, expected {width}"
+                )
+        if rows := tuple(filter(any, rows)):
+            out[d] = rows
+    return out
+
+
 class GroupSpec:
     """Presentation-level data for one torsion-free nilpotent group.
 
@@ -239,9 +263,9 @@ class GroupSpec:
     the free Lie ring.  A row lattice with invariant factors other than 0 and
     1 raises :class:`TorsionDetected`; otherwise it must equal the lattice of
     the closure's leading rows at its weight, one integral cross-check per
-    weight (:class:`SpecError`).  Weights given no rows and identity
-    relators cut nothing: without rows or relators the spec is the free
-    nilpotent group on ``basis``, and relators without rows meet the
+    weight (:class:`SpecError`).  Weights given no rows, rows of zeros and
+    identity relators cut nothing: without rows or relators the spec is the
+    free nilpotent group on ``basis``, and relators without rows meet the
     cross-check against rank 0.
     """
 
@@ -253,11 +277,7 @@ class GroupSpec:
         self.relations = None
         self.relators = None
         self._ball = None
-        rows = {
-            int(d): tuple(tuple(int(x) for x in row) for row in rows)
-            for d, rows in (relations or {}).items()
-            if rows
-        }
+        rows = _relation_rows(basis, relations)
         if relators is not None:
             relators = tuple(filter(any, (_coordinates(r, len(basis)) for r in relators)))
             relators = relators or None
@@ -290,16 +310,6 @@ class GroupSpec:
     def _build_quotient(self, cover, relators):
         basis = self.basis
         c = basis.nil_class
-        for d in self.relations:
-            if d < 2 or d > c:
-                raise SpecError(f"relation weight {d} outside 2..{c}")
-        for d, rows in self.relations.items():
-            width = basis.graded_dimension(d)
-            for row in rows:
-                if len(row) != width:
-                    raise SpecError(
-                        f"relation row at weight {d} has length {len(row)}, expected {width}"
-                    )
         # graded side: rank and torsion of each quotient piece
         ranks = {}
         for d in range(2, c + 1):

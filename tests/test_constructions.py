@@ -388,7 +388,9 @@ def test_relator_check_conjugated_images():
 
 
 def _count_sifts(monkeypatch):
-    """Empty the closure caches and record every ``_sift_closure`` call."""
+    """Empty the quotient and closure caches and record every ``_sift_closure``
+    call."""
+    constructions.surface_quotient.cache_clear()
     constructions._surface_relator_closure.cache_clear()
     nilgroup._normal_closure.cache_clear()
     sifts = []
@@ -431,6 +433,21 @@ def test_surface_quotient_and_relator_check_share_one_sift(monkeypatch):
     assert relator_check(twist, 2, 3)
     assert sifts == [surface.relators]
     assert constructions._surface_relator_closure(2, 3).rows == surface._nrows
+
+
+def test_surface_quotient_is_derived_once(monkeypatch):
+    constructions.surface_quotient.cache_clear()
+    derived = []
+    real = nilgroup.CollectionLaw.for_quotient
+
+    def counting(*args):
+        derived.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nilgroup.CollectionLaw, "for_quotient", counting)
+    surface = surface_quotient(2, 3)
+    assert surface_quotient(2, 3) is surface
+    assert len(derived) == 1
 
 
 def _surface_map_words(rng):

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import divisors, mobius
 
-from nilentropy import HallBasis, free_nilpotent
+from nilentropy import HallBasis, free_nilpotent, surface_quotient
 from nilentropy.collect import _vec_add, _vec_scale
 from nilentropy.hall import _hall_pair_ok
+from nilentropy.mpoly import MPoly
 
 
 def necklace_count(m, d):
@@ -76,6 +79,58 @@ def test_jacobi_identity():
             bracket(w, bracket(u, v)),
         )
         assert total == {}
+
+
+def _dense_bracket(law, x, y):
+    """``[x, y]`` by a double loop over every pair of keys, each probed in
+    ``law.struct``: the reference for the partner table of ``bracket_vec``."""
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            if i > j:
+                pairs, sign = law.struct.get((i, j)), 1
+            elif i < j:
+                pairs, sign = law.struct.get((j, i)), -1
+            else:
+                continue
+            if pairs is None:
+                continue
+            p = xi * yj if sign > 0 else -(xi * yj)
+            for k, c in pairs:
+                t = out.get(k, 0) + p * c
+                if t:
+                    out[k] = t
+                else:
+                    out.pop(k, None)
+    return out
+
+
+BRACKET_LAWS = {
+    "F(3,4)": lambda: free_nilpotent(3, 4).law,
+    "surface(2,3)": lambda: surface_quotient(2, 3).law,
+}
+
+_SMALL = st.integers(-4, 4)
+COEFFICIENTS = {
+    "int": _SMALL,
+    "Fraction": st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    # a x0 + b x1 x2 + c in three variables
+    "MPoly": st.builds(
+        lambda a, b, c: (MPoly.var(3, 0) * a + MPoly.var(3, 1) * MPoly.var(3, 2) * b
+                         + MPoly.const(3, c)),
+        _SMALL, _SMALL, st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+}
+
+
+@pytest.mark.parametrize("kind", COEFFICIENTS)
+@pytest.mark.parametrize("name", BRACKET_LAWS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_the_dense_double_loop(name, kind, data):
+    law = BRACKET_LAWS[name]()
+    vec = st.dictionaries(st.integers(0, law.dim - 1), COEFFICIENTS[kind], max_size=8)
+    x, y = data.draw(vec), data.draw(vec)
+    assert law.bracket_vec(x, y) == _dense_bracket(law, x, y)
 
 
 def test_bracket_respects_grading():

@@ -24,18 +24,21 @@ from nilentropy import (
     builtin_automorphism,
     compose,
     conjugate,
+    eval_word,
     free_nilpotent,
     graded_matrix,
     growth_series,
     identity_endomorphism,
     invert,
+    is_automorphism,
     linearization_matrix,
     multiply,
     power,
     surface_quotient,
 )
 from nilentropy.autom import _orbit
-from nilentropy.mpoly import ExactDivisionError, straight_line
+from nilentropy.linalg import bareiss_det
+from nilentropy.mpoly import ExactDivisionError, exact_quotient, straight_line
 
 from conftest import apply_reference, basis_images_reference
 
@@ -129,6 +132,37 @@ def test_graded_matrix_matches_basis_image_blocks(name, data):
     for d in range(1, spec.nilpotency_class + 1):
         idxs = [k for k, w in enumerate(spec.weights) if w == d]
         assert graded_matrix(phi, d) == tuple(tuple(images[j][i] for j in idxs) for i in idxs)
+
+
+@pytest.mark.parametrize("name", ["F(2,4)", "F(3,3)", "surface(2,3)"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_is_automorphism_is_the_graded_determinant_test(name, data):
+    """The weight-1 determinant decides what those of all graded blocks do."""
+    phi = _draw_map(name, data)
+    spec = phi.spec
+    if data.draw(st.booleans()):
+        phi = compose(phi, _draw_map(name, data))
+    want = all(bareiss_det(graded_matrix(phi, d)) in (1, -1)
+               for d in range(1, spec.nilpotency_class + 1))
+    assert is_automorphism(Endomorphism(spec, phi.images)) == want
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_apply_is_a_homomorphism_on_words(name, data):
+    """``phi(w(x_1, ...)) = w(phi(x_1), ...)``, the right side by multiply and
+    power alone."""
+    phi = _draw_map(name, data)
+    spec = phi.spec
+    letter = st.tuples(st.integers(0, spec.rank - 1),
+                       st.one_of(st.integers(-3, 3), st.sampled_from((2 ** 70, -2 ** 70))))
+    word = data.draw(st.lists(letter, max_size=8))
+    want = spec.identity()
+    for gen, e in word:
+        want = multiply(want, power(phi.images[gen], e, spec), spec)
+    assert apply(phi, eval_word(word, spec)) == want
 
 
 def _conjugated_f33_images(spec):
@@ -259,6 +293,19 @@ def test_linear_step_raises_integrality_error():
     phi._linear = (phi.linear_map[0], 7)
     with pytest.raises(IntegralityError, match="expected multiple of 7, got remainder 2"):
         apply(phi, spec.indicator(0))
+
+
+@pytest.mark.parametrize("g", [(1, 3, 0), (7, 3, 1), (14, -5, 2)])
+def test_linear_step_names_the_first_remainder(g):
+    spec = GroupSpec(HallBasis(2, 2))
+    phi = identity_endomorphism(spec)
+    phi._linear = (phi.linear_map[0], 7)
+    # the message of one checked division per entry of M p, in entry order
+    with pytest.raises(ExactDivisionError) as first:
+        [exact_quotient(v, 7) for v in spec.law.pack_scaled(g)]
+    with pytest.raises(IntegralityError) as got:
+        apply(phi, g)
+    assert str(got.value) == str(first.value)
 
 
 def test_growth_series_raises_integrality_error():

@@ -531,7 +531,8 @@ def test_spec_equality_includes_generating_set():
     assert spec_from_json(json.loads(json.dumps(spec_to_json(skewed)))) == skewed
 
 
-@pytest.mark.parametrize("relations", [{}, {2: []}, {2: [], 3: ()}])
+@pytest.mark.parametrize("relations", [{}, {2: []}, {2: [], 3: ()},
+                                       {2: [(0,)]}, {2: [(0,)], 3: [(0, 0), [0, 0]]}])
 def test_empty_relations_give_the_free_spec(relations):
     spec = GroupSpec(HallBasis(2, 3), relations=relations)
     free = free_nilpotent(2, 3)
@@ -540,6 +541,16 @@ def test_empty_relations_give_the_free_spec(relations):
     assert spec == free and hash(spec) == hash(free)
     assert spec_to_json(spec) == spec_to_json(free)
     assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+
+def test_zero_relation_rows_are_checked_then_dropped():
+    basis = HallBasis(2, 3)
+    assert (GroupSpec(basis, relations={2: [(0,), (1,)], 3: [(1, 0), (0, 0), (0, 1)]})
+            == GroupSpec(basis, relations={2: [(1,)], 3: [(1, 0), (0, 1)]}))
+    with pytest.raises(SpecError, match="relation row at weight 2 has length 2, expected 1"):
+        GroupSpec(basis, relations={2: [(0, 0)]})
+    with pytest.raises(SpecError, match="relation weight 4 outside 2..3"):
+        GroupSpec(basis, relations={4: [(0,)]})
 
 
 @pytest.mark.parametrize("relations", [None, {}, {2: []}])
