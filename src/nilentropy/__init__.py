@@ -30,7 +30,6 @@ from .autom import (
 from .constructions import (
     SemidirectSpec,
     SubgroupLattice,
-    free_nilpotent,
     lower_central_series,
     quotient_ranks,
     relator_check,
@@ -61,11 +60,11 @@ from .growth import (
     unipotent_degree_sweep,
 )
 from .hall import BasicCommutator, HallBasis
+from .mpoly import IntegralityError
 from .nilgroup import (
     BallBudgetExceeded,
     GroupSpec,
     GrowthWarning,
-    IntegralityError,
     KaridiBand,
     KaridiEstimate,
     SpecError,
@@ -76,6 +75,7 @@ from .nilgroup import (
     commutator,
     conjugate,
     eval_word,
+    free_nilpotent,
     geodesic_length,
     identity,
     inverse,

@@ -6,12 +6,13 @@ correspondence it acts linearly on the rational Lie algebra of the group:
 logarithms of the generator images and, for every other basis entry, the
 same commutator tree of brackets over those columns (for a quotient spec the
 trees are the free-cover entries at the kept positions).  ``L`` is cleared of
-denominators into an integer matrix once per endomorphism
-(:attr:`Endomorphism.linear_map`), and every linear invariant is read off
-it.  The map acts on scaled logarithms ``p = D log g`` (``D`` being the
-law's ``log_scale``), which are integer vectors: one step is
-``p -> M p / denominator``, an exact division, followed by the generated
-exponential ``exp(p / D)``, every division checked.  :func:`apply` is one
+denominators into one integer matrix per endomorphism, held as its sparse
+columns (:attr:`Endomorphism.linear_map`), and every linear invariant is
+read off those columns.  The map acts on scaled logarithms ``p = D log g``
+(``D`` being the law's ``log_scale``), which are integer vectors: one step
+is ``p -> M p / denominator``, an exact division, followed by the generated
+exponential ``exp(p / D)``, every division checked; a remainder raises
+``IntegralityError`` where it occurs.  :func:`apply` is one
 generated ``pack`` and one step; an orbit ``phi^n(g)`` keeps ``p`` from step
 to step and packs once, and :func:`iterate` reads ``phi^n`` off the orbits
 of the generators; the graded actions are the diagonal weight blocks
@@ -37,8 +38,8 @@ from itertools import islice, repeat
 
 from .collect import _vec_add, _vec_scale
 from .linalg import bareiss_det, inverse
-from .mpoly import ExactDivisionError, _inexact, exact_quotient
-from .nilgroup import IntegralityError, SpecError
+from .mpoly import _inexact, exact_quotient
+from .nilgroup import SpecError
 
 def _exact(x):
     """A matrix entry as an ``int``, or as a ``Fraction`` when not integral."""
@@ -110,20 +111,10 @@ def _cleared(entries, n):
     return tuple(map(tuple, columns)), scale // g
 
 
-def _transpose(columns):
-    """Sparse rows ``((j, m_ij), ...)`` of the matrix with sparse columns
-    ``((i, m_ij), ...)``, each row in column order."""
-    rows = [[] for _ in columns]
-    for j, column in enumerate(columns):
-        for i, m in column:
-            rows[i].append((j, m))
-    return tuple(map(tuple, rows))
-
-
 class Endomorphism:
     """Endomorphism given by generator images in Mal'cev coordinates."""
 
-    __slots__ = ("spec", "images", "_linear", "_columns", "_automorphic")
+    __slots__ = ("spec", "images", "_linear", "_automorphic")
 
     def __init__(self, spec, images):
         if len(images) != spec.rank:
@@ -133,20 +124,20 @@ class Endomorphism:
         self.spec = spec
         self.images = tuple(spec.check_vector(g) for g in images)
         self._linear = None
-        self._columns = None
         self._automorphic = None
 
     @property
     def linear_map(self):
-        """``(rows, denominator)`` of the map on the Mal'cev Lie algebra.
+        """``(columns, denominator)`` of the map on the Mal'cev Lie algebra.
 
-        ``rows`` is an integer matrix ``M`` as sparse rows ``((j, m_ij), ...)``
-        with ``L = M / denominator`` on the Lie basis.  It acts on scaled
-        logarithms: ``D log phi(g) = M (D log g) / denominator`` for the law's
-        ``log_scale`` ``D``, so that
-        ``apply(g) = unpack_scaled(M pack_scaled(g) / denominator)``.  On a
-        quotient spec the images must respect the relators (:class:`SpecError`).
-        The same ``M`` is kept as sparse columns for :func:`_step`.
+        ``columns`` is an integer matrix ``M`` as sparse columns
+        ``((i, m_ij), ...)``, column ``j`` the image of the Lie basis vector
+        ``j``, with ``L = M / denominator`` on the Lie basis.  It acts on
+        scaled logarithms: ``D log phi(g) = M (D log g) / denominator`` for the
+        law's ``log_scale`` ``D``, so that
+        ``apply(g) = unpack_scaled(M pack_scaled(g) / denominator)``; it is
+        the form :func:`_step` takes.  On a quotient spec the images must
+        respect the relators (:class:`SpecError`).
         """
         if self._linear is None:
             spec = self.spec
@@ -166,8 +157,7 @@ class Endomorphism:
                 for i, v in value(e).items():
                     num, den = v.as_integer_ratio()
                     entries.append((i, j, num, den * scale))
-            self._columns, denominator = _cleared(entries, spec.dim)
-            self._linear = _transpose(self._columns), denominator
+            self._linear = _cleared(entries, spec.dim)
         return self._linear
 
     def __eq__(self, other):
@@ -213,35 +203,26 @@ def _step(law, columns, denominator, p):
     ``M p`` is scattered over the sparse integer columns ``((i, m_ij), ...)``
     of ``M``, skipping the zero entries of ``p``; the division by
     ``denominator`` is one ``divmod`` per entry, and the first nonzero
-    remainder raises.  Every division is checked.
+    remainder raises :class:`~nilentropy.mpoly.IntegralityError`.  Every
+    division is checked.
     """
     q = [0] * len(columns)
     for v, column in zip(p, columns):
         if v:
             for i, m in column:
                 q[i] += m * v
-    try:
-        if denominator != 1:
-            q, remainders = zip(*map(divmod, q, repeat(denominator)))
-            if any(remainders):
-                _inexact(denominator, next(filter(None, remainders)))
-        return q, law.unpack_scaled(q)
-    except ExactDivisionError as exc:
-        raise IntegralityError(str(exc)) from exc
-
-
-def _step_map(phi):
-    """``(columns, denominator)`` of :attr:`Endomorphism.linear_map`, the
-    form :func:`_step` takes."""
-    denominator = phi.linear_map[1]
-    return phi._columns, denominator
+    if denominator != 1:
+        q, remainders = zip(*map(divmod, q, repeat(denominator)))
+        if any(remainders):
+            _inexact(denominator, next(filter(None, remainders)))
+    return q, law.unpack_scaled(q)
 
 
 def apply(phi, g):
     """Image of ``g``: ``exp(L log g)`` through the integer linear map of ``phi``."""
     g = phi.spec.check_vector(g)
     law = phi.spec.law
-    return _step(law, *_step_map(phi), law.pack_scaled(g))[1]
+    return _step(law, *phi.linear_map, law.pack_scaled(g))[1]
 
 
 def _orbit(phi, g):
@@ -252,7 +233,7 @@ def _orbit(phi, g):
     once.
     """
     law = phi.spec.law
-    columns, denominator = _step_map(phi)
+    columns, denominator = phi.linear_map
     p = law.pack_scaled(g)
     while True:
         p, h = _step(law, columns, denominator, p)
@@ -291,7 +272,8 @@ def abelianization_matrix(phi):
 
 def graded_matrix(phi, d):
     """Action on the weight-``d`` graded piece: the weight-``d`` diagonal block
-    of ``L``, an integer matrix (a remainder raises :class:`ExactDivisionError`)."""
+    of ``L``, an integer matrix (a remainder raises
+    :class:`~nilentropy.mpoly.IntegralityError`)."""
     spec = phi.spec
     if not 1 <= d <= spec.nilpotency_class:
         raise SpecError(
@@ -299,15 +281,13 @@ def graded_matrix(phi, d):
         )
     idxs = [k for k, w in enumerate(spec.weights) if w == d]
     pos = {k: p for p, k in enumerate(idxs)}
-    rows, denominator = phi.linear_map
-    out = []
-    for i in idxs:
-        row = [0] * len(idxs)
-        for j, m in rows[i]:
-            if j in pos:
-                row[pos[j]] = exact_quotient(m, denominator)
-        out.append(tuple(row))
-    return tuple(out)
+    columns, denominator = phi.linear_map
+    block = [[0] * len(idxs) for _ in idxs]
+    for j in idxs:
+        for i, m in columns[j]:
+            if i in pos:
+                block[pos[i]][pos[j]] = m
+    return tuple(tuple(exact_quotient(m, denominator) for m in row) for row in block)
 
 
 def linearization_matrix(phi):
@@ -317,10 +297,10 @@ def linearization_matrix(phi):
     the first kind.  The Lie basis is adapted to the weight filtration, so the
     matrix is block triangular with the graded actions on the diagonal.
     """
-    rows, denominator = phi.linear_map
-    out = [[Fraction(0)] * phi.spec.dim for _ in rows]
-    for i, row in enumerate(rows):
-        for j, m in row:
+    columns, denominator = phi.linear_map
+    out = [[Fraction(0)] * phi.spec.dim for _ in columns]
+    for j, column in enumerate(columns):
+        for i, m in column:
             out[i][j] = Fraction(m, denominator)
     return tuple(map(tuple, out))
 

@@ -35,6 +35,7 @@ from .growth import (
 from .hall import HallBasis
 from .nilgroup import (
     SpecFormatError,
+    _json_array,
     eval_word,
     geodesic_length,
     karidi_length,
@@ -69,7 +70,7 @@ def _load_automorphism(text, spec):
         data = json.load(fh)
     if not isinstance(data, dict) or "images" not in data:
         raise SpecFormatError('automorphism file needs an "images" list')
-    images = [vector_from_json(row, spec) for row in data["images"]]
+    images = [vector_from_json(row, spec) for row in _json_array(data["images"], "images")]
     return Endomorphism(spec, images)
 
 

@@ -13,16 +13,18 @@ numerators over one denominator), and the symbolic logarithm ``pack(e)``
 is derived once: inversion negates it, and multiplication combines it
 with a copy whose variables are shifted past the first factor's.  Each of
 those polynomial maps is generated once as a straight-line Python function
-(:func:`~nilentropy.mpoly.straight_line`), so the runtime path is plain
-``int`` arithmetic with exact divisions and no per-term interpretation.
+(:func:`~nilentropy.mpoly.straight_line`), and that function is itself the
+law's entry point (:attr:`CollectionLaw.multiply` and the others), so the
+runtime path is plain ``int`` arithmetic with exact divisions, with no
+per-term interpretation and no call in between.
 A word-metric ball gets one generated layer expander: the right products
 ``g -> g * h`` by all of its directions ``h``, each ``h`` folded into the
 coefficients, evaluated inline for every element of a breadth-first layer
 (:meth:`CollectionLaw.layer_expander`).  The logarithm and the exponential
 themselves are generated the same way, in integer form at one fixed scale
 ``D``, the common denominator of the logarithm:
-:meth:`CollectionLaw.pack_scaled` is ``g -> D log g`` with no division,
-and :meth:`CollectionLaw.unpack_scaled` is ``z -> exp(z / D)`` with one
+:attr:`CollectionLaw.pack_scaled` is ``g -> D log g`` with no division,
+and :attr:`CollectionLaw.unpack_scaled` is ``z -> exp(z / D)`` with one
 exact division per coordinate.  Whatever acts linearly on the Lie algebra
 goes through these integer vectors: an endomorphism,
 ``log phi(g) = L log g``, and a power, ``log g^n = n log g``.
@@ -304,52 +306,38 @@ class CollectionLaw:
             )))
         return tuple(compiled)
 
-    # ---- generated evaluators and runtime entry points ----
+    # ---- generated kernels, derived on first use: the runtime entry points ----
 
     @cached_property
-    def _mul(self):
+    def multiply(self):
+        """``(g, h) -> g * h``."""
         return straight_line("multiply", self._mul_compiled, (self.dim, self.dim))
 
     @cached_property
-    def _inv(self):
+    def inverse(self):
+        """``g -> g^-1``."""
         return straight_line("inverse", self._inv_compiled, (self.dim,))
 
     @cached_property
-    def _pack(self):
+    def pack_scaled(self):
+        """``g -> D log g`` as an integer vector, ``D`` being :attr:`log_scale`."""
         return straight_line("pack", self._pack_compiled[1], (self.dim,))
 
     @cached_property
-    def _unpack(self):
+    def unpack_scaled(self):
+        """``z -> exp(z / D)``: coordinates for an integer vector ``z``, ``D``
+        being :attr:`log_scale`, each output one checked exact division."""
         return straight_line("unpack_scaled", self._unpack_compiled, (self.dim,))
 
     @property
     def log_scale(self):
-        """The common denominator ``D`` of :meth:`pack_scaled`."""
+        """The common denominator ``D`` of :attr:`pack_scaled`."""
         return self._pack_compiled[0]
 
-    def multiply(self, g, h):
-        return self._mul(g, h)
-
-    def inverse(self, g):
-        return self._inv(g)
-
     def power(self, g, n):
-        """``g^n = exp(n log g)``: :meth:`pack_scaled`, scaled by ``n``, then
-        :meth:`unpack_scaled`, every division checked."""
+        """``g^n = exp(n log g)``: :attr:`pack_scaled`, scaled by ``n``, then
+        :attr:`unpack_scaled`, every division checked."""
         return self.unpack_scaled([n * v for v in self.pack_scaled(g)])
-
-    def pack_scaled(self, g):
-        """``D * log g`` as an integer vector, ``D`` being :attr:`log_scale`."""
-        return self._pack(g)
-
-    def unpack_scaled(self, z):
-        """Coordinates of ``exp(z / D)`` for an integer vector ``z``, ``D``
-        being :attr:`log_scale`.
-
-        Each output is one exact division; a remainder raises
-        ``ExactDivisionError``.
-        """
-        return self._unpack(z)
 
     def _layer_compiled(self, directions):
         """The multiply polynomials with each of ``directions`` substituted

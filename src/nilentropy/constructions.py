@@ -28,17 +28,11 @@ from .nilgroup import (
     _generator_commutators,
     _integer,
     _sift_closure,
-    commutator,
+    free_nilpotent,
     inverse,
     multiply,
     power,
 )
-
-
-@lru_cache(maxsize=None)
-def free_nilpotent(rank, nil_class):
-    """Free nilpotent group of the given rank and class (cached)."""
-    return GroupSpec(HallBasis(rank, nil_class))
 
 
 def truncate(spec, k):
@@ -52,15 +46,10 @@ def truncate(spec, k):
     if spec.relations is None:
         return free_nilpotent(spec.rank, k - 1)
     relations = {d: rows for d, rows in spec.relations.items() if d < k}
-    cover = free_nilpotent(spec.rank, k - 1)
-    cut = [tuple(r[:cover.dim]) for r in spec.relators]
+    basis = HallBasis(spec.rank, k - 1)
+    cut = [tuple(r[:len(basis)]) for r in spec.relators]
     relators = [r for r in cut if any(r)]
-    return GroupSpec(
-        HallBasis(spec.rank, k - 1),
-        relations=relations or None,
-        relators=relators or None,
-        free_cover=cover,
-    )
+    return GroupSpec(basis, relations=relations or None, relators=relators or None)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +67,7 @@ class SubgroupLattice:
 
     def __init__(self, spec, rows):
         self.spec = spec
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = tuple(map(spec.check_vector, rows))
         self.depths = tuple(self._depth(r) for r in self.rows)
 
     @staticmethod
@@ -100,8 +89,8 @@ class SubgroupLattice:
 
     def reduce(self, g):
         """Coefficients of ``g`` along the rows, or ``None`` if not a member."""
-        spec = self.spec
-        g = spec.check_vector(g)
+        law = self.spec.law
+        g = self.spec.check_vector(g)
         coeffs = [0] * len(self.rows)
         while True:
             d = self._depth(g)
@@ -115,7 +104,7 @@ class SubgroupLattice:
             if r:
                 return None
             coeffs[pos] = q
-            g = multiply(power(self.rows[pos], -q, spec), g, spec)
+            g = law.multiply(law.power(self.rows[pos], -q), g)
 
     def __contains__(self, g):
         return self.reduce(g) is not None
@@ -420,19 +409,15 @@ def surface_quotient(genus, nil_class):
         relations[d] = [tuple(el.get(k, 0) for k in cover.basis.by_weight[d]) for el in layer]
         layer = [img for el in layer for x in units if (img := bracket(el, x))]
     relator = _surface_relator(cover, [cover.indicator(k) for k in range(rank)], genus)
-    return GroupSpec(
-        cover.basis,
-        relations=relations,
-        relators=[relator],
-        free_cover=cover,
-    )
+    return GroupSpec(cover.basis, relations=relations, relators=[relator])
 
 
 def _surface_relator(spec, gens, genus):
-    """``[g1, g2] ... [g{2g-1}, g{2g}]`` over the elements ``gens``."""
+    """``[g1, g2] ... [g{2g-1}, g{2g}]`` over the checked vectors ``gens``."""
+    law = spec.law
     out = spec.identity()
     for i in range(genus):
-        out = multiply(out, commutator(gens[2 * i], gens[2 * i + 1], spec), spec)
+        out = law.multiply(out, nilgroup._law_commutator(law, gens[2 * i], gens[2 * i + 1]))
     return out
 
 
@@ -475,7 +460,7 @@ def relator_check(images, genus, nil_class):
     t2 = tuple(target[k] for k in w2)
     if t2 not in (
         tuple(base[k] for k in w2),
-        tuple(inverse(base, spec)[k] for k in w2),
+        tuple(spec.law.inverse(base)[k] for k in w2),
     ):
         return False
     return target in _surface_relator_closure(genus, nil_class)

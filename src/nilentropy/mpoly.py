@@ -7,11 +7,12 @@ monomial product is one integer addition.  Each derived polynomial is
 flattened by :func:`compile_poly` into an integer ``(denominator, terms)``
 form, and every polynomial map of a law is then turned by
 :func:`straight_line` into one generated Python function: plain ``int``
-arithmetic with an exact-division check per non-unit denominator.  The
-right products of a word-metric ball are generated together by
-:func:`layer_expander`, one function per ball that expands a whole
-breadth-first layer.  Generated functions are the only runtime evaluation
-path.
+arithmetic with an exact-division check per non-unit denominator.  A
+remainder raises :class:`IntegralityError` right there, and every entry
+point lets it through unchanged.  The right products of a word-metric ball
+are generated together by :func:`layer_expander`, one function per ball
+that expands a whole breadth-first layer.  Generated functions are the only
+runtime evaluation path.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ _BITS = 8
 _MAX_EXP = (1 << _BITS) - 1
 
 
-class ExactDivisionError(ArithmeticError):
-    """A value that must be an integer came out fractional."""
+class IntegralityError(ArithmeticError):
+    """A value that must be an integer came out fractional (corrupt input data)."""
 
 
 def _normal(nvars, terms, den, top):
@@ -241,13 +242,11 @@ _CHUNK = 500
 
 
 def _inexact(denom, remainder):
-    raise ExactDivisionError(
-        f"expected multiple of {denom}, got remainder {remainder}"
-    )
+    raise IntegralityError(f"expected multiple of {denom}, got remainder {remainder}")
 
 
 def exact_quotient(value, denom):
-    """``value // denom``, raising :class:`ExactDivisionError` on a remainder."""
+    """``value // denom``, raising :class:`IntegralityError` on a remainder."""
     q, r = divmod(value, denom)
     if r:
         _inexact(denom, r)
@@ -377,7 +376,7 @@ def _define(name, source):
 def straight_line(name, compiled, arg_sizes):
     """Compile :func:`straight_line_source` into a function; the text is dropped.
 
-    A non-integral output raises :class:`ExactDivisionError`.
+    A non-integral output raises :class:`IntegralityError`.
     """
     return _define(name, straight_line_source(name, compiled, arg_sizes))
 
@@ -385,6 +384,6 @@ def straight_line(name, compiled, arg_sizes):
 def layer_expander(directions, size):
     """Compile :func:`layer_expander_source` into a function; the text is dropped.
 
-    A non-integral product raises :class:`ExactDivisionError`.
+    A non-integral product raises :class:`IntegralityError`.
     """
     return _define("expand", layer_expander_source(directions, size))

@@ -23,7 +23,6 @@ from itertools import compress
 
 from .collect import CollectionLaw
 from .hall import HallBasis
-from .mpoly import ExactDivisionError
 
 DEFAULT_RADIUS_CAP = 10
 DEFAULT_BALL_BUDGET = 10_000_000
@@ -41,10 +40,6 @@ class SpecFormatError(SpecError):
 
 class TorsionDetected(SpecError):
     """A graded quotient piece has torsion; no Mal'cev basis over it."""
-
-
-class IntegralityError(ArithmeticError):
-    """Collection produced a non-integer exponent (corrupt input data)."""
 
 
 class BallBudgetExceeded(RuntimeError):
@@ -233,10 +228,10 @@ def _relation_rows(basis, relations):
     c = basis.nil_class
     out = {}
     for d, rows in (relations or {}).items():
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(_integer(x, "relation entry") for x in row) for row in rows)
         if not rows:
             continue
-        d = int(d)
+        d = _integer(d, "relation weight")
         if d < 2 or d > c:
             raise SpecError(f"relation weight {d} outside 2..{c}")
         width = basis.graded_dimension(d)
@@ -266,11 +261,11 @@ class GroupSpec:
     weight (:class:`SpecError`).  Weights given no rows, rows of zeros and
     identity relators cut nothing: without rows or relators the spec is the
     free nilpotent group on ``basis``, and relators without rows meet the
-    cross-check against rank 0.
+    cross-check against rank 0.  A quotient's ``free_cover`` is
+    :func:`free_nilpotent` of its rank and class, laws included.
     """
 
-    def __init__(self, basis, relations=None, generating_set=None, free_cover=None,
-                 relators=None):
+    def __init__(self, basis, relations=None, generating_set=None, relators=None):
         self.basis = basis
         self.rank = basis.rank
         self.nilpotency_class = basis.nil_class
@@ -290,15 +285,16 @@ class GroupSpec:
             self._positions = tuple(range(self.dim))
         else:
             self.relations = rows
-            cover = free_cover if free_cover is not None else GroupSpec(basis)
-            self.free_cover = cover
-            self._build_quotient(cover, relators)
+            self.free_cover = free_nilpotent(basis.rank, basis.nil_class)
+            self._build_quotient(self.free_cover, relators)
         if generating_set is None:
             self.generating_set = tuple(
                 self.indicator(k) for k in range(self.rank)
             )
         else:
-            self.generating_set = tuple(tuple(int(x) for x in g) for g in generating_set)
+            self.generating_set = tuple(
+                tuple(_integer(x, "generating set entry") for x in g) for g in generating_set
+            )
             for g in self.generating_set:
                 if len(g) != self.dim:
                     raise SpecError(
@@ -420,6 +416,13 @@ class GroupSpec:
             f"GroupSpec({kind}, rank={self.rank}, "
             f"class={self.nilpotency_class}, hirsch={self.dim})"
         )
+
+
+@lru_cache(maxsize=None)
+def free_nilpotent(rank, nil_class):
+    """Free nilpotent group of the given rank and class (cached): the cover
+    every quotient of that rank and class shares, laws included."""
+    return GroupSpec(HallBasis(rank, nil_class))
 
 
 # ---------------------------------------------------------------------------
@@ -570,40 +573,27 @@ def identity(spec):
 
 
 def multiply(g, h, spec):
-    g = spec.check_vector(g)
-    h = spec.check_vector(h)
-    try:
-        return spec.law.multiply(g, h)
-    except ExactDivisionError as exc:
-        raise IntegralityError(str(exc)) from exc
+    return spec.law.multiply(spec.check_vector(g), spec.check_vector(h))
 
 
 def inverse(g, spec):
-    g = spec.check_vector(g)
-    try:
-        return spec.law.inverse(g)
-    except ExactDivisionError as exc:
-        raise IntegralityError(str(exc)) from exc
+    return spec.law.inverse(spec.check_vector(g))
 
 
 def power(g, n, spec):
-    g = spec.check_vector(g)
-    try:
-        return spec.law.power(g, _integer(n, "power"))
-    except ExactDivisionError as exc:
-        raise IntegralityError(str(exc)) from exc
+    return spec.law.power(spec.check_vector(g), _integer(n, "power"))
 
 
 def commutator(g, h, spec):
     """Group commutator ``g^-1 h^-1 g h``."""
-    gi = inverse(g, spec)
-    hi = inverse(h, spec)
-    return multiply(multiply(multiply(gi, hi, spec), g, spec), h, spec)
+    return _law_commutator(spec.law, spec.check_vector(g), spec.check_vector(h))
 
 
 def conjugate(g, h, spec):
     """``h^-1 g h``."""
-    return multiply(multiply(inverse(h, spec), g, spec), h, spec)
+    law = spec.law
+    h = spec.check_vector(h)
+    return law.multiply(law.multiply(law.inverse(h), spec.check_vector(g)), h)
 
 
 def eval_word(word, spec):
@@ -620,16 +610,13 @@ def eval_word(word, spec):
             raise SpecError(f"generator index {gen} out of range 0..{spec.rank - 1}")
     law = spec.law
     out = spec.identity()
-    try:
-        for gen, e in letters:
-            if e:
-                # relators lie in [G, G], so coordinate gen is the generator
-                # itself and its power x_gen^e is e at that coordinate
-                letter = [0] * spec.dim
-                letter[gen] = e
-                out = law.multiply(out, letter)
-    except ExactDivisionError as exc:
-        raise IntegralityError(str(exc)) from exc
+    for gen, e in letters:
+        if e:
+            # relators lie in [G, G], so coordinate gen is the generator
+            # itself and its power x_gen^e is e at that coordinate
+            letter = [0] * spec.dim
+            letter[gen] = e
+            out = law.multiply(out, letter)
     return out
 
 
@@ -658,7 +645,7 @@ def rewrite_mod_last_term(g, spec):
     g = spec.check_vector(g)
     c = spec.nilpotency_class
     trimmed = tuple(0 if w == c else v for v, w in zip(g, spec.weights))
-    z = multiply(inverse(trimmed, spec), g, spec)
+    z = spec.law.multiply(spec.law.inverse(trimmed), g)
     assert all(w == c or v == 0 for v, w in zip(z, spec.weights))
     return trimmed, z
 
@@ -731,7 +718,7 @@ class _Ball:
         self.genset = genset
         directions = []
         for g in genset:
-            for vec in (tuple(g), inverse(g, spec)):
+            for vec in (g, spec.law.inverse(g)):
                 if vec != spec.identity() and vec not in directions:
                     directions.append(vec)
         self.expand = spec.law.layer_expander(directions)
@@ -749,11 +736,7 @@ class _Ball:
             dist = self.dist
             r = self.radius + 1
             try:
-                try:
-                    over = self.expand(self.frontier, dist, new, r, budget)
-                except ExactDivisionError as exc:
-                    raise IntegralityError(str(exc)) from exc
-                if over:
+                if self.expand(self.frontier, dist, new, r, budget):
                     raise BallBudgetExceeded(
                         f"ball budget {budget} exceeded at radius {r} "
                         f"({len(dist)} elements)"

@@ -13,7 +13,6 @@ from nilentropy import (
     power,
 )
 from nilentropy.autom import _basis_entries, _tree_evaluator
-from nilentropy.mpoly import ExactDivisionError
 from nilentropy.nilgroup import _law_commutator, _root
 
 
@@ -66,9 +65,7 @@ def eval_compiled(compiled, values):
         return total
     q, r = divmod(total, denom)
     if r:
-        raise ExactDivisionError(
-            f"expected multiple of {denom}, got remainder {r}"
-        )
+        raise IntegralityError(f"expected multiple of {denom}, got remainder {r}")
     return q
 
 
@@ -86,10 +83,7 @@ def basis_images_reference(phi):
     law = phi.spec.law
     value = _tree_evaluator(phi.images.__getitem__,
                             lambda a, b: _law_commutator(law, a, b))
-    try:
-        return tuple(value(e) for e in _basis_entries(phi.spec))
-    except ExactDivisionError as exc:
-        raise IntegralityError(str(exc)) from exc
+    return tuple(value(e) for e in _basis_entries(phi.spec))
 
 
 def apply_reference(phi, g):

@@ -246,6 +246,14 @@ def test_malformed_relations_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("images", [5, None, True])
+def test_malformed_images_exit_1(tmp_path, capsys, images):
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps({"images": images}))
+    assert main(["aut-check", "--group", "free:2,2", "--aut", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: images must be a JSON array, got {images!r}\n"
+
+
 # sha256 of stdout, and of the file ``surface --out`` writes, for each command
 # of the README's "Command line" block
 README_DIGESTS = {

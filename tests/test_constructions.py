@@ -11,13 +11,13 @@ from nilentropy import (
     GroupSpec,
     HallBasis,
     SpecError,
+    SubgroupLattice,
     apply,
     builtin_automorphism,
     commutator,
     eval_word,
     free_nilpotent,
     identity,
-    identity_endomorphism,
     inverse,
     invert,
     lower_central_series,
@@ -123,6 +123,14 @@ def test_infinite_index_closure(heis):
     lat = subgroup_closure(heis, [(1, 0, 0)])
     assert lat.hirsch_length == 1
     assert lat.abelianized_index() is None
+
+
+def test_lattice_rows_are_checked_once(heis):
+    # reduce calls the law on the rows, so they are checked on the way in
+    with pytest.raises(SpecError, match="vector of length 2, expected 3"):
+        SubgroupLattice(heis, [(1, 0)])
+    with pytest.raises(SpecError, match="coordinates must be integers"):
+        SubgroupLattice(heis, [(1.5, 0, 0)])
 
 
 # ---------------------------------------------------------------------------

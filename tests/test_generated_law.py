@@ -1,6 +1,5 @@
 """Generated straight-line laws against the term-by-term reference evaluator."""
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -14,13 +13,21 @@ from nilentropy import (
     GroupSpec,
     HallBasis,
     IntegralityError,
+    SubgroupLattice,
+    apply,
     bfs_ball,
+    builtin_automorphism,
+    commutator,
+    conjugate,
     eval_word,
     free_nilpotent,
+    growth_series,
+    inverse,
+    multiply,
+    power,
     surface_quotient,
 )
 from nilentropy.mpoly import (
-    ExactDivisionError,
     MPoly,
     compile_poly,
     layer_expander,
@@ -177,9 +184,9 @@ def test_division_check_matches_reference():
     compiled = (2, ((1, ((0, 1),)),))  # v0 / 2
     half = straight_line("half", (compiled,), (1,))
     assert half((6,)) == (3,) == (eval_compiled(compiled, (6,)),)
-    with pytest.raises(ExactDivisionError) as expected:
+    with pytest.raises(IntegralityError) as expected:
         eval_compiled(compiled, (1,))
-    with pytest.raises(ExactDivisionError) as got:
+    with pytest.raises(IntegralityError) as got:
         half((1,))
     assert str(got.value) == str(expected.value)
 
@@ -191,21 +198,48 @@ def test_long_sums_match_reference():
     for values in [(1, 1), (2, 3), (6, 2 ** 70), (-5, 7)]:
         try:
             expected = tuple(eval_compiled(cp, values) for cp in compiled)
-        except ExactDivisionError as exc:
-            with pytest.raises(ExactDivisionError, match=str(exc)):
+        except IntegralityError as exc:
+            with pytest.raises(IntegralityError, match=str(exc)):
                 fn(values)
         else:
             assert fn(values) == expected
 
 
-def test_bfs_step_raises_integrality_error(monkeypatch):
+# entry point -> (the law kernel whose division fails, a call through it)
+ENTRY_POINTS = {
+    "multiply": ("multiply", lambda s: multiply(s.indicator(0), s.indicator(1), s)),
+    "inverse": ("inverse", lambda s: inverse(s.indicator(0), s)),
+    "power": ("unpack_scaled", lambda s: power(s.indicator(0), 3, s)),
+    "eval_word": ("multiply", lambda s: eval_word("x1 x2^-1", s)),
+    "commutator": ("multiply", lambda s: commutator(s.indicator(0), s.indicator(1), s)),
+    "conjugate": ("multiply", lambda s: conjugate(s.indicator(0), s.indicator(1), s)),
+    "apply": ("unpack_scaled",
+              lambda s: apply(builtin_automorphism("fib", s), s.indicator(0))),
+    "growth_series": ("unpack_scaled",
+                      lambda s: growth_series(builtin_automorphism("fib", s), s.indicator(0), 10)),
+    "bfs_ball": ("layer_expander", lambda s: bfs_ball(s, 1)),
+    "SubgroupLattice.reduce": (
+        "unpack_scaled",
+        lambda s: SubgroupLattice(s, [s.indicator(k) for k in range(s.dim)]).reduce((1, 2, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_integrality_error_from_every_entry_point(name):
+    """A remainder in a generated division reaches the caller unconverted."""
+    kernel, call = ENTRY_POINTS[name]
     spec = GroupSpec(HallBasis(2, 2))
-    # every right multiplication yields a coordinate 1/2
-    bad = ((2, ((1, ()),)),) * spec.dim
-    monkeypatch.setattr(spec.law, "layer_expander",
-                        lambda directions: layer_expander([bad] * len(directions), spec.dim))
-    with pytest.raises(IntegralityError, match="expected multiple of 2, got remainder 1"):
-        bfs_ball(spec, 1)
+    n = spec.dim
+    # every output of the corrupted kernel is 1/2
+    bad = ((2, ((1, ()),)),) * n
+    if kernel == "layer_expander":
+        spec.law.layer_expander = lambda directions: layer_expander([bad] * len(directions), n)
+    else:
+        sizes = (n, n) if kernel == "multiply" else (n,)
+        setattr(spec.law, kernel, straight_line("bad", bad, sizes))
+    with pytest.raises(IntegralityError, match="^expected multiple of 2, got remainder 1$"):
+        call(spec)
 
 
 SOURCE_DIGEST = """

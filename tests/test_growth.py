@@ -10,7 +10,6 @@ from conftest import distortion_pairs_reference, karidi_band_reference
 from nilentropy import nilgroup
 from nilentropy import (
     DegenerateFitError,
-    Endomorphism,
     ExponentialSeriesError,
     GrowthEntry,
     GrowthSeries,

@@ -1,4 +1,3 @@
-import io
 import json
 import random
 import tracemalloc
@@ -37,7 +36,6 @@ from nilentropy import (
     vector_to_json,
 )
 from nilentropy.assoc import _tree_word, magnus_normal_form
-from nilentropy.mpoly import ExactDivisionError
 from nilentropy.nilgroup import _box_length
 
 from conftest import box_length_reference, random_vector, random_word
@@ -348,7 +346,7 @@ def test_ball_after_integrality_failure_is_left_as_before(monkeypatch):
             failures.pop()
             expand(frontier[:2], dist, new, radius, budget)
             assert new
-            raise ExactDivisionError("expected multiple of 2, got remainder 1")
+            raise IntegralityError("expected multiple of 2, got remainder 1")
 
         return step
 
@@ -553,6 +551,18 @@ def test_zero_relation_rows_are_checked_then_dropped():
         GroupSpec(basis, relations={4: [(0,)]})
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"generating_set": [(1.5, 0, 0), (0, 1, 0)]}, "generating set entry must be an integer"),
+    ({"relations": {2: [(1.9,)]}}, "relation entry must be an integer"),
+    ({"relations": {2.7: [(1,)]}}, "relation weight must be an integer"),
+    ({"generating_set": [(1, 0), (0, 1)]}, "generating set vector of length 2, expected 3"),
+])
+def test_spec_refuses_non_integral_data(kwargs, match):
+    # int() would read the first three as (1, 0, 0), (1,) and weight 2
+    with pytest.raises(SpecError, match=match):
+        GroupSpec(HallBasis(2, 2), **kwargs)
+
+
 @pytest.mark.parametrize("relations", [None, {}, {2: []}])
 def test_relators_with_empty_relations_are_refused(relations):
     # [x2, x1] cuts weight 2 while the relations cut nothing
@@ -610,15 +620,8 @@ def test_spec_json_rejects_garbage():
 
 
 def test_quotient_torsion_detected():
-    basis = HallBasis(2, 2)
-    cover = free_nilpotent(2, 2)
     with pytest.raises(TorsionDetected):
-        GroupSpec(
-            basis,
-            relations={2: [(2,)]},
-            relators=[(0, 0, 2)],
-            free_cover=cover,
-        )
+        GroupSpec(HallBasis(2, 2), relations={2: [(2,)]}, relators=[(0, 0, 2)])
 
 
 def test_quotient_relations_must_form_an_ideal():
@@ -660,12 +663,5 @@ def test_quotient_cross_check_refusals(rank, nil_class, relations, relators, err
 
 
 def test_quotient_relator_must_be_commutator_shaped():
-    basis = HallBasis(2, 2)
-    cover = free_nilpotent(2, 2)
     with pytest.raises(SpecError):
-        GroupSpec(
-            basis,
-            relations={2: [(1,)]},
-            relators=[(1, 0, 1)],
-            free_cover=cover,
-        )
+        GroupSpec(HallBasis(2, 2), relations={2: [(1,)]}, relators=[(1, 0, 1)])

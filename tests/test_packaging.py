@@ -1,6 +1,6 @@
 """The declared runtime dependencies are exactly the packages the source
-imports, every module-level import is used, and every module-level
-definition is referenced elsewhere in the package."""
+imports, every module-level import of the package and the tests is used,
+and every module-level definition is referenced elsewhere in the package."""
 
 import ast
 import re
@@ -60,6 +60,7 @@ def _unused_imports(path):
 def test_no_unused_module_imports():
     # the package's __init__ imports only to re-export
     modules = [path for path in SOURCES if path.name != "__init__.py"]
+    modules += sorted((ROOT / "tests").glob("*.py"))
     assert modules
     for path in modules:
         unused = _unused_imports(path)
