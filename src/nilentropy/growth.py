@@ -3,6 +3,12 @@
 Series ℓ(φⁿ(g)) in several length modes, entropy and polynomial-degree
 fits, and the comparison experiments: abelianization, quotient tower,
 finite-index subgroups, and subgroup distortion.
+
+The three fits share one least-squares routine.  Every float is an integer
+over a power of two, so it forms the normal equations exactly in integers
+and solves them by Cramer's rule: each coefficient is the exact
+least-squares solution, rounded once.  A rank-one design, every point at
+one x, gets the minimum-norm solution β = (x, 1)·ȳ / (x² + 1).
 """
 
 from __future__ import annotations
@@ -12,10 +18,9 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple
-
-import numpy as np
 
 from . import nilgroup
 from .autom import (
@@ -28,6 +33,7 @@ from .autom import (
     spectral_report,
 )
 from .constructions import free_nilpotent, subgroup_closure, truncate
+from .linalg import bareiss_det
 from .nilgroup import (
     GrowthWarning,
     SpecError,
@@ -94,6 +100,11 @@ class EntropyEstimate:
 
 @dataclass(frozen=True)
 class PolyFit:
+    """Slope of log length against log x, floored at 0, and the Pearson
+    correlation.  The slope is the exact least-squares solution, rounded
+    once.  Flat lengths give (0.0, 1.0); flat x, a rank-one design, gives
+    correlation 1.0 and the minimum-norm slope x·ȳ / (x² + 1)."""
+
     degree: float
     correlation: float
 
@@ -167,10 +178,71 @@ def _window_entries(series):
     return sel, (math.ceil(hi / 2), hi)
 
 
+def _exact(values):
+    """Integers ``a`` and an exponent ``e`` with ``values[i] == a[i] / 2**e``."""
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max(d for _, d in ratios).bit_length() - 1
+    return [n << e - d.bit_length() + 1 for n, d in ratios], e
+
+
+def _least_squares(columns, ys):
+    """Coefficients of the fit ``ys ≈ Σ β_j·columns[j] + β_last`` of
+    :func:`_exact` pairs, each one ``int / int`` division (Cramer's rule).
+    Every point at one row r gets the minimum-norm β = r·ȳ / (r·r); other
+    singular designs raise :class:`DegenerateFitError`."""
+    b, t = ys
+    cols = [*columns, ([1] * len(b), 0)]
+    gram = [[sum(map(operator.mul, p, q)) for q, _ in cols] for p, _ in cols]
+    rhs = [sum(map(operator.mul, p, b)) for p, _ in cols]
+    det = bareiss_det(gram)
+    if det:
+        return [
+            (bareiss_det([row[:j] + [h] + row[j + 1:] for row, h in zip(gram, rhs)]) << e)
+            / (det << t)
+            for j, (_, e) in enumerate(cols)
+        ]
+    if any(len(set(p)) > 1 for p, _ in columns):
+        raise DegenerateFitError("the fit's design matrix has rank below its width")
+    x = [Fraction(p[0], 1 << e) for p, e in cols]
+    scale = Fraction(sum(b), len(b) << t) / sum(v * v for v in x)
+    return [float(v * scale) for v in x]
+
+
+def _flat(values):
+    """Whether every value is within ``1e-8 + 1e-5·|values[0]|`` of the first."""
+    tol = 1e-8 + 1e-5 * abs(values[0])
+    return all(abs(v - values[0]) <= tol for v in values)
+
+
+def _correlation(x, y):
+    """Pearson correlation of two non-flat :func:`_exact` columns."""
+    (a, _), (b, _) = x, y
+    m, sa, sb = len(a), sum(a), sum(b)
+    sab = m * sum(map(operator.mul, a, b)) - sa * sb
+    saa = m * sum(map(operator.mul, a, a)) - sa * sa
+    sbb = m * sum(map(operator.mul, b, b)) - sb * sb
+    r = math.sqrt(sab * sab / (saa * sbb))
+    return r if sab >= 0 else -r
+
+
+def _loglog_fit(xs, ys):
+    """The :class:`PolyFit` of log max(y, 1) against log x."""
+    log_y = [math.log(max(float(y), 1.0)) for y in ys]
+    if _flat(log_y):
+        return PolyFit(degree=0.0, correlation=1.0)
+    log_x = [math.log(float(x)) for x in xs]
+    x, y = _exact(log_x), _exact(log_y)
+    slope, _ = _least_squares([x], y)
+    corr = 1.0 if _flat(log_x) else _correlation(x, y)
+    return PolyFit(degree=max(slope, 0.0), correlation=corr)
+
+
 def entropy_estimate(series, residual_threshold=0.5):
     """Fit log ℓ_n = n·log K + r·log n + C and return K = exp(slope).
 
     Lengths below 1 are clamped to 1 for the logarithm, so K ≥ 1 always.
+    The coefficients are the exact least-squares solution, each rounded
+    once; the residual is the root mean square of the rounded fit.
     """
     sel, window = _window_entries(series)
     if len(sel) < 8:
@@ -179,21 +251,22 @@ def entropy_estimate(series, residual_threshold=0.5):
         )
     if all(e.length == 0 for e in sel):
         raise DegenerateFitError("all lengths in the fit window are zero")
-    ns = np.array([e.n for e in sel], dtype=float)
-    ys = np.log([max(float(e.length), 1.0) for e in sel])
-    design = np.column_stack([ns, np.log(ns), np.ones_like(ns)])
-    beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    residual = float(np.sqrt(np.mean((design @ beta - ys) ** 2)))
+    ns = [e.n for e in sel]
+    logs = [math.log(n) for n in ns]
+    ys = [math.log(max(float(e.length), 1.0)) for e in sel]
+    slope, exponent, const = _least_squares([(ns, 0), _exact(logs)], _exact(ys))
+    residual = math.sqrt(sum(
+        (slope * n + exponent * log + const - y) ** 2 for n, log, y in zip(ns, logs, ys)
+    ) / len(ys))
     if residual > residual_threshold:
         raise DegenerateFitError(
             f"fit residual {residual:.3g} above threshold {residual_threshold}"
         )
-    value = max(float(np.exp(beta[0])), 1.0)
     return EntropyEstimate(
-        value=value,
+        value=max(math.exp(slope), 1.0),
         residual=residual,
         window=window,
-        poly_exponent=float(beta[1]),
+        poly_exponent=exponent,
     )
 
 
@@ -209,14 +282,7 @@ def poly_degree_fit(series, entropy_tolerance=0.05):
             f"series has exponential rate K = {est.value:.4g}"
         )
     sel, _ = _window_entries(series)
-    ys = np.log([max(float(e.length), 1.0) for e in sel])
-    if np.allclose(ys, ys[0]):
-        return PolyFit(degree=0.0, correlation=1.0)
-    xs = np.log([float(e.n) for e in sel])
-    design = np.column_stack([xs, np.ones_like(xs)])
-    beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    corr = float(np.corrcoef(xs, ys)[0, 1])
-    return PolyFit(degree=max(float(beta[0]), 0.0), correlation=corr)
+    return _loglog_fit([e.n for e in sel], [e.length for e in sel])
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +441,7 @@ def distortion_profile(spec, i, radius=None, genset=None,
             f"radius {radius}; need at least {need}"
         )
     intrinsic = nilgroup._box_lengths(layer, spec.weights, i)
-    xs = np.log([float(d) for d in layer.values()])
-    ys = np.log([max(v, 1.0) for v in intrinsic])
-    design = np.column_stack([xs, np.ones_like(xs)])
-    beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    if np.allclose(ys, ys[0]) or np.allclose(xs, xs[0]):
-        corr = 1.0
-    else:
-        corr = float(np.corrcoef(xs, ys)[0, 1])
-    return PolyFit(degree=max(float(beta[0]), 0.0), correlation=corr)
+    return _loglog_fit(layer.values(), intrinsic)
 
 
 def unipotent_degree_sweep(ranks=(2, 3, 4), nil_class=3, n_max=24,

@@ -17,6 +17,7 @@ import math
 import operator
 import re
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -223,17 +224,22 @@ class WordExpr:
 
 def _relation_rows(basis, relations):
     """The rows of ``relations`` by weight, as int tuples, each checked for
-    its weight (2 to the class) and its layer's width.  Weights given no
-    rows, and rows of zeros, cut nothing and are dropped."""
+    its weight (2 to the class) and its layer's width.  Every weight is
+    checked; weights given no rows, and rows of zeros, cut nothing and are
+    dropped."""
     c = basis.nil_class
+    relations = {} if relations is None else relations
+    if not isinstance(relations, Mapping):
+        raise SpecError(f"relations must map weights to rows, got {type(relations).__name__}")
     out = {}
-    for d, rows in (relations or {}).items():
-        rows = tuple(tuple(_integer(x, "relation entry") for x in row) for row in rows)
-        if not rows:
-            continue
+    for d, rows in relations.items():
         d = _integer(d, "relation weight")
         if d < 2 or d > c:
             raise SpecError(f"relation weight {d} outside 2..{c}")
+        try:
+            rows = tuple(tuple(_integer(x, "relation entry") for x in row) for row in rows)
+        except TypeError as exc:
+            raise SpecError(f"relations at weight {d} must be rows of integers: {exc}") from exc
         width = basis.graded_dimension(d)
         for row in rows:
             if len(row) != width:

@@ -40,35 +40,36 @@ def _load_workloads():
 # band and fit of the first nine metric-bfs units of seed 101 (each group
 # three times, within one set of specs), as computed by the per-element
 # loops before the box lengths went column by column and, for the last six,
-# before the band went sphere by sphere
+# before the band went sphere by sphere; the fits are the exact least-squares
+# solutions, rounded once
 METRIC_BFS_101 = (
     ("KaridiBand(lower=0.003616264052230466, upper=4.242640687119286, "
      "constant=276.5284795459592, radius=7, size=6692)",
-     "PolyFit(degree=1.5973316188841504, correlation=0.09967228964441195)"),
+     "PolyFit(degree=1.5973316188841484, correlation=0.09967228964441192)"),
     ("KaridiBand(lower=0.010540789604254166, upper=6.0, "
      "constant=94.8695531875913, radius=6, size=13864)",
-     "PolyFit(degree=0.0, correlation=-0.13509275954222916)"),
+     "PolyFit(degree=0.0, correlation=-0.13509275954222927)"),
     ("KaridiBand(lower=0.0010931410157327508, upper=5.0, "
      "constant=914.7950590159525, radius=5, size=12652)",
-     "PolyFit(degree=12.924507443750112, correlation=0.38854018269768553)"),
+     "PolyFit(degree=12.924507443750091, correlation=0.3885401826976854)"),
     ("KaridiBand(lower=0.001430940281369189, upper=4.242640687119286, "
      "constant=698.8411836748032, radius=7, size=6692)",
-     "PolyFit(degree=1.787455862580475, correlation=0.09543054906038345)"),
+     "PolyFit(degree=1.787455862580476, correlation=0.09543054906038347)"),
     ("KaridiBand(lower=0.012393200586831814, upper=6.0, "
      "constant=80.68940650105615, radius=6, size=13864)",
-     "PolyFit(degree=0.0, correlation=-0.134372236507022)"),
+     "PolyFit(degree=0.0, correlation=-0.13437223650702218)"),
     ("KaridiBand(lower=0.001184698586885906, upper=5.0, "
      "constant=844.0965584576209, radius=5, size=12652)",
-     "PolyFit(degree=12.772050368584212, correlation=0.3885401826976757)"),
+     "PolyFit(degree=12.77205036858419, correlation=0.3885401826976758)"),
     ("KaridiBand(lower=0.006240014217264587, upper=4.242640687119286, "
      "constant=160.25604512778924, radius=7, size=6692)",
-     "PolyFit(degree=1.4854554350303852, correlation=0.10290075502521606)"),
+     "PolyFit(degree=1.4854554350303861, correlation=0.10290075502521606)"),
     ("KaridiBand(lower=0.010925762589937795, upper=6.0, "
      "constant=91.52679199902818, radius=6, size=13864)",
-     "PolyFit(degree=0.0, correlation=-0.13493766170113372)"),
+     "PolyFit(degree=0.0, correlation=-0.13493766170113386)"),
     ("KaridiBand(lower=0.0010784957898211107, upper=5.0, "
      "constant=927.2173423744837, radius=5, size=12652)",
-     "PolyFit(degree=12.950073154743928, correlation=0.38854018269768653)"),
+     "PolyFit(degree=12.950073154743908, correlation=0.38854018269768675)"),
 )
 
 
@@ -101,28 +102,29 @@ def _series_pin(series):
 
 # series lengths and entropy estimates of the first three entropy-free and
 # quotient-surface units of seed 101, as computed when every step of an orbit
-# packed afresh and unpacked at the scale denominator * log_scale
+# packed afresh and unpacked at the scale denominator * log_scale; the
+# estimates are the exact least-squares solutions, rounded once
 ENTROPY_FREE_101 = (
     ("3f3b6aae327647a66932cd38df30f39675d1ef6a97b8970db122a0cffbfa6a11",
-     "EntropyEstimate(value=1.6180339877771175, residual=9.190909498715604e-10, "
-     "window=(20, 40), poly_exponent=1.8818149954968888e-08)"),
+     "EntropyEstimate(value=1.6180339877771168, residual=9.190912831256502e-10, "
+     "window=(20, 40), poly_exponent=1.8818171608679413e-08)"),
     ("260d028cc5190df12a04f8f6f4eb8fc4d8827caabe6f36abe2e89090b7131d36",
-     "EntropyEstimate(value=3.302775637731985, residual=2.5359602949970988e-14, "
-     "window=(20, 40), poly_exponent=7.249756350802272e-14)"),
+     "EntropyEstimate(value=3.3027756377319912, residual=3.1965023014011157e-15, "
+     "window=(20, 40), poly_exponent=2.6770608085976436e-14)"),
     ("34c32ccfbf8bb1cadc533f82aa5c94c62ddb153e7f109d65acc2bec3474810af",
-     "EntropyEstimate(value=2.414213562373089, residual=1.6967517956397122e-14, "
-     "window=(20, 40), poly_exponent=6.510070260645762e-14)"),
+     "EntropyEstimate(value=2.4142135623730945, residual=1.5505313672007927e-15, "
+     "window=(20, 40), poly_exponent=9.58591180089131e-15)"),
 )
 QUOTIENT_SURFACE_101 = (
     ("d7032cff522d0e18a251a1d71277e61c15be8384c9616ac1cb3c23481aa2813d",
-     "EntropyEstimate(value=2.6180339887498794, residual=1.8751175293791802e-14, "
-     "window=(20, 40), poly_exponent=1.7338908087083382e-13)"),
+     "EntropyEstimate(value=2.618033988749893, residual=2.1927824883802588e-15, "
+     "window=(20, 40), poly_exponent=1.935914385323215e-14)"),
     ("488b7b6860044f47fdf4ab13052d2daa6ed28e8906092ae15b30c6085d2ea4b7",
-     "EntropyEstimate(value=2.6180339887498993, residual=3.379304769209106e-15, "
-     "window=(20, 40), poly_exponent=-5.2235993308613615e-14)"),
+     "EntropyEstimate(value=2.6180339887498945, residual=2.9007785717557725e-15, "
+     "window=(20, 40), poly_exponent=3.739575531911045e-15)"),
     ("f73c766fb116b49be3708237aa654fe9d07dbd11c5e5474fd6ba76ae30d3e105",
-     "EntropyEstimate(value=2.618033988749897, residual=2.4343836259842705e-14, "
-     "window=(20, 40), poly_exponent=-4.418687638008123e-14)"),
+     "EntropyEstimate(value=2.618033988749896, residual=2.6855991067210084e-15, "
+     "window=(20, 40), poly_exponent=-1.2400768301989615e-14)"),
 )
 
 

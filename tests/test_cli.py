@@ -270,11 +270,11 @@ README_DIGESTS = {
     "nilentropy grow --group free:2,2 --aut builtin:fib --subject x1 --n 30":
         "a748a29f93d13645d339dad4dcbc8eeae532500831d593e8b6128fcfc63361f3",
     "nilentropy entropy --group free:2,2 --aut builtin:fib --n 30":
-        "1dadd7fcc4c847441a556887088b78b8bea7400aca7806c5bc408a314ae7c3b7",
+        "6f86e9dbbed6095b9a106f7ae977da9f14d78dae67fc713e77dba2477289ce94",
     "nilentropy tower --group free:2,3 --aut builtin:fib --subject x1 --classes 2,3,4":
         "8a9f95d62ce109a8d276f2c5b9ba1ebbee8a9dd7bd3548a7748093272a0aefde",
     "nilentropy distortion --group free:2,2 --weight 2":
-        "3dc31121fecb40abacfdf042857932e3304c831832257aa981a5a45a34e925da",
+        "020992efe7f488136ad8c7271f8d85fa17ed7020ec15eb25a21858a937e5e6ac",
     "nilentropy semidirect --group free:2,2 --aut builtin:unipotent-shear":
         "b0568fa9a368521efbb6852adef943b1c980c50bb62f37ac67ba5d8ea4137f4f",
     "nilentropy surface --genus 2 --class 3 --out surface.json":

@@ -1,13 +1,14 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import distortion_pairs_reference, karidi_band_reference
-from nilentropy import nilgroup
+from nilentropy import growth, nilgroup
 from nilentropy import (
     DegenerateFitError,
     ExponentialSeriesError,
@@ -15,7 +16,6 @@ from nilentropy import (
     GrowthSeries,
     GrowthWarning,
     InsufficientDataError,
-    PolyFit,
     SpecError,
     abelian_comparison,
     apply,
@@ -144,6 +144,10 @@ def test_entropy_errors():
         entropy_estimate(synthetic([0.0] * 30))
     with pytest.raises(InsufficientDataError):
         entropy_estimate(GrowthSeries(entries=()))
+    # two distinct n cannot determine the three columns n, log n, 1
+    twice = tuple(GrowthEntry(n, 2.0 ** n, "karidi") for n in (19, 20) * 4)
+    with pytest.raises(DegenerateFitError, match="rank below its width"):
+        entropy_estimate(GrowthSeries(entries=twice))
 
 
 def test_poly_degree_fit_anchors():
@@ -188,10 +192,8 @@ def test_abelian_comparison_needs_a_generator(heis):
 def test_unipotent_degree_sweep_is_pinned():
     out = unipotent_degree_sweep(ranks=(2, 3))
     assert repr(out) == (
-        "[{'rank': 2, 'homology_rank': 2, 'degrees': [0.0, 0.999999999999999], "
-        "'max_degree': 0.999999999999999}, "
-        "{'rank': 3, 'homology_rank': 3, 'degrees': [0.0, 0.999999999999999, 0.0], "
-        "'max_degree': 0.999999999999999}]"
+        "[{'rank': 2, 'homology_rank': 2, 'degrees': [0.0, 1.0], 'max_degree': 1.0}, "
+        "{'rank': 3, 'homology_rank': 3, 'degrees': [0.0, 1.0, 0.0], 'max_degree': 1.0}]"
     )
 
 
@@ -279,15 +281,73 @@ METRIC_GROUPS = {
 
 
 def fit_reference(pairs):
-    xs = np.log([float(d) for d, _ in pairs])
-    ys = np.log([max(float(v), 1.0) for _, v in pairs])
-    design = np.column_stack([xs, np.ones_like(xs)])
-    beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    if np.allclose(ys, ys[0]) or np.allclose(xs, xs[0]):
-        corr = 1.0
-    else:
-        corr = float(np.corrcoef(xs, ys)[0, 1])
-    return PolyFit(degree=max(float(beta[0]), 0.0), correlation=corr)
+    # the box lengths and the layer are what the per-element loops check; the
+    # fit itself is checked against Fraction and numpy below
+    return growth._loglog_fit([d for d, _ in pairs], [v for _, v in pairs])
+
+
+def fraction_least_squares(columns, ys):
+    """Least-squares coefficients of ``ys ≈ Σ β_j·columns[j] + β_last``:
+    the normal equations over ``Fraction``, solved by Gauss-Jordan."""
+    rows = [[Fraction(c[i]) for c in columns] + [Fraction(1)] for i in range(len(ys))]
+    k = len(rows[0])
+    system = [[sum(r[a] * r[b] for r in rows) for b in range(k)]
+              + [sum(r[a] * Fraction(y) for r, y in zip(rows, ys))] for a in range(k)]
+    for p in range(k):
+        q = next(q for q in range(p, k) if system[q][p])
+        system[p], system[q] = system[q], system[p]
+        system[p] = [v / system[p][p] for v in system[p]]
+        for q in range(k):
+            if q != p:
+                system[q] = [v - system[q][p] * w for v, w in zip(system[q], system[p])]
+    return [float(row[k]) for row in system]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_least_squares_is_the_exact_solution_rounded_once(data):
+    width = data.draw(st.integers(1, 2))
+    m = data.draw(st.integers(width + 2, 24))
+    # perturbed discrete Legendre columns t and 3t^2 - 1 keep the design well conditioned
+    ts = [2 * i / (m - 1) - 1 for i in range(m)]
+    noise = st.lists(st.floats(-0.1, 0.1, allow_subnormal=False), min_size=m, max_size=m)
+    columns = [[legendre(t) + e for t, e in zip(ts, data.draw(noise))]
+               for legendre in (lambda t: t, lambda t: 3 * t * t - 1)[:width]]
+    ys = data.draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=m, max_size=m))
+    design = np.column_stack(columns + [np.ones(m)])
+    assume(np.linalg.cond(design) < 100)
+    beta = growth._least_squares([growth._exact(c) for c in columns], growth._exact(ys))
+    assert beta == fraction_least_squares(columns, ys)
+    ref, *_ = np.linalg.lstsq(design, np.array(ys), rcond=None)
+    assert np.max(np.abs(np.array(beta) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if width == 1 and not growth._flat(ys):
+        corr = growth._correlation(growth._exact(columns[0]), growth._exact(ys))
+        assert corr == pytest.approx(np.corrcoef(columns[0], ys)[0, 1], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("row", [(math.log(3),), (0.0,), (2.5, -0.75)])
+def test_rank_one_design_gets_the_minimum_norm_solution(row):
+    # every point at one row: numpy's minimum-norm answer row·ȳ / (row·row)
+    ys = [0.1, 0.5, 2.0, 1.0, 0.3]
+    columns = [[x] * len(ys) for x in row]
+    beta = growth._least_squares([growth._exact(c) for c in columns], growth._exact(ys))
+    ref, *_ = np.linalg.lstsq(np.column_stack(columns + [np.ones(len(ys))]), np.array(ys),
+                              rcond=None)
+    assert beta == pytest.approx(ref.tolist(), rel=1e-12, abs=1e-15)
+
+
+def test_rank_one_distortion_layer():
+    # F(2,2) at radius 2 over generators of first coordinate +-1: the layer
+    # (the centre) is reached only by products of two of them
+    spec = free_nilpotent(2, 2)
+    genset = ((1, 0, 0), (-1, 0, 3), (-1, 0, 7))
+    pairs = distortion_pairs_reference(spec, 2, 2, genset=genset)
+    assert {d for d, _ in pairs} == {2}
+    fit = distortion_profile(spec, 2, radius=2, genset=genset, min_points=2)
+    ys = [math.log(max(v, 1.0)) for _, v in pairs]
+    ref, *_ = np.linalg.lstsq(np.column_stack([[math.log(2)] * len(ys), np.ones(len(ys))]),
+                              np.array(ys), rcond=None)
+    assert fit.degree == pytest.approx(ref[0], rel=1e-12) and fit.correlation == 1.0
 
 
 @pytest.mark.parametrize("name", sorted(METRIC_GROUPS))

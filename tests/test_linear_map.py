@@ -1,6 +1,6 @@
 """``apply``, the graded matrices and ``invert`` read off one linear map on the
 Mal'cev Lie algebra, against the product of basis-image powers and the
-commutator-tree basis images, and the package without sympy."""
+commutator-tree basis images, and the package without sympy or numpy."""
 
 import random
 import subprocess
@@ -332,14 +332,24 @@ ne.growth_series(ne.builtin_automorphism("fib", ne.free_nilpotent(2, 4)),
                  (1, 0, 0, 0, 0, 0, 0, 0), 30)
 ne.upper_central_dimensions(ne.surface_quotient(2, 3))
 ne.spectral_report(((1, -1), (1, 1)))
+f22 = ne.free_nilpotent(2, 2)
+ne.entropy_estimate(ne.growth_series(ne.builtin_automorphism("fib", f22), f22.indicator(0), 30))
+ne.poly_degree_fit(ne.growth_series(ne.builtin_automorphism("unipotent-shear", f22),
+                                    f22.indicator(1), 24))
+ne.distortion_profile(f22, 2)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["semidirect", "--group", "free:2,2", "--aut", "builtin:unipotent-shear"]) == 0
     assert cli.main(["aut-check", "--group", "free:2,2", "--aut", sys.argv[1]]) == 0
-print(sorted(m for m in ("sympy", "nilentropy") if m in sys.modules))
+    assert cli.main(["entropy", "--group", "free:2,2", "--aut", "builtin:fib", "--n", "30"]) == 0
+    assert cli.main(["tower", "--group", "free:2,3", "--aut", "builtin:fib", "--subject", "x1",
+                     "--classes", "2,3,4"]) == 0
+    assert cli.main(["distortion", "--group", "free:2,2", "--weight", "2"]) == 0
+print(sorted(m for m in ("numpy", "sympy", "nilentropy") if m in sys.modules))
 """
 
 
 def test_package_does_not_import_sympy(tmp_path):
+    # nor numpy: the exact paths, the three fits and the CLI commands that print them
     # abelianization ((1, -1), (1, 1)): eigenvalues 1 +- i
     aut = tmp_path / "rotation.json"
     aut.write_text('{"images": [[1, 1, 0], [-1, 1, 0]]}')

@@ -563,6 +563,22 @@ def test_spec_refuses_non_integral_data(kwargs, match):
         GroupSpec(HallBasis(2, 2), **kwargs)
 
 
+@pytest.mark.parametrize("relations, match", [
+    ({99: []}, "relation weight 99 outside 2..2"),
+    ({"x": []}, "relation weight must be an integer"),
+    ({2.5: []}, "relation weight must be an integer"),
+    ({2: [(1,)], 99: [], "x": [], 2.5: []}, "relation weight 99 outside 2..2"),
+    ({2: 5}, "relations at weight 2 must be rows of integers"),
+    ({2: [5]}, "relations at weight 2 must be rows of integers"),
+    ({2: None}, "relations at weight 2 must be rows of integers"),
+    ([(1,)], "relations must map weights to rows, got list"),
+])
+def test_spec_refuses_malformed_relations(relations, match):
+    # weights given no rows are checked too, and no TypeError or AttributeError escapes
+    with pytest.raises(SpecError, match=match):
+        GroupSpec(HallBasis(2, 2), relations=relations)
+
+
 @pytest.mark.parametrize("relations", [None, {}, {2: []}])
 def test_relators_with_empty_relations_are_refused(relations):
     # [x2, x1] cuts weight 2 while the relations cut nothing

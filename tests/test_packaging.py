@@ -1,5 +1,6 @@
 """The declared runtime dependencies are exactly the packages the source
-imports, every module-level import of the package and the tests is used,
+imports, the ``test`` extra exactly the third-party packages the tests
+import, every module-level import of the package and the tests is used,
 and every module-level definition is referenced elsewhere in the package."""
 
 import ast
@@ -13,6 +14,7 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "nilentropy").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported_names(path):
@@ -26,9 +28,10 @@ def _imported_names(path):
     return names
 
 
-def _declared():
+def _declared(extra=None):
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    return {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0] for dep in project["dependencies"]}
+    deps = project["dependencies"] if extra is None else project["optional-dependencies"][extra]
+    return {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0] for dep in deps}
 
 
 def test_declared_dependencies_are_the_imported_ones():
@@ -39,6 +42,18 @@ def test_declared_dependencies_are_the_imported_ones():
         names = _imported_names(path)
         undeclared = names - set(sys.stdlib_module_names) - declared - {"nilentropy"}
         assert not undeclared, f"{path.name} imports undeclared {sorted(undeclared)}"
+        imported |= names
+    assert declared <= imported, f"declared but never imported: {sorted(declared - imported)}"
+
+
+def test_test_extra_declares_what_the_tests_import():
+    assert TESTS
+    declared = _declared("test")
+    local = {"nilentropy"} | {path.stem for path in TESTS}
+    imported = set()
+    for path in TESTS:
+        names = _imported_names(path) - set(sys.stdlib_module_names) - local
+        assert names <= declared, f"{path.name} imports undeclared {sorted(names - declared)}"
         imported |= names
     assert declared <= imported, f"declared but never imported: {sorted(declared - imported)}"
 
@@ -60,7 +75,7 @@ def _unused_imports(path):
 def test_no_unused_module_imports():
     # the package's __init__ imports only to re-export
     modules = [path for path in SOURCES if path.name != "__init__.py"]
-    modules += sorted((ROOT / "tests").glob("*.py"))
+    modules += TESTS
     assert modules
     for path in modules:
         unused = _unused_imports(path)
