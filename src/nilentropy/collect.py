@@ -20,18 +20,24 @@ per-term interpretation and no call in between.
 A word-metric ball gets one generated layer expander: the right products
 ``g -> g * h`` by all of its directions ``h``, each ``h`` folded into the
 coefficients, evaluated inline for every element of a breadth-first layer
-(:meth:`CollectionLaw.layer_expander`).  The logarithm and the exponential
-themselves are generated the same way, in integer form at one fixed scale
-``D``, the common denominator of the logarithm:
-:attr:`CollectionLaw.pack_scaled` is ``g -> D log g`` with no division,
-and :attr:`CollectionLaw.unpack_scaled` is ``z -> exp(z / D)`` with one
-exact division per coordinate.  Whatever acts linearly on the Lie algebra
-goes through these integer vectors: an endomorphism,
-``log phi(g) = L log g``, and a power, ``log g^n = n log g``.
+(:meth:`CollectionLaw.layer_expander`).  The logarithm is generated the
+same way, in integer form at one fixed scale ``D``, the common denominator
+of the logarithm: :attr:`CollectionLaw.pack_scaled` is ``g -> D log g``
+with no division.  Its exponential :attr:`CollectionLaw.unpack_scaled`,
+``z -> exp(z / D)``, needs no derivation of its own: the pack polynomials
+are unitriangular, ``z_k = D e_k + Q_k(e_0 .. e_{k-1})`` with integer
+``Q_k``, so it is generated from them by back-substitution
+(:func:`~nilentropy.mpoly.back_substitution`), one exact division by ``D``
+per coordinate.  Whatever acts linearly on the Lie algebra goes through
+these integer vectors: an endomorphism, ``log phi(g) = L log g``, and a
+power, ``log g^n = n log g``.
 
 ``log_vectors[k]`` holds the logarithm of the k-th basis group element as a
 rational coordinate vector; its leading term is the k-th Lie basis vector,
-which makes the peeling loop triangular.
+and its other terms sit at later, no lighter, coordinates.  Every bracket
+lands in a strictly heavier weight, so at a later coordinate.  That makes
+the peeling loop of :meth:`CollectionLaw.unpack` triangular, and ``pack``
+unitriangular, for free groups and quotients alike.
 
 Free groups get their structure constants from the Hall basis
 (:meth:`CollectionLaw.for_free`).  A quotient by a normal subgroup gets the
@@ -48,7 +54,13 @@ from functools import cached_property
 from math import lcm
 
 from .assoc import bch_terms
-from .mpoly import MPoly, compile_poly, layer_expander, straight_line
+from .mpoly import (
+    MPoly,
+    back_substitution,
+    compile_poly,
+    layer_expander,
+    straight_line,
+)
 
 
 def _vec_scale(vec, s):
@@ -284,28 +296,6 @@ class CollectionLaw:
             for denom, terms in compiled
         )
 
-    @cached_property
-    def _unpack_compiled(self):
-        """Compiled ``z -> unpack(z / D)``, ``D`` being :attr:`log_scale`.
-
-        Output ``k`` is the unpack polynomial ``sum_m c_m z^m / denom_k``
-        with ``D`` folded in: a monomial of degree ``deg`` gets the
-        coefficient ``c_m * D^(top_k - deg)`` over the denominator
-        ``denom_k * D^top_k``, ``top_k`` being the output's top degree, so
-        each output is one exact division.
-        """
-        n = self.dim
-        scale = self.log_scale
-        polys = self._sym_polys(self.unpack({k: MPoly.var(n, k) for k in range(n)}))
-        compiled = []
-        for denom, terms in map(compile_poly, polys):
-            degs = [sum(e for _, e in ve) for _, ve in terms]
-            top = max(degs, default=0)
-            compiled.append((denom * scale ** top, tuple(
-                (c * scale ** (top - deg), ve) for (c, ve), deg in zip(terms, degs)
-            )))
-        return tuple(compiled)
-
     # ---- generated kernels, derived on first use: the runtime entry points ----
 
     @cached_property
@@ -326,8 +316,20 @@ class CollectionLaw:
     @cached_property
     def unpack_scaled(self):
         """``z -> exp(z / D)``: coordinates for an integer vector ``z``, ``D``
-        being :attr:`log_scale`, each output one checked exact division."""
-        return straight_line("unpack_scaled", self._unpack_compiled, (self.dim,))
+        being :attr:`log_scale`.
+
+        The scaled logarithm is unitriangular: ``D log g`` has the
+        coordinates ``z_k = D e_k + Q_k(e_0 .. e_{k-1})`` with integer
+        ``Q_k``, since ``log_vectors[k]`` is 1 at ``k`` and supported at
+        ``k`` and later (heavier) coordinates, and every bracket lands in a
+        strictly heavier weight.  So the exponential is back-substitution
+        into the pack polynomials, one checked exact division by ``D`` per
+        coordinate: it raises :class:`IntegralityError` exactly when
+        ``z / D`` is not the logarithm of an integer element, at the first
+        coordinate that is not an integer
+        (:func:`~nilentropy.mpoly.back_substitution`).
+        """
+        return back_substitution("unpack_scaled", *self._pack_compiled)
 
     @property
     def log_scale(self):

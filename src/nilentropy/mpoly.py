@@ -9,7 +9,10 @@ form, and every polynomial map of a law is then turned by
 :func:`straight_line` into one generated Python function: plain ``int``
 arithmetic with an exact-division check per non-unit denominator.  A
 remainder raises :class:`IntegralityError` right there, and every entry
-point lets it through unchanged.  The right products of a word-metric ball
+point lets it through unchanged.  The inverse of a unitriangular map, such
+as the exponential of a law's scaled logarithm, is generated from the
+map's own polynomials by :func:`back_substitution`, one exact division per
+output.  The right products of a word-metric ball
 are generated together by :func:`layer_expander`, one function per ball
 that expands a whole breadth-first layer.  Generated functions are the only
 runtime evaluation path.
@@ -328,6 +331,69 @@ def straight_line_source(name, compiled, arg_sizes):
     return "\n".join(lines) + "\n"
 
 
+def _triangular_rows(scale, compiled):
+    """The terms of each ``Q_k`` in ``z_k = scale * v_k + Q_k(v_0 .. v_{k-1})``.
+
+    ``compiled`` holds one integer polynomial per output ``z_k``; a
+    denominator other than 1, a coefficient of ``v_k`` other than ``scale``
+    or any other term in ``v_j`` with ``j >= k`` raises ``ValueError``
+    naming the output.
+    """
+    rows = []
+    for k, (denom, terms) in enumerate(compiled):
+        if denom != 1:
+            raise ValueError(f"output {k} has denominator {denom}, not 1")
+        lead = ((k, 1),)
+        coeff = next((c for c, ve in terms if ve == lead), 0)
+        if coeff != scale:
+            raise ValueError(f"output {k} has v{k} coefficient {coeff}, not {scale}")
+        rest = tuple((c, ve) for c, ve in terms if ve != lead)
+        late = max((v for _, ve in rest for v, _ in ve), default=-1)
+        if late >= k:
+            raise ValueError(f"output {k} has a term in v{late}, which is not "
+                             f"solved before v{k}")
+        rows.append(rest)
+    return rows
+
+
+def back_substitution_source(name, scale, compiled):
+    """Python source of the inverse of a unitriangular polynomial map.
+
+    ``compiled`` holds integer polynomials ``z_k = scale * v_k + Q_k(v_0 ..
+    v_{k-1})`` (checked by :func:`_triangular_rows`).  The function takes
+    one sequence ``z`` and solves for ``v`` in order:
+    ``v_k, r = divmod(z_k - Q_k, scale)``, raising :class:`IntegralityError`
+    through ``_inexact`` on a remainder, so the first ``v_k`` that is not
+    an integer fails its own division.  Each power ``v_j ** e`` (``e > 1``)
+    is computed once, right after ``v_j``; a sum of more than ``_CHUNK``
+    terms is split into statements.  The text is a deterministic function
+    of its arguments.
+    """
+    rows = _triangular_rows(scale, compiled)
+    powers = sorted({(v, e) for terms in rows for _, ve in terms
+                     for v, e in ve if e > 1})
+    lines = [f"def {name}(a0):",
+             f"    {', '.join(f'z{k}' for k in range(len(rows)))}, = a0"]
+    for k, terms in enumerate(rows):
+        texts = [f"z{k}"] + [_term_text(-c, ve) for c, ve in terms]
+        chunks = [_sum_text(texts[i:i + _CHUNK])
+                  for i in range(0, len(texts), _CHUNK)]
+        value = chunks[0]
+        if len(chunks) > 1:
+            lines.append(f"    s = {value}")
+            lines.extend(f"    s += {chunk}" for chunk in chunks[1:])
+            value = "s"
+        if scale == 1:
+            lines.append(f"    v{k} = {value}")
+        else:
+            lines.append(f"    v{k}, r = divmod({value}, {scale!r})")
+            lines.append("    if r:")
+            lines.append(f"        _inexact({scale!r}, r)")
+        lines.extend(f"    v{v}_{e} = v{v} ** {e}" for v, e in powers if v == k)
+    lines.append(f"    return ({', '.join(f'v{k}' for k in range(len(rows)))},)")
+    return "\n".join(lines) + "\n"
+
+
 def layer_expander_source(directions, size):
     """Python source of ``expand(frontier, dist, new, radius, budget)``.
 
@@ -379,6 +445,12 @@ def straight_line(name, compiled, arg_sizes):
     A non-integral output raises :class:`IntegralityError`.
     """
     return _define(name, straight_line_source(name, compiled, arg_sizes))
+
+
+def back_substitution(name, scale, compiled):
+    """Compile :func:`back_substitution_source` into a function; the text is
+    dropped.  A non-integral output raises :class:`IntegralityError`."""
+    return _define(name, back_substitution_source(name, scale, compiled))
 
 
 def layer_expander(directions, size):

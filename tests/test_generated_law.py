@@ -29,6 +29,8 @@ from nilentropy import (
 )
 from nilentropy.mpoly import (
     MPoly,
+    back_substitution,
+    back_substitution_source,
     compile_poly,
     layer_expander,
     straight_line,
@@ -205,6 +207,53 @@ def test_long_sums_match_reference():
             assert fn(values) == expected
 
 
+# z0 = 2 v0, z1 = 2 v1 - v0^2: unitriangular at scale 2
+TRIANGULAR = ((1, ((2, ((0, 1),)),)), (1, ((-1, ((0, 2),)), (2, ((1, 1),)))))
+
+
+@pytest.mark.parametrize("compiled, message", [
+    ((TRIANGULAR[0], (1, ((2, ((1, 1),)), (1, ((1, 2),))))),
+     "output 1 has a term in v1, which is not solved before v1"),
+    (((1, ((2, ((0, 1),)), (5, ((1, 1),)))), TRIANGULAR[1]),
+     "output 0 has a term in v1, which is not solved before v0"),
+    ((TRIANGULAR[0], (1, ((3, ((1, 1),)),))), "output 1 has v1 coefficient 3, not 2"),
+    ((TRIANGULAR[0], (1, ((-1, ((0, 2),)),))), "output 1 has v1 coefficient 0, not 2"),
+    ((TRIANGULAR[0], (3,) + TRIANGULAR[1][1:]), "output 1 has denominator 3, not 1"),
+])
+def test_back_substitution_refuses_a_non_triangular_map(compiled, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        back_substitution_source("unpack", 2, compiled)
+
+
+def test_back_substitution_inverts_the_map():
+    solve = back_substitution("unpack", 2, TRIANGULAR)
+    for v in [(0, 0), (3, -4), (2 ** 70, -5)]:
+        assert solve(_interpret(TRIANGULAR, v)) == v
+    # v0 = 1 is exact, then 2 v1 = 0 + v0^2 is not
+    with pytest.raises(IntegralityError, match="^expected multiple of 2, got remainder 1$"):
+        solve((2, 0))
+    # at scale 1 there is nothing to check: z0 = v0, z1 = v1 - v0^2
+    unit = ((1, ((1, ((0, 1),)),)), (1, ((-1, ((0, 2),)), (1, ((1, 1),)))))
+    assert "divmod" not in back_substitution_source("unpack", 1, unit)
+    assert back_substitution("unpack", 1, unit)((3, 5)) == (3, 14)
+
+
+def test_back_substitution_of_a_long_sum():
+    # z2 = 6 v2 + Q(v0, v1) with 1201 distinct monomials: three chunked statements
+    q = tuple((k - 700 or 1, tuple((v, e) for v, e in ((0, k // 35), (1, k % 35)) if e))
+              for k in range(1, 1202))
+    compiled = ((1, ((6, ((0, 1),)),)), (1, ((6, ((1, 1),)),)),
+                (1, ((6, ((2, 1),)),) + q))
+    source = back_substitution_source("unpack", 6, compiled)
+    assert source.count("    s += ") == 2
+    solve = back_substitution("unpack", 6, compiled)
+    for v in [(1, 1, 0), (2, -3, 5), (-7, 2 ** 20, 11)]:
+        z = _interpret(compiled, v)
+        assert solve(z) == v
+        with pytest.raises(IntegralityError, match="^expected multiple of 6, got remainder 4$"):
+            solve(z[:2] + (z[2] + 4,))
+
+
 # entry point -> (the law kernel whose division fails, a call through it)
 ENTRY_POINTS = {
     "multiply": ("multiply", lambda s: multiply(s.indicator(0), s.indicator(1), s)),
@@ -245,14 +294,20 @@ def test_integrality_error_from_every_entry_point(name):
 SOURCE_DIGEST = """
 import hashlib
 from nilentropy import free_nilpotent, surface_quotient
-from nilentropy.mpoly import layer_expander_source, straight_line_source
+from nilentropy.mpoly import (
+    back_substitution_source,
+    layer_expander_source,
+    straight_line_source,
+)
 for law in (free_nilpotent(3, 4).law, surface_quotient(2, 3).law):
     n = law.dim
-    for name, compiled, sizes in (("multiply", law._mul_compiled, (n, n)),
-                                  ("inverse", law._inv_compiled, (n,)),
-                                  ("pack", law._pack_compiled[1], (n,)),
-                                  ("unpack_scaled", law._unpack_compiled, (n,))):
-        text = straight_line_source(name, compiled, sizes)
+    texts = [(name, straight_line_source(name, compiled, sizes))
+             for name, compiled, sizes in (("multiply", law._mul_compiled, (n, n)),
+                                           ("inverse", law._inv_compiled, (n,)),
+                                           ("pack", law._pack_compiled[1], (n,)))]
+    texts.append(("unpack_scaled",
+                  back_substitution_source("unpack_scaled", *law._pack_compiled)))
+    for name, text in texts:
         print(name, len(text), hashlib.sha256(text.encode()).hexdigest())
 for spec in (free_nilpotent(2, 3), surface_quotient(2, 3)):
     law = spec.law
@@ -270,11 +325,11 @@ SOURCE_DIGEST_LINES = """\
 multiply 4782 59cb2b0932f147b6ac08473e124a72415c7cf8c3052dd6a46dd703d8ec440aae
 inverse 3519 bbd48ee6a1b4a79fcda16c2b730a459fb37b23f1371e969ce24e24f9814e6141
 pack 2102 364c4856c4b9dd1e5f67a22e58deffba83975e72183a8ee14cee95cd40e123dc
-unpack_scaled 5837 9b3d3ab7d2e9c4ff44c4f00e9fd842d0eaea50924c32a66cdd0f00039d736f69
+unpack_scaled 4011 54aaa50b43d239c47eeb4a24ba1c3791f6e2490b678ab12de5a26a47a88b31ac
 multiply 2647 dd6130f4cbc831e00198db6a8ce3b8999109d994f7957ea3c39377c618599a7d
 inverse 2024 4f945dbe22a280d7e74c321c28c5ae5bfde920a53aaf98203d3838ca14ee46f4
 pack 1091 b3e5a8ba567755eabab12a29025c444fc88b0261b7ed854f982a46764a5e1eeb
-unpack_scaled 3263 a5b862a1e9c263125afdfee45118a1688fb15cb5fbae9c481002cb5426940cf8
+unpack_scaled 2580 173eba646f7a4b06e63faf9c320aea8c2705da79873b2020aa0559b6eb98e8df
 expand 1680 198eaf54d1cf1bdd95dfc7dab362d9905fb7c6457d7ea2c583355b09d8019f8c
 expand 6307 59244f67ce7f36a92d664e345223ef16afa458ae822d50a570a275019fd46d78
 """

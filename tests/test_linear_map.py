@@ -235,6 +235,7 @@ def test_orbit_matches_reference(make, images):
 LAWS = {
     "F(2,5)": lambda: free_nilpotent(2, 5).law,
     "F(3,4)": lambda: free_nilpotent(3, 4).law,
+    "F(2,6)": lambda: free_nilpotent(2, 6).law,
     "surface(2,3)": lambda: GROUPS["surface(2,3)"][0]().law,
 }
 
@@ -258,6 +259,13 @@ def test_unpack_scaled_is_the_scaled_exponential(name, data):
     else:
         with pytest.raises(IntegralityError):
             law.unpack_scaled(z)
+
+
+def test_unpack_scaled_names_the_scale():
+    law = free_nilpotent(2, 2).law
+    assert law.log_scale == 2
+    with pytest.raises(IntegralityError, match="^expected multiple of 2, got remainder 1$"):
+        law.unpack_scaled((1, 0, 0))
 
 
 def test_identity_map_has_unit_linearization():

@@ -293,6 +293,15 @@ def test_karidi_length_ignores_earlier_bands():
     assert repr(karidi_length((3, -1, 5), spec)) == before
 
 
+def test_box_length_keeps_the_rounded_root_on_exact_ties():
+    # |3|^1 and |27|^(1/3) tie exactly, as do 2^100 and (2^300)^(1/3), but
+    # the float root rounds up, and the largest float wins: comparing the
+    # weighted values exactly and then taking one root would change these
+    assert _box_length((3, 27), (1, 3)) == 3.0000000000000004
+    assert _box_length((2 ** 100, 2 ** 300), (1, 3)) == 1.2676506002282317e+30
+    assert float(2 ** 100) == 1.2676506002282294e+30
+
+
 BIG = st.integers(2 ** 64, 2 ** 96)
 
 
