@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .linalg import echelon
+
 
 def one():
     return {(): 1}
@@ -161,35 +163,18 @@ def _solve_exact(columns, target, keys):
     """Solve ``sum_j x_j * columns[j] == target`` exactly; raise if impossible.
 
     ``columns`` and ``target`` are dicts keyed by ``keys``.  The solution is
-    required to be unique and integral.
+    required to be unique and integral; it is read off the reduced echelon
+    form of the augmented rows.
     """
     ncols = len(columns)
-    rows = [[Fraction(col.get(k, 0)) for col in columns] + [Fraction(target.get(k, 0))] for k in keys]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) != ncols:
+    pivots = echelon([[col.get(k, 0) for col in columns] + [target.get(k, 0)] for k in keys])
+    if any(c not in pivots for c in range(ncols)):
         raise ValueError("coordinate system is degenerate")
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
-            raise ValueError("element is not in the span of the basis layer")
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
+    if ncols in pivots:
+        raise ValueError("element is not in the span of the basis layer")
     out = []
-    for v in sol:
+    for c in range(ncols):
+        v = Fraction(pivots[c][ncols])
         if v.denominator != 1:
             raise ValueError(f"non-integral coordinate {v}")
         out.append(int(v))

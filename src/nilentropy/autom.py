@@ -39,7 +39,7 @@ from itertools import islice, repeat
 from .collect import _vec_add, _vec_scale
 from .linalg import bareiss_det, inverse
 from .mpoly import _inexact, exact_quotient
-from .nilgroup import SpecError
+from .nilgroup import SpecError, _integer
 
 def _exact(x):
     """A matrix entry as an ``int``, or as a ``Fraction`` when not integral."""
@@ -253,6 +253,7 @@ def iterate(phi, n):
     The images ``phi^n(x_j)`` are read off the orbits of the generators, so
     nothing is cached on ``phi``.
     """
+    n = _integer(n, "iterate exponent")
     if n < 0:
         raise SpecError("iterate exponent must be non-negative")
     spec = phi.spec

@@ -158,6 +158,25 @@ def subgroup_closure(spec, generators, budget=100_000):
     return lattice
 
 
+def _lower_central_terms(spec, rows, maps, budget=nilgroup.DEFAULT_CLOSURE_BUDGET):
+    """``rows`` and then each next term while it is nontrivial: the sift
+    closure of the images of the current rows under ``maps``.
+
+    ``rows`` are the echelon rows of a subgroup closed under ``maps``.  A
+    next term equal to the current one raises :class:`SpecError`: the series
+    stalls, so the group is not nilpotent.
+    """
+    while rows:
+        yield rows
+        nxt = _sift_closure(
+            spec, [image(row) for row in rows for image in maps], maps,
+            budget=budget, what="lower central series",
+        )
+        if nxt == rows:
+            raise SpecError("lower central series stalled; extension is not nilpotent")
+        rows = nxt
+
+
 def lower_central_series(spec, budget=100_000):
     """Lattices of the lower central terms, from the whole group down.
 
@@ -166,18 +185,9 @@ def lower_central_series(spec, budget=100_000):
     ``H`` with the generators.
     """
     # the indicators are already the echelon rows of the whole group
-    current = SubgroupLattice(spec, [spec.indicator(k) for k in range(spec.dim)])
-    series = [current]
-    maps = _generator_commutators(spec)
-    while True:
-        rows = _sift_closure(
-            spec, [image(row) for row in current.rows for image in maps], maps,
-            budget=budget, what="lower central series",
-        )
-        if not rows:
-            return series
-        current = SubgroupLattice(spec, rows)
-        series.append(current)
+    whole = tuple(spec.indicator(k) for k in range(spec.dim))
+    return [SubgroupLattice(spec, rows) for rows in
+            _lower_central_terms(spec, whole, _generator_commutators(spec), budget)]
 
 
 def quotient_ranks(series):
@@ -250,11 +260,6 @@ class SemidirectSpec:
         bi = self.inverse_element(b)
         return self.multiply(self.multiply(self.multiply(ai, bi), a), b)
 
-    def generators(self):
-        gens = [(1, self.base.identity())]
-        gens += [(0, self.base.indicator(k)) for k in range(self.base.rank)]
-        return gens
-
     def _compute_class(self):
         """Nilpotency class via the lower central series of the extension.
 
@@ -264,35 +269,18 @@ class SemidirectSpec:
         """
         base = self.base
         law = base.law
-        bound = self.hirsch_length + 1
         maps = _generator_commutators(base) + [
             lambda row: law.multiply(law.inverse(row), self.monodromy_power(-1, row))
         ]
-        gens = self.generators()
+        gens = [(1, base.identity())] + [(0, base.indicator(k)) for k in range(base.rank)]
         comms = []
         for i, a in enumerate(gens):
             for b in gens[:i]:
                 k, n = self.commutator_element(a, b)
                 assert k == 0
                 comms.append(n)
-        level = 1
-        current = _sift_closure(base, comms, maps, what="lower central series")
-        while current:
-            level += 1
-            if level > bound:
-                raise SpecError(
-                    f"lower central series still nontrivial beyond class {bound}"
-                )
-            nxt = _sift_closure(
-                base, [image(row) for row in current for image in maps], maps,
-                what="lower central series",
-            )
-            if nxt == current:
-                raise SpecError(
-                    "lower central series stalled; extension is not nilpotent"
-                )
-            current = nxt
-        return level
+        second = _sift_closure(base, comms, maps, what="lower central series")
+        return 1 + sum(1 for _ in _lower_central_terms(base, second, maps))
 
     def __repr__(self):
         return (

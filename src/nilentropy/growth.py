@@ -37,6 +37,7 @@ from .linalg import bareiss_det
 from .nilgroup import (
     GrowthWarning,
     SpecError,
+    _integer,
     bfs_ball,
     geodesic_length,
     project,
@@ -149,6 +150,7 @@ def growth_series(phi, g, n_max, mode="karidi", genset=None):
         raise SpecError(
             f"unknown growth mode {mode!r}; expected one of {', '.join(MODES)}"
         )
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise SpecError(f"n_max must be >= 1, got {n_max}")
     spec = phi.spec
@@ -416,8 +418,7 @@ def distortion_profile(spec, i, radius=None, genset=None,
     measured twice: ambient word length against intrinsic length in the
     subgroup's own coordinates (box proxy with the induced weights ⌊w/i⌋).
     The layer is found by a C-level filter on coordinate 0 before the rest
-    of the weight-below-i prefix is tested; its intrinsic lengths are taken
-    column by column, one root per distinct absolute coordinate value.
+    of the weight-below-i prefix is tested.
     """
     c = spec.nilpotency_class
     if not 1 <= i <= c:
@@ -440,7 +441,8 @@ def distortion_profile(spec, i, radius=None, genset=None,
             f"only {len(layer)} elements of the weight-{i} layer within "
             f"radius {radius}; need at least {need}"
         )
-    intrinsic = nilgroup._box_lengths(layer, spec.weights, i)
+    induced = [w // i for w in spec.weights]
+    intrinsic = [nilgroup._box_length(h, induced) for h in layer]
     return _loglog_fit(layer.values(), intrinsic)
 
 

@@ -1,12 +1,17 @@
-"""Exact linear algebra: one ``Fraction`` row reduction and a Bareiss determinant.
+"""Exact linear algebra: one ``Fraction`` row reduction, a Bareiss
+determinant and the Smith invariant factors.
 
 :func:`echelon` is the only elimination over the rationals; the rational
-nullspace and the inverse are read off its reduced rows.  Integer determinants use fraction-free elimination instead
-(E. Bareiss, Math. Comp. 22, 1968), which stays in the integers.
+nullspace, the inverse and the Magnus oracle's layer solve
+(:mod:`nilentropy.assoc`) are read off its reduced rows.  Over the integers,
+determinants use fraction-free elimination (E. Bareiss, Math. Comp. 22,
+1968), and :func:`smith_factors` gives the invariant factors of a row
+lattice, which decide the torsion of a graded quotient piece.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -76,3 +81,40 @@ def bareiss_det(rows):
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
         prev = pivot
     return sign * a[-1][-1] if n else 1
+
+
+def smith_factors(rows):
+    """The nonzero invariant factors of the integer row lattice spanned by
+    ``rows``, each dividing the next; ``[]`` when every row is zero.
+
+    Smith elimination: the entry of least absolute value is the pivot, and
+    its column and then its row are reduced modulo it.  A pivot left alone
+    in its row and column is split off; otherwise a remainder, smaller than
+    the pivot, becomes the next pivot.  The split pivots are then put in
+    divisibility order by gcd and lcm pairs.
+    """
+    a = [list(row) for row in rows if any(row)]
+    factors = []
+    while a:
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+        prow = a.pop(i)
+        p = prow[j]
+        for row in a:
+            q = row[j] // p
+            if q:
+                row[:] = [x - q * y for x, y in zip(row, prow)]
+        steps = [(k, x // p) for k, x in enumerate(prow) if x and k != j]
+        for row in (prow, *a):
+            if row[j]:
+                for k, q in steps:
+                    row[k] -= q * row[j]
+        if any(prow[k] for k, _ in steps) or any(row[j] for row in a):
+            a.append(prow)
+        else:
+            factors.append(abs(p))
+        a = [row for row in a if any(row)]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = math.gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    return factors

@@ -98,9 +98,6 @@ class MPoly:
         terms = {m << shift: c for m, c in self.terms.items()} if shift else self.terms
         return MPoly(nvars, terms, self.den, self.top)
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -24,6 +24,7 @@ from itertools import compress
 
 from .collect import CollectionLaw
 from .hall import HallBasis
+from .linalg import smith_factors
 
 DEFAULT_RADIUS_CAP = 10
 DEFAULT_BALL_BUDGET = 10_000_000
@@ -71,86 +72,7 @@ def _integer(value, what):
 
 
 # ---------------------------------------------------------------------------
-# integer Smith invariants (small matrices; used for graded quotients)
-
-
-def _smith_factors(rows, width):
-    """Invariant factors of the integer row lattice spanned by ``rows``."""
-    a = [list(r) for r in rows]
-    rank = 0
-
-    def col_swap(c1, c2):
-        for r in a:
-            r[c1], r[c2] = r[c2], r[c1]
-
-    def col_add(dst, src, q):
-        # column_dst += q * column_src
-        for r in a:
-            r[dst] += q * r[src]
-
-    def col_negate(c):
-        for r in a:
-            r[c] = -r[c]
-
-    t = 0
-    while t < len(a) and rank < width:
-        # find a pivot in the remaining block
-        pr = pc = None
-        best = None
-        for i in range(t, len(a)):
-            for j in range(rank, width):
-                val = abs(a[i][j])
-                if val and (best is None or val < best):
-                    best, pr, pc = val, i, j
-        if pr is None:
-            break
-        a[t], a[pr] = a[pr], a[t]
-        if pc != rank:
-            col_swap(pc, rank)
-        # clear the pivot row and column
-        while True:
-            if a[t][rank] < 0:
-                col_negate(rank)
-            p = a[t][rank]
-            dirty = False
-            for j in range(rank + 1, width):
-                q = a[t][j] // p
-                if q:
-                    col_add(j, rank, -q)
-                if a[t][j]:
-                    # remainder smaller than pivot: swap in and restart
-                    col_swap(j, rank)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for i in range(t + 1, len(a)):
-                q = a[i][rank] // p
-                if q:
-                    for j in range(rank, width):
-                        a[i][j] -= q * a[t][j]
-                if a[i][rank]:
-                    a[t], a[i] = a[i], a[t]
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        rank += 1
-        t += 1
-
-    factors = []
-    for i in range(rank):
-        factors.append(abs(a[i][i]))
-    # enforce the divisibility chain
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            g = math.gcd(factors[i], factors[j])
-            lcm = factors[i] * factors[j] // g if g else 0
-            factors[i], factors[j] = g, lcm
-    return factors
-
-
-# ---------------------------------------------------------------------------
+# length records, words and group specs
 
 
 @dataclass(frozen=True)
@@ -315,13 +237,13 @@ class GroupSpec:
         # graded side: rank and torsion of each quotient piece
         ranks = {}
         for d in range(2, c + 1):
-            factors = _smith_factors(self.relations.get(d, ()), basis.graded_dimension(d))
-            bad = [f for f in factors if f not in (0, 1)]
+            factors = smith_factors(self.relations.get(d, ()))
+            bad = [f for f in factors if f != 1]
             if bad:
                 raise TorsionDetected(
                     f"graded piece at weight {d} has invariant factors {bad}"
                 )
-            ranks[d] = sum(1 for f in factors if f == 1)
+            ranks[d] = len(factors)
         # group side: normal closure of the relators in the free cover
         if relators is None:
             relators = self._default_relators(cover)
@@ -687,20 +609,6 @@ def _boxes(tables, columns):
     return looked[0] if len(looked) == 1 else map(max, *looked)
 
 
-def _box_lengths(vecs, weights, divisor=1):
-    """``_box_length`` of each vector under the weights ``w // divisor``.
-
-    Works column by column with one root per distinct absolute value, so
-    every length is the per-element float bit for bit.  The distortion fit
-    takes it over its layer; :func:`karidi_band` lists per-element lengths
-    the same way, but only on spheres whose least box is not 1.0.
-    """
-    columns = [list(map(abs, col)) for col in zip(*vecs)]
-    tables = [{} for _ in columns]
-    _add_roots(tables, columns, [w // divisor for w in weights])
-    return list(_boxes(tables, columns))
-
-
 def karidi_length(g, spec):
     """Box-length proxy for the word metric: ``max_i |e_i|^(1/w_i)``."""
     g = spec.check_vector(g)
@@ -782,6 +690,9 @@ def bfs_ball(spec, radius, genset=None, budget=DEFAULT_BALL_BUDGET):
     only on the requested radius, never on how far earlier calls grew the
     cache or which generating sets they used.
     """
+    radius = _integer(radius, "radius")
+    if radius < 0:
+        raise SpecError(f"radius must be >= 0, got {radius}")
     ball = _get_ball(spec, genset)
     ball.expand_to(radius, budget)
     if ball.radius <= radius:
@@ -794,6 +705,9 @@ def geodesic_length(g, spec, radius_cap=DEFAULT_RADIUS_CAP, genset=None,
                     budget=DEFAULT_BALL_BUDGET):
     """Exact word length if within ``radius_cap``, else ``None`` (unknown)."""
     g = spec.check_vector(g)
+    radius_cap = _integer(radius_cap, "radius_cap")
+    if radius_cap < 0:
+        raise SpecError(f"radius_cap must be >= 0, got {radius_cap}")
     ball = _get_ball(spec, genset)
     found = ball.dist.get(g)
     if found is None:

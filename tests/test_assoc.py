@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from nilentropy import HallBasis, free_nilpotent
 from nilentropy.assoc import (
+    _solve_exact,
     bch_terms,
     elt_inverse,
     elt_power,
@@ -109,3 +112,14 @@ def test_magnus_normal_form_collects_a_commutator():
     # x2 x1 differs from the normal order x1 x2 by one central commutator
     assert magnus_normal_form([(0, 1), (1, 1)], basis) == (1, 1, 0)
     assert magnus_normal_form([(1, 1), (0, 1)], basis) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("columns, target, message", [
+    ([{(0,): 1}, {(0,): 2}], {(0,): 1}, "coordinate system is degenerate"),
+    ([{(0,): 1}], {(0,): 1, (1,): 1}, "element is not in the span of the basis layer"),
+    ([{(0,): 2, (1,): 4}], {(0,): 1, (1,): 2}, "non-integral coordinate 1/2"),
+], ids=["degenerate", "outside-span", "non-integral"])
+def test_solve_exact_refusals(columns, target, message):
+    keys = sorted({k for col in columns for k in col} | set(target))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _solve_exact(columns, target, keys)

@@ -81,6 +81,12 @@ def test_compose_iterate_invert(f23, rng):
     assert iterate(phi, 1).images == phi.images
 
 
+@pytest.mark.parametrize("n", [-1, 2.5])
+def test_iterate_refuses_a_bad_exponent(heis, n):
+    with pytest.raises(SpecError, match="iterate exponent"):
+        iterate(builtin_automorphism("fib", heis), n)
+
+
 @pytest.mark.parametrize("make, names", [
     (lambda: free_nilpotent(2, 3), ("fib", "unipotent-shear")),
     (lambda: free_nilpotent(3, 3), ("fib", "central-shear")),

@@ -196,6 +196,14 @@ def test_semidirect_unipotent_shear_on_heisenberg(heis):
     assert sd.nilpotency_class == 3
 
 
+def test_lower_central_terms_stall_under_the_identity_map(heis):
+    rows = tuple(heis.indicator(k) for k in range(heis.dim))
+    terms = constructions._lower_central_terms(heis, rows, [lambda row: row])
+    assert next(terms) == rows
+    with pytest.raises(SpecError, match="stalled"):
+        next(terms)
+
+
 def test_semidirect_central_shear_upper_central_length(heis):
     phi = builtin_automorphism("central-shear", heis)
     sd = semidirect_unipotent(heis, phi)

@@ -103,6 +103,13 @@ def test_growth_series_rejects_unknown_mode(heis):
         growth_series(phi, heis.indicator(0), 5, mode="exotic")
 
 
+@pytest.mark.parametrize("n_max", [0, 2.5])
+def test_growth_series_refuses_a_bad_count(heis, n_max):
+    phi = builtin_automorphism("fib", heis)
+    with pytest.raises(SpecError, match="n_max"):
+        growth_series(phi, heis.indicator(0), n_max)
+
+
 def test_growth_series_leaves_the_spec_as_it_was(f23):
     phi = builtin_automorphism("fib", f23)
     keys = sorted(vars(f23))

@@ -270,6 +270,20 @@ def test_bfs_ball_basic_structure(heis):
         assert dist[inverse(g, heis)] == d
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec: bfs_ball(spec, -1),
+    lambda spec: bfs_ball(spec, 2.5),
+    lambda spec: geodesic_length(identity(spec), spec, radius_cap=-1),
+    lambda spec: geodesic_length(identity(spec), spec, radius_cap=2.5),
+], ids=["ball-negative", "ball-float", "cap-negative", "cap-float"])
+def test_metric_calls_refuse_bad_radii(call):
+    # a fresh spec: a refused radius grows no ball
+    spec = GroupSpec(HallBasis(2, 2))
+    with pytest.raises(SpecError):
+        call(spec)
+    assert spec._ball is None
+
+
 def test_karidi_band_bounds_hold_on_the_ball(heis):
     band = karidi_band(heis, radius=4)
     assert 0 < band.lower <= band.upper

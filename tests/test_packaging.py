@@ -1,7 +1,8 @@
 """The declared runtime dependencies are exactly the packages the source
 imports, the ``test`` extra exactly the third-party packages the tests
 import, every module-level import of the package and the tests is used,
-and every module-level definition is referenced elsewhere in the package."""
+and every module-level definition and method is referenced elsewhere in the
+package."""
 
 import ast
 import re
@@ -82,8 +83,13 @@ def test_no_unused_module_imports():
         assert not unused, f"{path.name} never uses {unused}"
 
 
-# kept unreferenced on purpose: the independent oracle the tests compare against
-UNREFERENCED_OK = {("assoc", "magnus_normal_form")}
+# kept unreferenced on purpose: the independent oracle the tests compare
+# against, and public methods kept for library callers
+UNREFERENCED_OK = {
+    ("assoc", "magnus_normal_form"),
+    ("constructions", "SubgroupLattice.member_from_coefficients"),
+    ("mpoly", "MPoly.zero"),
+}
 
 
 def _mentioned(node):
@@ -99,7 +105,14 @@ def _mentioned(node):
     return out
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_module_level_definition_is_referenced():
+    """Module-level functions and classes, and the methods of those classes
+    other than dunders, are each named by some statement of the package
+    other than their own definition."""
     statements = [(path.stem, node) for path in SOURCES
                   for node in ast.parse(path.read_text(), str(path)).body]
     mentions = [(node, _mentioned(node)) for _, node in statements]
@@ -108,5 +121,16 @@ def test_every_module_level_definition_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         # referenced by any top-level statement of the package but its own
         and not any(node.name in names for other, names in mentions if other is not node)
+    }
+    # a method is looked up among the other statements of its class body and
+    # the top-level statements of the package but its class
+    classes = [(module, node) for module, node in statements if isinstance(node, ast.ClassDef)]
+    members = [(sub, _mentioned(sub)) for _, cls in classes for sub in cls.body]
+    mentions = [(node, names) for node, names in mentions
+                if not isinstance(node, ast.ClassDef)] + members
+    unreferenced |= {
+        (module, f"{cls.name}.{sub.name}") for module, cls in classes for sub in cls.body
+        if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name)
+        and not any(sub.name in names for other, names in mentions if other is not sub)
     }
     assert unreferenced == UNREFERENCED_OK
