@@ -15,8 +15,10 @@ with a copy whose variables are shifted past the first factor's.  Each of
 those polynomial maps is generated once as a straight-line Python function
 (:func:`~nilentropy.mpoly.straight_line`), and that function is itself the
 law's entry point (:attr:`CollectionLaw.multiply` and the others), so the
-runtime path is plain ``int`` arithmetic with exact divisions, with no
-per-term interpretation and no call in between.
+runtime path is plain ``int`` arithmetic, with no per-term interpretation
+and no call in between.  Hall's polynomials take integer values, so their
+outputs are generated over binomial coefficients with no checked division;
+only the exponential below keeps exact-division checks.
 A word-metric ball gets one generated layer expander: the right products
 ``g -> g * h`` by all of its directions ``h``, each ``h`` folded into the
 coefficients, evaluated inline for every element of a breadth-first layer

@@ -37,6 +37,7 @@ from .nilgroup import (
 
 def truncate(spec, k):
     """Quotient by the k-th lower central term: a spec of class ``k - 1``."""
+    k = _integer(k, "truncation weight")
     if not 2 <= k <= spec.nilpotency_class + 1:
         raise SpecError(
             f"truncation weight {k} out of range 2..{spec.nilpotency_class + 1}"
@@ -368,7 +369,7 @@ def upper_central_dimensions(spec_or_semidirect):
 # surface relator quotients
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def surface_quotient(genus, nil_class):
     """Class-c quotient of the genus-g surface group (cached).
 
@@ -378,8 +379,11 @@ def surface_quotient(genus, nil_class):
     cover's Lie bracket, and ``GroupSpec`` checks them against the relator's
     normal closure.  The graded pieces of a surface group are free abelian
     (Labute, J. Algebra 14, 1970), yet a closure lead other than 1 is still
-    refused with :class:`TorsionDetected`, as for genus 2 at class 4.
+    refused with :class:`TorsionDetected`, as for genus 2 at class 4.  The
+    cache is typed, so a float count never finds a cached spec.
     """
+    genus = _integer(genus, "genus")
+    nil_class = _integer(nil_class, "class")
     if genus < 1:
         raise SpecError(f"genus must be >= 1, got {genus}")
     if nil_class < 2:

@@ -68,6 +68,10 @@ class HallBasis:
     """Hall basis of the free Lie ring of given rank, truncated at ``nil_class``."""
 
     def __init__(self, rank, nil_class):
+        from .nilgroup import _integer  # nilgroup imports this module
+
+        rank = _integer(rank, "rank")
+        nil_class = _integer(nil_class, "class")
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         if nil_class < 1:

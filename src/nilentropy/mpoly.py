@@ -6,10 +6,16 @@ is one ``int`` with one byte per variable exponent (little-endian), so a
 monomial product is one integer addition.  Each derived polynomial is
 flattened by :func:`compile_poly` into an integer ``(denominator, terms)``
 form, and every polynomial map of a law is then turned by
-:func:`straight_line` into one generated Python function: plain ``int``
-arithmetic with an exact-division check per non-unit denominator.  A
-remainder raises :class:`IntegralityError` right there, and every entry
-point lets it through unchanged.  The inverse of a unitriangular map, such
+:func:`straight_line` into one generated Python function of plain ``int``
+arithmetic.  An output over a denominator ``D != 1`` is rewritten over
+products of binomial coefficients ``C(v, k)``, a basis of the
+integer-valued polynomials: when every coefficient is a multiple of ``D``
+the output is integer-valued, and it is generated with no division that
+can fail.  That holds for every multiply and inverse output of a law,
+Hall's polynomials being integer-valued.  Any other output keeps an
+exact-division check by ``D``; a remainder raises
+:class:`IntegralityError` right there, and every entry point lets it
+through unchanged.  The inverse of a unitriangular map, such
 as the exponential of a law's scaled logarithm, is generated from the
 map's own polynomials by :func:`back_substitution`, one exact division per
 output.  The right products of a word-metric ball
@@ -253,8 +259,10 @@ def exact_quotient(value, denom):
     return q
 
 
-def _term_text(c, ve):
-    factors = "*".join(f"v{v}" if e == 1 else f"v{v}_{e}" for v, e in ve)
+def _term_text(c, ve, prefix="v"):
+    """``c`` times the factors ``ve``: ``v{v}`` at exponent 1, else
+    ``{prefix}{v}_{e}`` (a power under ``"v"``, a binomial under ``"b"``)."""
+    factors = "*".join(f"v{v}" if e == 1 else f"{prefix}{v}_{e}" for v, e in ve)
     if not factors:
         return repr(c)
     if c == 1:
@@ -271,23 +279,71 @@ def _sum_text(texts):
     return "".join(parts)
 
 
-def _power_lines(compiled, indent):
-    """One statement per power ``v_i ** e`` (``e > 1``) used by ``compiled``."""
-    powers = sorted({(v, e) for _, terms in compiled for _, ve in terms
-                     for v, e in ve if e > 1})
-    return [f"{indent}v{v}_{e} = v{v} ** {e}" for v, e in powers]
+def _output_form(denom, terms):
+    """``(denominator, terms, prefix)`` of one compiled output, as generated.
+
+    An output over a denominator ``D != 1`` is rewritten in the basis of
+    binomial products ``C(v_1, k_1) ... C(v_r, k_r)``: ``v ** e`` is the sum
+    of ``k! S(e, k) C(v, k)`` over ``k = 1 .. e``, ``S`` being the Stirling
+    numbers of the second kind, so every coefficient stays an ``int``.
+    Those products are a basis of the integer-valued polynomials, so the
+    output takes an integer value at every integer point exactly when each
+    coefficient is a multiple of ``D``.  Then the quotients are returned
+    under ``"b"``, over denominator 1: no division is left to fail.
+    Otherwise, and for ``D == 1``, the output is returned as it came,
+    under ``"v"``.
+    """
+    if denom == 1:
+        return denom, terms, "v"
+    row, rows = [1], [[]]  # rows[e]: the pairs (k, k! S(e, k)) with k >= 1
+    for e in range(1, max((e for _, ve in terms for _, e in ve), default=0) + 1):
+        row = [0] + [k * (row[k - 1] + (row[k] if k < e else 0)) for k in range(1, e + 1)]
+        rows.append([(k, t) for k, t in enumerate(row) if t])
+    out = {}
+    get = out.get
+    for c, ve in terms:
+        expanded = [((), c)]
+        for v, e in ve:
+            expanded = [(key + ((v, k),), a * t) for key, a in expanded for k, t in rows[e]]
+        for key, a in expanded:
+            out[key] = get(key, 0) + a
+    if any(a % denom for a in out.values()):
+        return denom, terms, "v"
+    return 1, tuple((a // denom, key) for key, a in sorted(out.items()) if a), "b"
 
 
-def _output_lines(compiled, indent):
-    """Statements and result expressions evaluating each compiled output.
+def _prelude_lines(forms, indent):
+    """One statement per power ``v_i ** e`` and per binomial ``C(v_i, k)``
+    (``e, k > 1``) that ``forms`` use, each computed once.  The binomials of
+    one variable form a chain, ``C(v, k) = C(v, k - 1) * (v - k + 1) // k``,
+    whose division is exact for every integer ``v``, negative ones too:
+    the product is ``k C(v, k)``."""
+    powers = sorted({(v, e) for _, terms, prefix in forms if prefix == "v"
+                     for _, ve in terms for v, e in ve if e > 1})
+    lines = [f"{indent}v{v}_{e} = v{v} ** {e}" for v, e in powers]
+    tops = {}
+    for _, terms, prefix in forms:
+        if prefix == "b":
+            for _, ve in terms:
+                for v, k in ve:
+                    tops[v] = max(tops.get(v, 1), k)
+    for v in sorted(tops):
+        for k in range(2, tops[v] + 1):
+            prev = f"v{v}" if k == 2 else f"b{v}_{k - 1}"
+            lines.append(f"{indent}b{v}_{k} = {prev} * (v{v} - {k - 1}) // {k}")
+    return lines
+
+
+def _output_lines(forms, indent):
+    """Statements and result expressions evaluating each output form.
 
     An output is one integer sum (split into statements of ``_CHUNK`` terms
     when longer), followed by an exact ``divmod`` check when its denominator
     is not 1; a short sum over denominator 1 stays an inline expression.
     """
     lines, outputs = [], []
-    for k, (denom, terms) in enumerate(compiled):
-        texts = [_term_text(c, ve) for c, ve in terms]
+    for k, (denom, terms, prefix) in enumerate(forms):
+        texts = [_term_text(c, ve, prefix) for c, ve in terms]
         chunks = [_sum_text(texts[i:i + _CHUNK])
                   for i in range(0, len(texts), _CHUNK)] or ["0"]
         if denom == 1 and len(chunks) == 1:
@@ -307,12 +363,18 @@ def straight_line_source(name, compiled, arg_sizes):
     """Python source of one function evaluating a tuple of compiled polynomials.
 
     The function takes one sequence per entry of ``arg_sizes`` and unpacks
-    them, in order, into the variables ``v0, v1, ...``.  Each power
-    ``v_i ** e`` with ``e > 1`` is computed once; each output is one integer
-    sum (split into statements of ``_CHUNK`` terms when longer), followed by
-    an exact ``divmod`` check when its denominator is not 1.  The text is
-    built from sorted terms, ``int`` reprs and variable indices only, so it
-    is a deterministic function of its arguments.
+    them, in order, into the variables ``v0, v1, ...``.  Each output is one
+    integer sum (split into statements of ``_CHUNK`` terms when longer).
+    An output with denominator 1 is a sum of monomials, each power
+    ``v_i ** e`` with ``e > 1`` computed once.  An output with a denominator
+    ``D != 1`` that takes integer values at every integer point is a sum of
+    binomial products with integer coefficients (:func:`_output_form`), each
+    ``C(v_i, k)`` computed once, so it cannot fail: that was proven when the
+    text was generated.  Only an output that is not integer-valued keeps
+    its monomial sum and an exact ``divmod`` check by ``D``, which raises
+    :class:`IntegralityError` on a remainder.  The text is built from
+    sorted terms, ``int`` reprs and variable indices only, so it is a
+    deterministic function of its arguments.
     """
     params = [f"a{i}" for i in range(len(arg_sizes))]
     lines = [f"def {name}({', '.join(params)}):"]
@@ -321,8 +383,9 @@ def straight_line_source(name, compiled, arg_sizes):
         names = ", ".join(f"v{first + k}" for k in range(size))
         lines.append(f"    {names}, = {param}")
         first += size
-    lines.extend(_power_lines(compiled, "    "))
-    body, outputs = _output_lines(compiled, "    ")
+    forms = [_output_form(*cp) for cp in compiled]
+    lines.extend(_prelude_lines(forms, "    "))
+    body, outputs = _output_lines(forms, "    ")
     lines.extend(body)
     lines.append(f"    return ({', '.join(outputs)},)")
     return "\n".join(lines) + "\n"
@@ -398,8 +461,10 @@ def layer_expander_source(directions, size):
     variables per direction ``h``: the right product ``g -> g * h``.  The
     function expands one breadth-first layer.  For each ``g`` of
     ``frontier`` it unpacks ``g`` into ``v0, v1, ...`` once and computes
-    each power ``v_i ** e`` once, then takes every direction's product in
-    order, with the same exact ``divmod`` checks as :func:`straight_line`.
+    each power ``v_i ** e`` and each binomial ``C(v_i, k)`` once, then
+    takes every direction's product in order, each output generated as in
+    :func:`straight_line_source`: division-free where it is integer-valued,
+    with an exact ``divmod`` check where it is not.
     A product not yet in ``dist`` is recorded there at ``radius`` and
     appended to ``new``.  The function returns ``True`` right after the
     insertion that takes ``len(dist)`` past ``budget``, and ``False`` once
@@ -412,10 +477,10 @@ def layer_expander_source(directions, size):
              "    room = budget - len(dist)",
              "    for g in frontier:",
              f"        {names}, = g"]
-    lines.extend(_power_lines([cp for compiled in directions for cp in compiled],
-                              "        "))
-    for compiled in directions:
-        body, outputs = _output_lines(compiled, "        ")
+    forms = [[_output_form(*cp) for cp in compiled] for compiled in directions]
+    lines.extend(_prelude_lines([f for fs in forms for f in fs], "        "))
+    for fs in forms:
+        body, outputs = _output_lines(fs, "        ")
         lines.extend(body)
         lines.extend([f"        h = ({', '.join(outputs)},)",
                       "        if h not in dist:",

@@ -346,10 +346,12 @@ class GroupSpec:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def free_nilpotent(rank, nil_class):
     """Free nilpotent group of the given rank and class (cached): the cover
-    every quotient of that rank and class shares, laws included."""
+    every quotient of that rank and class shares, laws included.  The cache
+    is typed, so a float count such as ``2.0`` never finds the spec cached
+    for ``2`` and is refused by :class:`HallBasis`."""
     return GroupSpec(HallBasis(rank, nil_class))
 
 

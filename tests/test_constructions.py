@@ -73,6 +73,29 @@ def test_truncate_range(f24):
         truncate(f24, 6)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: HallBasis(2, 3.0), "class must be an integer"),
+    (lambda: HallBasis(2.0, 3), "rank must be an integer"),
+    (lambda: free_nilpotent(2, 3.0), "class must be an integer"),
+    (lambda: surface_quotient(1.5, 3), "genus must be an integer"),
+    (lambda: surface_quotient(2, 3.0), "class must be an integer"),
+    (lambda: truncate(free_nilpotent(2, 2), 2.5), "truncation weight must be an integer"),
+], ids=["hall-class", "hall-rank", "free", "surface-genus", "surface-class", "truncate"])
+def test_float_counts_refused(call, message):
+    with pytest.raises(SpecError, match=message):
+        call()
+
+
+def test_float_count_misses_the_cached_spec():
+    """A float equal to a cached count is refused, not served the cached spec."""
+    assert free_nilpotent(2, 2) is free_nilpotent(2, 2)
+    with pytest.raises(SpecError, match="class must be an integer"):
+        free_nilpotent(2, 2.0)
+    surface_quotient(2, 3)
+    with pytest.raises(SpecError, match="genus must be an integer"):
+        surface_quotient(2.0, 3)
+
+
 # ---------------------------------------------------------------------------
 # subgroup lattices
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -34,6 +35,7 @@ from nilentropy.mpoly import (
     compile_poly,
     layer_expander,
     straight_line,
+    straight_line_source,
 )
 
 from conftest import eval_compiled
@@ -50,6 +52,8 @@ GROUPS = {
 
 BIG = st.integers(2 ** 64, 2 ** 96)
 COORD = st.one_of(st.integers(-3, 3), BIG, BIG.map(lambda v: -v))
+# the kernel oracle's coordinates: zero, small negatives and +-2**70
+KERNEL_COORD = st.one_of(st.integers(-3, 3), st.sampled_from((2 ** 70, -2 ** 70)), COORD)
 EXPONENT = st.one_of(st.integers(-8, 8), st.integers(2 ** 64, 2 ** 70),
                      st.integers(-2 ** 70, -2 ** 64))
 
@@ -193,6 +197,72 @@ def test_division_check_matches_reference():
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernels_match_their_polynomials(name, data):
+    """``multiply`` and ``inverse`` against the monomial polynomials they
+    were generated from, evaluated term by term."""
+    law = GROUPS[name]().law
+    g, h = (data.draw(st.tuples(*[KERNEL_COORD] * law.dim)) for _ in range(2))
+    assert law.multiply(g, h) == _interpret(law._mul_compiled, g + h)
+    assert law.inverse(g) == _interpret(law._inv_compiled, g)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_law_kernels_divide_nowhere(name):
+    """Every multiply and inverse output is integer-valued, so none keeps a
+    checked division."""
+    law = GROUPS[name]().law
+    n = law.dim
+    if law.nil_class >= 3:
+        assert any(denom != 1 for denom, _ in law._mul_compiled)
+    for kernel, compiled, sizes in (("multiply", law._mul_compiled, (n, n)),
+                                    ("inverse", law._inv_compiled, (n,))):
+        assert "divmod" not in straight_line_source(kernel, compiled, sizes)
+
+
+V0 = MPoly.var(1, 0)
+POINTS = [(v,) for v in (*range(-9, 10), 2 ** 70, -2 ** 70, 2 ** 70 + 1, -2 ** 70 - 1)]
+
+
+@pytest.mark.parametrize("poly, denom", [((V0 * V0 - V0) * Fraction(1, 2), 2),
+                                         ((V0 * V0 * V0 - V0) * Fraction(1, 6), 6)],
+                         ids=["(v0**2 - v0)/2", "(v0**3 - v0)/6"])
+def test_integer_valued_output_generates_no_division(poly, denom):
+    compiled = compile_poly(poly)
+    assert compiled[0] == denom
+    assert "divmod" not in straight_line_source("f", (compiled,), (1,))
+    fn = straight_line("f", (compiled,), (1,))
+    for point in POINTS:
+        assert fn(point) == (eval_compiled(compiled, point),)
+
+
+def test_binomial_products_of_two_variables():
+    """C(v0, 3) C(v1, 2) + C(v1, 4) over denominator 24, negatives included."""
+    v0, v1 = MPoly.var(2, 0), MPoly.var(2, 1)
+    poly = (v0 * (v0 - 1) * (v0 - 2) * v1 * (v1 - 1) * Fraction(1, 12)
+            + v1 * (v1 - 1) * (v1 - 2) * (v1 - 3) * Fraction(1, 24))
+    compiled = compile_poly(poly)
+    assert compiled[0] == 24
+    source = straight_line_source("f", (compiled,), (2,))
+    assert "divmod" not in source and "b0_3*b1_2 + b1_4" in source
+    fn = straight_line("f", (compiled,), (2,))
+    for point in [(a, b) for a in (-7, -1, 0, 2, 5, -2 ** 70) for b in (-4, 0, 3, 2 ** 70)]:
+        assert fn(point) == (eval_compiled(compiled, point),)
+
+
+@pytest.mark.parametrize("poly", [V0 * Fraction(1, 2), V0 * V0 * Fraction(1, 2)],
+                         ids=["v0/2", "v0**2/2"])
+def test_fractional_output_keeps_its_division(poly):
+    compiled = compile_poly(poly)
+    assert "divmod(s0, 2)" in straight_line_source("f", (compiled,), (1,))
+    fn = straight_line("f", (compiled,), (1,))
+    assert fn((4,)) == (eval_compiled(compiled, (4,)),)
+    with pytest.raises(IntegralityError, match="^expected multiple of 2, got remainder 1$"):
+        fn((1,))
+
+
 def test_long_sums_match_reference():
     terms = tuple((k - 700 or 1, ((0, 1), (1, k % 4 + 1))) for k in range(1201))
     compiled = ((1, terms), (6, terms), (1, ()))
@@ -322,16 +392,16 @@ for spec in (free_nilpotent(2, 3), surface_quotient(2, 3)):
 # Length and sha256 of each text SOURCE_DIGEST prints: any change to the
 # text of a derived law, however it is derived, shows here.
 SOURCE_DIGEST_LINES = """\
-multiply 4782 59cb2b0932f147b6ac08473e124a72415c7cf8c3052dd6a46dd703d8ec440aae
-inverse 3519 bbd48ee6a1b4a79fcda16c2b730a459fb37b23f1371e969ce24e24f9814e6141
+multiply 2450 1acc2f9f988749db245488d51233eb7cb8e6cbaa7086574776a942d103185830
+inverse 1877 745a622fb363a12ea1ae866223af607b12ee46a2b51817a116dfe0e23504510b
 pack 2102 364c4856c4b9dd1e5f67a22e58deffba83975e72183a8ee14cee95cd40e123dc
 unpack_scaled 4011 54aaa50b43d239c47eeb4a24ba1c3791f6e2490b678ab12de5a26a47a88b31ac
-multiply 2647 dd6130f4cbc831e00198db6a8ce3b8999109d994f7957ea3c39377c618599a7d
-inverse 2024 4f945dbe22a280d7e74c321c28c5ae5bfde920a53aaf98203d3838ca14ee46f4
+multiply 1418 577846c74cf95ebafe3c65d1e51681035e2fe16ab8cbf8fe1242e8c84d2e091d
+inverse 946 81ffd400c8ce57ed13db4a34c55d4dc2072c97551b06d0a84698923d94640772
 pack 1091 b3e5a8ba567755eabab12a29025c444fc88b0261b7ed854f982a46764a5e1eeb
 unpack_scaled 2580 173eba646f7a4b06e63faf9c320aea8c2705da79873b2020aa0559b6eb98e8df
-expand 1680 198eaf54d1cf1bdd95dfc7dab362d9905fb7c6457d7ea2c583355b09d8019f8c
-expand 6307 59244f67ce7f36a92d664e345223ef16afa458ae822d50a570a275019fd46d78
+expand 1527 99d30669766a81678d5c27bf3283c6ee6a9e6d7e678ea0d39bd60730ffc3ace5
+expand 4656 a598a61299fbe38bda5cfc044283c6642b9328271154b620b128d04a617dbded
 """
 
 
