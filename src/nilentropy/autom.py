@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
 
-from .collect import _vec_add, _vec_scale
+from . import assoc
 from .linalg import bareiss_det, inverse
 from .mpoly import _inexact, exact_quotient
 from .nilgroup import SpecError, _integer
@@ -187,7 +187,7 @@ def _check_relators(spec, value, d):
         residue = {}
         for entry, v in zip(spec.basis.entries, spec.free_cover.law.pack_scaled(r)):
             if v:
-                residue = _vec_add(residue, _vec_scale(value(entry), v * d ** (top - entry.weight)))
+                residue = assoc.add(residue, assoc.scale(value(entry), v * d ** (top - entry.weight)))
         if residue:
             raise SpecError("generator images do not respect the relators of the quotient")
 
@@ -276,6 +276,7 @@ def graded_matrix(phi, d):
     of ``L``, an integer matrix (a remainder raises
     :class:`~nilentropy.mpoly.IntegralityError`)."""
     spec = phi.spec
+    d = _integer(d, "weight")
     if not 1 <= d <= spec.nilpotency_class:
         raise SpecError(
             f"weight {d} out of range 1..{spec.nilpotency_class}"

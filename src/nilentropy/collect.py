@@ -4,42 +4,47 @@ An element is a tuple of integer exponents along the group's basis sequence
 ``g = b_1^{e_1} ... b_n^{e_n}``.  The law is derived once per group inside
 the rational graded Lie algebra attached to its structure constants:
 coordinates are packed into a logarithm with the Campbell-Hausdorff series,
-combined there, and peeled off again.  Running that derivation on symbolic
-exponents produces integer polynomials for multiplication and inversion
-(P. Hall's multiplication polynomials, computed as in the "Deep Thought"
-approach of Leedham-Green and Soicher).  The symbolic exponents are
-:class:`~nilentropy.mpoly.MPoly` polynomials (packed monomials, integer
-numerators over one denominator), and the symbolic logarithm ``pack(e)``
-is derived once: inversion negates it, and multiplication combines it
-with a copy whose variables are shifted past the first factor's.  Each of
-those polynomial maps is generated once as a straight-line Python function
-(:func:`~nilentropy.mpoly.straight_line`), and that function is itself the
-law's entry point (:attr:`CollectionLaw.multiply` and the others), so the
-runtime path is plain ``int`` arithmetic, with no per-term interpretation
-and no call in between.  Hall's polynomials take integer values, so their
-outputs are generated over binomial coefficients with no checked division;
-only the exponential below keeps exact-division checks.
-A word-metric ball gets one generated layer expander: the right products
-``g -> g * h`` by all of its directions ``h``, each ``h`` folded into the
-coefficients, evaluated inline for every element of a breadth-first layer
-(:meth:`CollectionLaw.layer_expander`).  The logarithm is generated the
-same way, in integer form at one fixed scale ``D``, the common denominator
-of the logarithm: :attr:`CollectionLaw.pack_scaled` is ``g -> D log g``
-with no division.  Its exponential :attr:`CollectionLaw.unpack_scaled`,
+combined there, and taken back through the exponential.  Running that
+derivation on symbolic exponents produces integer polynomials for
+multiplication and inversion (P. Hall's multiplication polynomials,
+computed as in the "Deep Thought" approach of Leedham-Green and Soicher).
+The symbolic exponents are :class:`~nilentropy.mpoly.MPoly` polynomials
+(packed monomials, integer numerators over one denominator).
+
+Only the logarithm ``pack(e)`` is derived on the Lie side.  It is generated
+in integer form at one fixed scale ``D``, the common denominator of the
+logarithm: :attr:`CollectionLaw.pack_scaled` is ``g -> D log g`` with no
+division.  Its exponential :attr:`CollectionLaw.unpack_scaled`,
 ``z -> exp(z / D)``, needs no derivation of its own: the pack polynomials
 are unitriangular, ``z_k = D e_k + Q_k(e_0 .. e_{k-1})`` with integer
 ``Q_k``, so it is generated from them by back-substitution
 (:func:`~nilentropy.mpoly.back_substitution`), one exact division by ``D``
-per coordinate.  Whatever acts linearly on the Lie algebra goes through
-these integer vectors: an endomorphism, ``log phi(g) = L log g``, and a
-power, ``log g^n = n log g``.
+per coordinate.  Every other map is derived by running those generated
+functions on ``MPoly`` arguments, so each polynomial map has one evaluator:
+inversion is ``unpack_scaled(-pack_scaled(g))`` on the variables of ``g``,
+and multiplication is ``unpack_scaled`` of
+``D * BCH(pack_scaled(g) / D, pack_scaled(h) / D)`` on the variables of
+``g`` and ``h``.  Each of those polynomial maps is generated once as a
+straight-line Python function (:func:`~nilentropy.mpoly.straight_line`),
+and that function is itself the law's entry point
+(:attr:`CollectionLaw.multiply` and the others), so the runtime path is
+plain ``int`` arithmetic, with no per-term interpretation and no call in
+between.  Hall's polynomials take integer values, so their outputs are
+generated over binomial coefficients with no checked division; only the
+exponential keeps exact-division checks.  A word-metric ball gets one
+generated layer expander: the right products ``g -> g * h`` by all of its
+directions ``h``, each read off :attr:`CollectionLaw.multiply` run on the
+variables of ``g`` and the integer ``h``, so ``h`` is folded into the
+coefficients, evaluated inline for every element of a breadth-first layer
+(:meth:`CollectionLaw.layer_expander`).  Whatever acts linearly on the Lie
+algebra goes through the integer vectors of ``pack_scaled``: an
+endomorphism, ``log phi(g) = L log g``, and a power, ``log g^n = n log g``.
 
 ``log_vectors[k]`` holds the logarithm of the k-th basis group element as a
 rational coordinate vector; its leading term is the k-th Lie basis vector,
 and its other terms sit at later, no lighter, coordinates.  Every bracket
 lands in a strictly heavier weight, so at a later coordinate.  That makes
-the peeling loop of :meth:`CollectionLaw.unpack` triangular, and ``pack``
-unitriangular, for free groups and quotients alike.
+``pack`` unitriangular, for free groups and quotients alike.
 
 Free groups get their structure constants from the Hall basis
 (:meth:`CollectionLaw.for_free`).  A quotient by a normal subgroup gets the
@@ -55,7 +60,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .assoc import bch_terms
+from .assoc import add, bch_terms, scale
 from .mpoly import (
     MPoly,
     back_substitution,
@@ -63,27 +68,6 @@ from .mpoly import (
     layer_expander,
     straight_line,
 )
-
-
-def _vec_scale(vec, s):
-    if not s:
-        return {}
-    return {k: c * s for k, c in vec.items()}
-
-
-def _vec_neg(vec):
-    return {k: -c for k, c in vec.items()}
-
-
-def _vec_add(x, y):
-    out = dict(x)
-    for k, c in y.items():
-        t = out.get(k, 0) + c
-        if t:
-            out[k] = t
-        else:
-            out.pop(k, None)
-    return out
 
 
 class CollectionLaw:
@@ -137,7 +121,7 @@ class CollectionLaw:
         def reduce(vec):
             for d, basis_vec in ideal.items():
                 if vec.get(d):
-                    vec = _vec_add(vec, _vec_scale(basis_vec, -vec[d]))
+                    vec = add(vec, scale(basis_vec, -vec[d]))
             return vec
 
         for row in reversed(rows):
@@ -202,7 +186,7 @@ class CollectionLaw:
             return dict(y)
         if not y:
             return dict(x)
-        out = _vec_add(x, y)
+        out = add(x, y)
         values = {(0,): x, (1,): y}
 
         def word_value(word):
@@ -225,78 +209,56 @@ class CollectionLaw:
 
     def group_commutator_log(self, a, b):
         """log of ``exp(a)^-1 exp(b)^-1 exp(a) exp(b)``."""
-        return self.bch(self.bch(self.bch(_vec_neg(a), _vec_neg(b)), a), b)
+        return self.bch(self.bch(self.bch(scale(a, -1), scale(b, -1)), a), b)
 
     def pack(self, exponents):
         """First-kind logarithm of ``prod_k b_k^{e_k}``."""
         out = {}
         for k, e in enumerate(exponents):
             if e:
-                out = self.bch(out, _vec_scale(self.log_vectors[k], e))
+                out = self.bch(out, scale(self.log_vectors[k], e))
         return out
 
-    def unpack(self, vec):
-        """Peel second-kind exponents off a logarithm; inverse of :meth:`pack`.
-
-        Works coordinate by coordinate in weight order: subtracting
-        ``e_k * log_vectors[k]`` only disturbs strictly heavier coordinates.
-        """
-        vec = dict(vec)
-        exponents = []
-        for k in range(self.dim):
-            e = vec.get(k, 0)
-            exponents.append(e)
-            if e:
-                vec = self.bch(_vec_scale(self.log_vectors[k], -e), vec)
-        assert not any(vec.values()), f"unpack left a residue: {vec}"
-        return exponents
-
     # ---- symbolic derivation of the polynomial laws ----
-
-    def _sym_polys(self, exponents):
-        nvars = next((p.nvars for p in exponents if isinstance(p, MPoly)), 0)
-        return tuple(
-            p if isinstance(p, MPoly) else MPoly.const(nvars, p)
-            for p in exponents
-        )
 
     @cached_property
     def _pack_sym(self):
         """``log g`` for symbolic ``g``: :meth:`pack` on the variables
-        ``e_0 .. e_{n-1}``, derived once for multiply, inverse and pack."""
+        ``e_0 .. e_{n-1}``, the one map derived on the Lie side.  Every
+        other map of the law is derived from it by running the generated
+        kernels on :class:`~nilentropy.mpoly.MPoly` arguments."""
         n = self.dim
         return self.pack([MPoly.var(n, k) for k in range(n)])
 
     @cached_property
-    def _mul_sym(self):
-        """``unpack(BCH(log g, log h))`` in the variables of ``g`` (bytes
-        ``0 .. n-1`` of a monomial) and ``h`` (bytes ``n .. 2n-1``)."""
-        n = self.dim
-        log_g = {k: p.shifted(2 * n, 0) for k, p in self._pack_sym.items()}
-        log_h = {k: p.shifted(2 * n, n) for k, p in self._pack_sym.items()}
-        return self._sym_polys(self.unpack(self.bch(log_g, log_h)))
-
-    @cached_property
-    def _mul_compiled(self):
-        return tuple(compile_poly(p) for p in self._mul_sym)
+    def _pack_compiled(self):
+        """``(D, polys)``: ``D * log g`` as integer polynomials, no division."""
+        vec = self._pack_sym
+        compiled = [compile_poly(vec[k]) for k in range(self.dim)]
+        d = lcm(*(denom for denom, _ in compiled))
+        return d, tuple(
+            (1, tuple((c * (d // denom), ve) for c, ve in terms))
+            for denom, terms in compiled
+        )
 
     @cached_property
     def _inv_compiled(self):
-        polys = self._sym_polys(self.unpack(_vec_neg(self._pack_sym)))
-        return tuple(compile_poly(p) for p in polys)
+        """``exp(-log g)``, run through :attr:`pack_scaled` and
+        :attr:`unpack_scaled` on the variables of ``g``."""
+        g = [MPoly.var(self.dim, k) for k in range(self.dim)]
+        return tuple(map(compile_poly, self.unpack_scaled([-z for z in self.pack_scaled(g)])))
 
     @cached_property
-    def _pack_compiled(self):
-        """``(D, polys)``: ``D * log g`` as integer polynomials, no division."""
-        n = self.dim
-        vec = self._pack_sym
-        compiled = [compile_poly(p)
-                    for p in self._sym_polys([vec.get(k, 0) for k in range(n)])]
-        scale = lcm(*(denom for denom, _ in compiled))
-        return scale, tuple(
-            (1, tuple((c * (scale // denom), ve) for c, ve in terms))
-            for denom, terms in compiled
-        )
+    def _mul_compiled(self):
+        """``exp(BCH(log g, log h))`` in the variables of ``g`` (``0 ..
+        n-1``) and ``h`` (``n .. 2n-1``): ``unpack_scaled`` of ``D *
+        BCH(pack_scaled(g) / D, pack_scaled(h) / D)``."""
+        n, d = self.dim, self.log_scale
+        g, h = ([MPoly.var(2 * n, first + k) for k in range(n)] for first in (0, n))
+        log_g, log_h = (scale(dict(enumerate(self.pack_scaled(v))), Fraction(1, d))
+                        for v in (g, h))
+        vec = self.bch(log_g, log_h)
+        return tuple(map(compile_poly, self.unpack_scaled([vec[k] * d for k in range(n)])))
 
     # ---- generated kernels, derived on first use: the runtime entry points ----
 
@@ -344,14 +306,10 @@ class CollectionLaw:
         return self.unpack_scaled([n * v for v in self.pack_scaled(g)])
 
     def _layer_compiled(self, directions):
-        """The multiply polynomials with each of ``directions`` substituted
-        for the second factor: one compiled tuple per direction."""
-        compiled = []
-        for h in directions:
-            assign = {self.dim + i: v for i, v in enumerate(h)}
-            compiled.append(tuple(compile_poly(p.partial_eval(assign))
-                                  for p in self._mul_sym))
-        return compiled
+        """:attr:`multiply` run on the variables of ``g`` and each of
+        ``directions`` as ``h``: one compiled tuple per direction."""
+        g = [MPoly.var(self.dim, k) for k in range(self.dim)]
+        return [tuple(map(compile_poly, self.multiply(g, h))) for h in directions]
 
     def layer_expander(self, directions):
         """Generated function expanding one BFS layer by right products.

@@ -19,7 +19,7 @@ from itertools import islice
 
 from . import autom, nilgroup
 from .autom import _orbit, invert, linearization_matrix, spectral_report, abelianization_matrix
-from .collect import _vec_add
+from .assoc import add
 from .hall import HallBasis
 from .linalg import nullspace
 from .nilgroup import (
@@ -394,7 +394,7 @@ def surface_quotient(genus, nil_class):
     units = [{k: 1} for k in range(rank)]
     omega = {}
     for i in range(genus):
-        omega = _vec_add(omega, bracket(units[2 * i], units[2 * i + 1]))
+        omega = add(omega, bracket(units[2 * i], units[2 * i + 1]))
     layer = [omega]
     relations = {}
     for d in range(2, nil_class + 1):

@@ -421,6 +421,7 @@ def distortion_profile(spec, i, radius=None, genset=None,
     of the weight-below-i prefix is tested.
     """
     c = spec.nilpotency_class
+    i = _integer(i, "weight")
     if not 1 <= i <= c:
         raise SpecError(f"weight {i} out of range 1..{c}")
     if i == 1:

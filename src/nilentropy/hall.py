@@ -107,6 +107,9 @@ class HallBasis:
         return f"HallBasis(rank={self.rank}, class={self.nil_class})"
 
     def graded_dimension(self, d):
+        from .nilgroup import _integer  # nilgroup imports this module
+
+        d = _integer(d, "weight")
         if not 1 <= d <= self.nil_class:
             raise ValueError(
                 f"weight {d} out of range 1..{self.nil_class}"

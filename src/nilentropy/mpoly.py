@@ -1,17 +1,17 @@
 """Sparse multivariate polynomials with rational coefficients.
 
-:class:`MPoly` is only used while deriving a group's laws.  A polynomial is
-held as integer numerators over one positive denominator, and each monomial
-is one ``int`` with one byte per variable exponent (little-endian), so a
-monomial product is one integer addition.  Each derived polynomial is
-flattened by :func:`compile_poly` into an integer ``(denominator, terms)``
-form, and every polynomial map of a law is then turned by
-:func:`straight_line` into one generated Python function of plain ``int``
-arithmetic.  An output over a denominator ``D != 1`` is rewritten over
-products of binomial coefficients ``C(v, k)``, a basis of the
-integer-valued polynomials: when every coefficient is a multiple of ``D``
-the output is integer-valued, and it is generated with no division that
-can fail.  That holds for every multiply and inverse output of a law,
+:class:`MPoly` is the derivation-time number type of a group's laws.  A
+polynomial is held as integer numerators over one positive denominator, and
+each monomial is one ``int`` with one byte per variable exponent
+(little-endian), so a monomial product is one integer addition.  Each
+derived polynomial is flattened by :func:`compile_poly` into an integer
+``(denominator, terms)`` form, and every polynomial map of a law is then
+turned by :func:`straight_line` into one generated Python function of
+plain ``int`` arithmetic.  An output over a denominator ``D != 1`` is
+rewritten over products of binomial coefficients ``C(v, k)``, a basis of
+the integer-valued polynomials: when every coefficient is a multiple of
+``D`` the output is integer-valued, and it is generated with no division
+that can fail.  That holds for every multiply and inverse output of a law,
 Hall's polynomials being integer-valued.  Any other output keeps an
 exact-division check by ``D``; a remainder raises
 :class:`IntegralityError` right there, and every entry point lets it
@@ -20,8 +20,14 @@ as the exponential of a law's scaled logarithm, is generated from the
 map's own polynomials by :func:`back_substitution`, one exact division per
 output.  The right products of a word-metric ball
 are generated together by :func:`layer_expander`, one function per ball
-that expands a whole breadth-first layer.  Generated functions are the only
-runtime evaluation path.
+that expands a whole breadth-first layer.
+
+Generated functions are the only evaluator of a polynomial map.  They run
+on ``int`` arguments at runtime, and on ``MPoly`` arguments while a law
+derives its next maps from the ones already generated.  For that,
+``MPoly`` supports every operation the generated text applies: ``+``,
+``-``, ``*``, ``p ** e``, and ``p // d`` and ``divmod(p, d)`` by a nonzero
+``int`` ``d``, which divide exactly in ``Q[x]`` and leave remainder 0.
 """
 
 from __future__ import annotations
@@ -93,16 +99,6 @@ class MPoly:
         if not 0 <= index < nvars:
             raise IndexError(f"variable {index} out of range for {nvars} variables")
         return cls(nvars, {1 << _BITS * index: 1}, 1, 1)
-
-    def shifted(self, nvars, offset):
-        """The same polynomial in ``nvars`` variables, variable ``i`` renamed
-        ``offset + i``: every monomial shifted up by ``offset`` bytes."""
-        if offset < 0 or self.nvars + offset > nvars:
-            raise ValueError(f"cannot place {self.nvars} variables at offset "
-                             f"{offset} of {nvars}")
-        shift = _BITS * offset
-        terms = {m << shift: c for m, c in self.terms.items()} if shift else self.terms
-        return MPoly(nvars, terms, self.den, self.top)
 
     def __bool__(self):
         return bool(self.terms)
@@ -178,34 +174,24 @@ class MPoly:
         return _normal(self.nvars, {m: c * num for m, c in self.terms.items()},
                        self.den * den, self.top)
 
-    def partial_eval(self, values):
-        """Substitute integers for some variables (``values``: index -> int).
+    def __pow__(self, e):
+        if not isinstance(e, int) or e < 0:
+            return NotImplemented
+        out = MPoly.const(self.nvars, 1)
+        for _ in range(e):
+            out = out * self
+        return out
 
-        The substituted variables stay in the ring with exponent 0.  Each
-        distinct substituted part of a monomial is evaluated once.
-        """
-        mask = 0
-        for idx in values:
-            if not 0 <= idx < self.nvars:
-                raise IndexError(f"variable {idx} out of range for {self.nvars} variables")
-            mask |= _MAX_EXP << _BITS * idx
-        factors = {}
-        out = {}
-        get = out.get
-        for m, c in self.terms.items():
-            sub = m & mask
-            factor = factors.get(sub)
-            if factor is None:
-                factor = 1
-                for idx, val in values.items():
-                    e = (sub >> _BITS * idx) & _MAX_EXP
-                    if e:
-                        factor *= val ** e
-                factors[sub] = factor
-            if factor:
-                key = m - sub
-                out[key] = get(key, 0) + c * factor
-        return _normal(self.nvars, out, self.den, self.top)
+    def __floordiv__(self, d):
+        """``self / d`` for a nonzero ``int`` ``d``: division by a constant
+        is exact in ``Q[x]``, so a generated ``// d`` or ``divmod(., d)``
+        run on polynomials yields the polynomial quotient."""
+        if not isinstance(d, int):
+            return NotImplemented
+        return self * Fraction(1, d)
+
+    def __divmod__(self, d):
+        return self // d, 0
 
     def _sorted_terms(self):
         """``(exponent bytes, numerator)`` pairs, sorted by exponent tuple."""

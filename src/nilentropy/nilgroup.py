@@ -314,6 +314,7 @@ class GroupSpec:
         return tuple(out)
 
     def graded_rank(self, d):
+        d = _integer(d, "weight")
         if not 1 <= d <= self.nilpotency_class:
             raise SpecError(f"weight {d} out of range 1..{self.nilpotency_class}")
         return sum(1 for w in self.weights if w == d)
@@ -557,6 +558,7 @@ def project(g, k, spec):
     class + 1`` (the top value is the identity map).
     """
     g = spec.check_vector(g)
+    k = _integer(k, "truncation weight")
     if not 2 <= k <= spec.nilpotency_class + 1:
         raise SpecError(
             f"truncation weight {k} out of range 2..{spec.nilpotency_class + 1}"

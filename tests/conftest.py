@@ -12,6 +12,7 @@ from nilentropy import (
     multiply,
     power,
 )
+from nilentropy.assoc import scale
 from nilentropy.autom import _basis_entries, _tree_evaluator
 from nilentropy.nilgroup import _law_commutator, _root
 
@@ -67,6 +68,27 @@ def eval_compiled(compiled, values):
     if r:
         raise IntegralityError(f"expected multiple of {denom}, got remainder {r}")
     return q
+
+
+def unpack_reference(law, vec):
+    """Reference exponential: second-kind exponents peeled off a logarithm.
+
+    Works coordinate by coordinate in weight order: subtracting
+    ``e_k * log_vectors[k]`` only disturbs strictly heavier coordinates.
+
+    This is how ``CollectionLaw`` derived multiply and inverse before it ran
+    its own generated kernels on polynomials; tests keep it as an
+    independent oracle.
+    """
+    vec = dict(vec)
+    exponents = []
+    for k in range(law.dim):
+        e = vec.get(k, 0)
+        exponents.append(e)
+        if e:
+            vec = law.bch(scale(law.log_vectors[k], -e), vec)
+    assert not any(vec.values()), f"unpack left a residue: {vec}"
+    return exponents
 
 
 def basis_images_reference(phi):

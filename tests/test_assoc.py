@@ -6,6 +6,7 @@ import pytest
 from nilentropy import HallBasis, free_nilpotent
 from nilentropy.assoc import (
     _solve_exact,
+    add,
     bch_terms,
     elt_inverse,
     elt_power,
@@ -15,8 +16,8 @@ from nilentropy.assoc import (
     magnus_word,
     mul,
     one,
+    scale,
 )
-from nilentropy.collect import _vec_add, _vec_scale
 
 from conftest import random_word
 
@@ -77,7 +78,7 @@ def _bch_as_lie(terms, bracket):
             el = letters[w[0]]
             for k in w[1:]:
                 el = bracket(el, letters[k])
-            total = _vec_add(total, _vec_scale(el, coeff))
+            total = add(total, scale(el, coeff))
     return total
 
 
@@ -85,9 +86,9 @@ def test_bch_degree_two_and_three_coefficients():
     bracket = free_nilpotent(2, 3).law.bracket_vec
     x, y = {0: 1}, {1: 1}
     xy = bracket(x, y)
-    expect = _vec_add(
-        _vec_add(_vec_scale(xy, Fraction(1, 2)), _vec_scale(bracket(x, xy), Fraction(1, 12))),
-        _vec_scale(bracket(y, bracket(y, x)), Fraction(1, 12)),
+    expect = add(
+        add(scale(xy, Fraction(1, 2)), scale(bracket(x, xy), Fraction(1, 12))),
+        scale(bracket(y, bracket(y, x)), Fraction(1, 12)),
     )
     assert _bch_as_lie(bch_terms(3), bracket) == expect
 
@@ -96,7 +97,7 @@ def test_bch_degree_four_has_single_mixed_term():
     bracket = free_nilpotent(2, 4).law.bracket_vec
     x, y = {0: 1}, {1: 1}
     deg4 = {4: bch_terms(4)[4]}
-    expect = _vec_scale(bracket(y, bracket(x, bracket(x, y))), Fraction(-1, 24))
+    expect = scale(bracket(y, bracket(x, bracket(x, y))), Fraction(-1, 24))
     assert _bch_as_lie(deg4, bracket) == expect
 
 

@@ -15,8 +15,10 @@ from nilentropy import (
     apply,
     builtin_automorphism,
     commutator,
+    distortion_profile,
     eval_word,
     free_nilpotent,
+    graded_matrix,
     identity,
     inverse,
     invert,
@@ -82,6 +84,20 @@ def test_truncate_range(f24):
     (lambda: truncate(free_nilpotent(2, 2), 2.5), "truncation weight must be an integer"),
 ], ids=["hall-class", "hall-rank", "free", "surface-genus", "surface-class", "truncate"])
 def test_float_counts_refused(call, message):
+    with pytest.raises(SpecError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: graded_matrix(builtin_automorphism("fib", free_nilpotent(2, 3)), 1.5),
+     "weight must be an integer"),
+    (lambda: free_nilpotent(2, 3).graded_rank(1.5), "weight must be an integer"),
+    (lambda: HallBasis(2, 3).graded_dimension(1.5), "weight must be an integer"),
+    (lambda: project((0, 0, 0, 0, 0), 2.5, free_nilpotent(2, 3)),
+     "truncation weight must be an integer"),
+    (lambda: distortion_profile(free_nilpotent(2, 3), 2.5), "weight must be an integer"),
+], ids=["graded_matrix", "graded_rank", "graded_dimension", "project", "distortion_profile"])
+def test_float_weights_refused(call, message):
     with pytest.raises(SpecError, match=message):
         call()
 

@@ -38,7 +38,7 @@ from nilentropy.mpoly import (
     straight_line_source,
 )
 
-from conftest import eval_compiled
+from conftest import eval_compiled, unpack_reference
 
 GROUPS = {
     "F(2,2)": lambda: free_nilpotent(2, 2),
@@ -65,7 +65,8 @@ def _interpret(compiled, values):
 @cache
 def _power_polynomials(law):
     """P. Hall's power polynomials of ``law`` in the variables ``(e, t)``:
-    ``unpack(t * pack(e))`` run on symbolic exponents.
+    ``unpack(t * pack(e))`` run on symbolic exponents, through the Lie-side
+    peel of :func:`conftest.unpack_reference`.
 
     The law itself no longer derives them, since ``power`` goes through the
     scaled logarithm; the reference derives them as the law once did.
@@ -74,7 +75,7 @@ def _power_polynomials(law):
     e = [MPoly.var(n + 1, k) for k in range(n)]
     t = MPoly.var(n + 1, n)
     log = {k: c * t for k, c in law.pack(e).items()}
-    return tuple(compile_poly(p) for p in law._sym_polys(law.unpack(log)))
+    return tuple(compile_poly(p) for p in unpack_reference(law, log))
 
 
 class ReferenceLaw:
@@ -220,6 +221,25 @@ def test_law_kernels_divide_nowhere(name):
     for kernel, compiled, sizes in (("multiply", law._mul_compiled, (n, n)),
                                     ("inverse", law._inv_compiled, (n,))):
         assert "divmod" not in straight_line_source(kernel, compiled, sizes)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_kernels_evaluate_over_polynomials(name, data):
+    """The generated kernels run on ``MPoly`` variables: the scaled
+    exponential inverts the scaled logarithm, the logarithm is ``D`` times
+    the Lie-side ``pack``, and the layer polynomials, evaluated term by
+    term, are the right products."""
+    law = GROUPS[name]().law
+    n, d = law.dim, law.log_scale
+    v = tuple(MPoly.var(n, k) for k in range(n))
+    assert law.unpack_scaled(law.pack_scaled(v)) == v
+    assert law.pack_scaled(v) == tuple(law._pack_sym[k] * d for k in range(n))
+    directions = data.draw(st.lists(st.tuples(*[KERNEL_COORD] * n), min_size=1, max_size=3))
+    g = data.draw(st.tuples(*[KERNEL_COORD] * n))
+    for compiled, h in zip(law._layer_compiled(directions), directions, strict=True):
+        assert _interpret(compiled, g) == law.multiply(g, h)
 
 
 V0 = MPoly.var(1, 0)

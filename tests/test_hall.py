@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sympy import divisors, mobius
 
 from nilentropy import HallBasis, free_nilpotent, surface_quotient
-from nilentropy.collect import _vec_add, _vec_scale
+from nilentropy.assoc import add, scale
 from nilentropy.hall import _hall_pair_ok
 from nilentropy.mpoly import MPoly
 
@@ -63,9 +63,9 @@ def test_bracket_is_bilinear_alternating():
     for _ in range(25):
         u, v, w = (_random_element(law.dim, rng) for _ in range(3))
         assert bracket(u, u) == {}
-        assert _vec_add(bracket(u, v), bracket(v, u)) == {}
-        assert bracket(_vec_add(u, v), w) == _vec_add(bracket(u, w), bracket(v, w))
-        assert bracket(_vec_scale(u, 3), v) == _vec_scale(bracket(u, v), 3)
+        assert add(bracket(u, v), bracket(v, u)) == {}
+        assert bracket(add(u, v), w) == add(bracket(u, w), bracket(v, w))
+        assert bracket(scale(u, 3), v) == scale(bracket(u, v), 3)
 
 
 def test_jacobi_identity():
@@ -74,8 +74,8 @@ def test_jacobi_identity():
     rng = random.Random(11)
     for _ in range(25):
         u, v, w = (_random_element(law.dim, rng, span=2) for _ in range(3))
-        total = _vec_add(
-            _vec_add(bracket(u, bracket(v, w)), bracket(v, bracket(w, u))),
+        total = add(
+            add(bracket(u, bracket(v, w)), bracket(v, bracket(w, u))),
             bracket(w, bracket(u, v)),
         )
         assert total == {}
