@@ -20,20 +20,19 @@ of ``L``; and :func:`invert` takes the same step with ``L^-1``, from the
 ``Fraction`` inverse of :mod:`.linalg`.
 
 The spectral report of an integer matrix is exact integer code: a Berkowitz
-characteristic polynomial, cyclotomic deflation, and a spectral radius
-isolated by Sturm sequences and bisected until it is correctly rounded.  A
-spectrum with non-real roots is reduced to a real one: the largest real
-eigenvalue of ``C (x) C``, for the companion matrix ``C`` of its squarefree
-part, is the squared radius.
+characteristic polynomial, its squarefree part, and one exact predicate on
+it, the Schur-Cohn test that every root lies in an open disk.  Bisection on
+that test at float rounding midpoints gives the correctly rounded spectral
+radius, and quasi-unipotence is a radius of exactly 1.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice, repeat
 
 from . import assoc
@@ -367,7 +366,9 @@ class SpectralReport:
     """Characteristic data of an integer matrix.
 
     ``charpoly`` lists the monic coefficients from the leading term down.
-    ``radius_gap`` is ``spectral_radius - 1`` when the matrix is not
+    ``spectral_radius`` is the largest eigenvalue modulus, correctly rounded:
+    exact disk tests bracket it between the rounding midpoints around the
+    float.  ``radius_gap`` is ``spectral_radius - 1`` when the matrix is not
     quasi-unipotent, else ``None``.
     """
 
@@ -397,23 +398,18 @@ def _charpoly(rows):
     return tuple(_exact(c) for c in coeffs)
 
 
-def _poly_divmod(num, den):
-    """Quotient and remainder of polynomials given leading coefficient first.
-
-    ``den`` is monic, or divides ``num`` exactly over the integers.
-    """
+def _poly_quotient(num, den):
+    """``num / den`` for integer polynomials given leading coefficient first,
+    where ``den`` divides ``num`` exactly."""
     num = list(num)
     quo = []
     for i in range(len(num) - len(den) + 1):
-        c = num[i] if den[0] == 1 else exact_quotient(num[i], den[0])
+        c = exact_quotient(num[i], den[0])
         quo.append(c)
         if c:
             for j, d in enumerate(den):
                 num[i + j] -= c * d
-    rem = num[len(quo):]
-    while rem and not rem[0]:
-        rem.pop(0)
-    return quo, rem
+    return quo
 
 
 def _primitive(poly):
@@ -436,146 +432,140 @@ def _pseudo_rem(a, b):
     return _primitive(a) if a else a
 
 
-def _totient(k):
-    out, m, p = k, k, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    return out - out // m if m > 1 else out
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(k):
-    """The k-th cyclotomic polynomial: ``x^k - 1`` over all ``Phi_d``, ``d | k, d < k``."""
-    poly = [1] + [0] * (k - 1) + [-1]
-    for d in range(1, k):
-        if k % d == 0:
-            poly, rem = _poly_divmod(poly, _cyclotomic(d))
-            assert not rem, "cyclotomic division left a remainder"
-    return tuple(poly)
-
-
-def _cyclotomic_deflate(poly):
-    """Divide out cyclotomic factors; True when nothing else remains."""
-    rem = list(poly)
-    deg = len(rem) - 1
-    # totient(k) <= deg forces k <= 2 * deg^2 + 1 comfortably
-    for k in range(1, 2 * deg * deg + 3):
-        if len(rem) == 1:
-            break
-        if _totient(k) > len(rem) - 1:
-            continue
-        cyc = _cyclotomic(k)
-        while len(rem) >= len(cyc):
-            quo, r = _poly_divmod(rem, cyc)
-            if r:
-                break
-            rem = quo
-    return len(rem) == 1
-
-
 def _derivative(poly):
     deg = len(poly) - 1
     return [c * (deg - i) for i, c in enumerate(poly[:-1])]
+
+
+def _poly_gcd(a, b):
+    """Primitive greatest common divisor of two integer polynomials."""
+    while b:
+        a, b = b, _pseudo_rem(a, b)
+    return _primitive(a)
 
 
 def _squarefree(coeffs):
     """Primitive integer polynomial with the roots of ``coeffs``, each simple."""
     denom = math.lcm(*(Fraction(c).denominator for c in coeffs))
     poly = _primitive([int(c * denom) for c in coeffs])
-    a, b = poly, _derivative(poly)
-    while b:
-        a, b = b, _pseudo_rem(a, b)
     # a primitive divisor divides exactly over the integers (Gauss's lemma)
-    return _primitive(_poly_divmod(poly, _primitive(a))[0])
+    return _primitive(_poly_quotient(poly, _poly_gcd(poly, _derivative(poly))))
 
 
-def _sturm(poly):
-    """Sturm sequence of a squarefree integer polynomial, up to positive factors."""
-    seq = [poly, _derivative(poly)]
-    while True:
-        rem = _pseudo_rem(seq[-2], seq[-1])
-        if not rem:
-            return seq
-        seq.append([-c for c in rem])
+def _scaled(poly, num, den):
+    """``den^deg poly(num z / den)``: the roots of ``poly`` divided by ``num / den``."""
+    n = len(poly) - 1
+    return [c * num ** (n - i) * den ** i for i, c in enumerate(poly)]
 
 
-def _sign_at(poly, num, k):
-    """Sign of ``poly(num / 2^k)``, from the integer ``2^(k deg) poly(num / 2^k)``."""
-    acc, shift = poly[0], 0
-    for c in poly[1:]:
-        shift += k
-        acc = acc * num + (c << shift)
-    return (acc > 0) - (acc < 0)
+def _inside(poly, num=1, den=1):
+    """True when every root of the integer polynomial ``poly`` has modulus
+    below ``num / den``: the Schur-Cohn test on ``q = _scaled(poly, num, den)``.
 
-
-def _changes(values):
-    """Sign changes along a sequence, zeros skipped."""
-    signs = [v > 0 for v in values if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _sturm_count(sturm, num, k):
-    """Sign changes of the Sturm sequence at ``num / 2^k``."""
-    return _changes([_sign_at(p, num, k) for p in sturm])
-
-
-def _largest_root(poly, sturm):
-    """Correctly rounded largest root of a squarefree integer polynomial with
-    real roots, given its Sturm sequence.
-
-    Sturm counts isolate the root in a dyadic interval; bisection on the sign
-    of ``poly`` alone then narrows it until both ends round to one float.
+    On the unit circle ``|q*| = |q|`` for the reversed ``q*``, so when
+    ``|a_n| > |a_0|``, ``a_n q`` and ``a_n q - a_0 q*`` have as many roots
+    inside it (Rouche), one of them 0: every root of ``q`` is inside exactly
+    when every root of ``(a_n q - a_0 q*) / z`` is.  A root on the circle
+    fails the test.
     """
-    bits = max(abs(c) for c in poly).bit_length() + 1  # Cauchy: roots in (-2^bits, 2^bits)
-    lo, hi, k = -1 << bits, 1 << bits, 0
-    count = _sturm_count(sturm, lo, k) - _sturm_count(sturm, hi, k)
-    # invariant: the largest root lies in (lo, hi] / 2^k with count roots there
-    while count > 1:
-        lo, hi, k = 2 * lo, 2 * hi, k + 1
+    q = _scaled(poly, num, den)
+    while len(q) > 1:
+        a, b = q[0], q[-1]
+        if abs(a) <= abs(b):
+            return False
+        q = _primitive([a * x - b * y for x, y in zip(q[:-1], q[:0:-1])])
+    return True
+
+
+def _radius_is(poly, num, den):
+    """True when the largest root modulus of the squarefree ``poly``, with
+    ``poly(0) != 0``, is exactly ``num / den``.
+
+    Scaled to ``q`` with that circle as the unit circle, ``g = gcd(q, q*)``
+    holds the roots on it and the pairs ``z, 1 / conj(z)``.  No root lies
+    outside when those of ``q / g`` lie inside and those of ``g`` on the
+    circle, which for the self-inversive, squarefree ``g`` is those of ``g'``
+    inside (Cohn).
+    """
+    q = _scaled(poly, num, den)
+    g = _poly_gcd(q, q[::-1])
+    return len(g) > 1 and _inside(_poly_quotient(q, g)) and _inside(_derivative(g))
+
+
+def _guess(poly):
+    """Float estimate of the largest root modulus of a squarefree integer
+    polynomial: Durand-Kerner iteration on ``poly(2^e z)``, whose roots
+    Fujiwara's bound ``2 max_k |c_k / lead|^(1/k) <= 2^e`` puts in the unit disk.
+    """
+    lead, n = poly[0], len(poly) - 1
+    e = max(1 - (lead.bit_length() - c.bit_length() - 1) // k
+            for k, c in enumerate(poly[1:], 1) if c)
+    monic = [c / (lead << e * k) if e >= 0 else (c << -e * k) / lead
+             for k, c in enumerate(poly[1:], 1)]
+    roots = [complex(0.4, 0.9) ** i for i in range(n)]
+    for _ in range(100):
+        moved = 0.0
+        for i, z in enumerate(roots):
+            value, denom = 1.0, 1.0
+            for c in monic:
+                value = value * z + c
+            for j, w in enumerate(roots):
+                if j != i:
+                    denom *= z - w
+            if denom:
+                step = value / denom
+                roots[i] = z - step
+                moved = max(moved, abs(step))
+        if moved < 1e-12:
+            break
+    return math.ldexp(min(max(abs(z) for z in roots), 1.0), e)
+
+
+_INF_BITS = int.from_bytes(struct.pack("<d", math.inf), "little")
+
+
+def _midpoint_below(bits):
+    """``(num, den)`` halfway between the float with bit pattern ``bits`` and
+    the float below: ``(2 s + 1) 2^(e - 1)`` for the lower one ``s 2^e``."""
+    if not bits:
+        return 0, 1
+    exponent, s = divmod(bits - 1, 1 << 52)
+    if exponent:
+        s += 1 << 52
+    shift = max(exponent, 1) - 1076
+    return ((2 * s + 1) << shift, 1) if shift >= 0 else (2 * s + 1, 1 << -shift)
+
+
+def _spectral_radius(poly):
+    """Correctly rounded largest root modulus of a squarefree integer
+    polynomial with ``poly(0) != 0``, or of a constant.
+
+    Bit patterns order the positive floats, and the radius rounds to the float
+    at ``lo`` when it lies between the midpoints below and above it.  The exact
+    :func:`_inside` brackets it at midpoints: first those around the float
+    estimate of :func:`_guess`, then a side it rejects widened x256, then
+    bisection.  The estimate only orders the tests.
+    """
+    if len(poly) == 1:
+        return 0.0
+    # invariant: rho >= _midpoint_below(lo), and rho < _midpoint_below(hi)
+    # unless hi is past inf, which every larger radius rounds to
+    lo = int.from_bytes(struct.pack("<d", _guess(poly)), "little")
+    hi, step = lo + 1, 256
+    while _inside(poly, *_midpoint_below(lo)):
+        lo, hi, step = max(lo - step, 0), lo, 256 * step
+    while hi <= _INF_BITS and not _inside(poly, *_midpoint_below(hi)):
+        lo, hi, step = hi, min(hi + step, _INF_BITS + 1), 256 * step
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        upper = _sturm_count(sturm, mid, k) - _sturm_count(sturm, hi, k)
-        if upper:
-            lo, count = mid, upper
-        else:
+        if _inside(poly, *_midpoint_below(mid)):
             hi = mid
-    top = _sign_at(poly, hi, k)
-    while top and lo / (1 << k) != hi / (1 << k):
-        for _ in range(16):  # bisection steps between the float comparisons
-            lo, hi, k = 2 * lo, 2 * hi, k + 1
-            mid = (lo + hi) // 2
-            sign = _sign_at(poly, mid, k)
-            if not sign:
-                return mid / (1 << k)
-            if sign == top:
-                hi = mid
-            else:
-                lo = mid
-    return hi / (1 << k)
-
-
-def _spectral_radius(coeffs):
-    """Largest modulus of a root of the characteristic polynomial ``coeffs``."""
-    poly = _squarefree(coeffs)
-    deg = len(poly) - 1
-    sturm = _sturm(poly)
-    at_minus = [p[0] * (-1) ** (len(p) - 1) for p in sturm]
-    real_roots = _changes(at_minus) - _changes([p[0] for p in sturm])
-    if real_roots == deg:
-        # the smallest root of poly is minus the largest of poly(-x)
-        mirrored = [c * (-1) ** i for i, c in enumerate(poly)]
-        return max(_largest_root(poly, sturm), _largest_root(mirrored, _sturm(mirrored)))
-    # the eigenvalues of C (x) C are the products of two roots; the largest
-    # real one is |root|^2 for a root of largest modulus, so the radius is the
-    # largest real root of r(z^2) for the characteristic polynomial r
-    companion = [[int(i == j + 1) for j in range(deg - 1)]
-                 + [_exact(Fraction(-poly[deg - i], poly[0]))] for i in range(deg)]
-    kron = [[a * b for a in row for b in other] for row in companion for other in companion]
-    squares = _squarefree([c for r in _charpoly(kron) for c in (r, 0)][:-1])
-    return _largest_root(squares, _sturm(squares))
+        else:
+            lo = mid
+    # a radius on the midpoint below an odd float is a tie: round to even
+    if lo % 2 and _radius_is(poly, *_midpoint_below(lo)):
+        lo -= 1
+    return struct.unpack("<d", lo.to_bytes(8, "little"))[0]
 
 
 def spectral_report(matrix):
@@ -585,21 +575,20 @@ def spectral_report(matrix):
     coeffs = _charpoly(rows)
     # unipotent: every eigenvalue is 1, so the charpoly is (x - 1)^n
     unipotent = coeffs == tuple((-1) ** i * math.comb(n, i) for i in range(n + 1))
-
-    # strip zero eigenvalues; they rule out quasi-unipotence on their own
-    data = list(coeffs)
-    had_zero = False
-    while len(data) > 1 and data[-1] == 0:
-        data.pop()
-        had_zero = True
-    quasi = unipotent or (not had_zero and _cyclotomic_deflate(data))
-
+    poly = _squarefree(coeffs)
+    zero_root = not poly[-1]
+    if zero_root:
+        poly.pop()  # simple in the squarefree part
+    # quasi-unipotent: every eigenvalue a root of unity.  By Kronecker's
+    # theorem, for a monic integer charpoly that is every root of modulus 1
+    quasi = unipotent or (not zero_root and all(isinstance(c, int) for c in coeffs)
+                          and _radius_is(poly, 1, 1))
     if quasi:
         radius = 1.0
         error = 0.0
         gap = None
     else:
-        radius = _spectral_radius(coeffs)
+        radius = _spectral_radius(poly)
         error = 1e-9
         gap = radius - 1.0
     return SpectralReport(
