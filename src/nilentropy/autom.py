@@ -9,15 +9,18 @@ trees are the free-cover entries at the kept positions).  ``L`` is cleared of
 denominators into one integer matrix per endomorphism, held as its sparse
 columns (:attr:`Endomorphism.linear_map`), and every linear invariant is
 read off those columns.  The map acts on scaled logarithms ``p = D log g``
-(``D`` being the law's ``log_scale``), which are integer vectors: one step
-is ``p -> M p / denominator``, an exact division, followed by the generated
-exponential ``exp(p / D)``, every division checked; a remainder raises
-``IntegralityError`` where it occurs.  :func:`apply` is one
-generated ``pack`` and one step; an orbit ``phi^n(g)`` keeps ``p`` from step
-to step and packs once, and :func:`iterate` reads ``phi^n`` off the orbits
-of the generators; the graded actions are the diagonal weight blocks
-of ``L``; and :func:`invert` takes the same step with ``L^-1``, from the
-``Fraction`` inverse of :mod:`.linalg`.
+(``D`` being the law's ``log_scale``), which are integer vectors, with
+``L = M / denominator``.  One step scatters ``M p`` over the sparse columns
+of ``M`` and makes one call of the law's generated ``orbit_step``, which
+divides ``q = M p`` by ``denominator``, takes the exponential ``exp(q / D)``
+and the box length of the image, every division checked; a remainder raises
+``IntegralityError`` where it occurs.  :func:`apply` is one generated
+``pack`` and one step; an orbit ``phi^n(g)`` keeps ``p`` from step to step,
+packs once and yields each image with its box length, the Karidi length of
+``growth_series``; :func:`iterate` reads ``phi^n`` off the orbits of the
+generators; the graded actions are the diagonal weight blocks of ``L``; and
+:func:`invert` takes the same step with ``L^-1``, from the ``Fraction``
+inverse of :mod:`.linalg`.
 
 The spectral report of an integer matrix is exact integer code: a Berkowitz
 characteristic polynomial, its squarefree part, and one exact predicate on
@@ -33,11 +36,11 @@ import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 
 from . import assoc
 from .linalg import bareiss_det, inverse
-from .mpoly import _inexact, exact_quotient
+from .mpoly import exact_quotient
 from .nilgroup import SpecError, _integer
 
 def _exact(x):
@@ -196,25 +199,22 @@ def identity_endomorphism(spec):
 
 
 def _step(law, columns, denominator, p):
-    """``(q, exp(q / D))`` for ``q = M p / denominator``: one linear step on the
-    scaled logarithm ``p``, with the law's ``log_scale`` ``D``.
+    """``(q, exp(q / D), box)`` for ``q = M p / denominator``: one linear step
+    on the scaled logarithm ``p``, with the law's ``log_scale`` ``D``, and
+    the box length of the image.
 
     ``M p`` is scattered over the sparse integer columns ``((i, m_ij), ...)``
-    of ``M``, skipping the zero entries of ``p``; the division by
-    ``denominator`` is one ``divmod`` per entry, and the first nonzero
-    remainder raises :class:`~nilentropy.mpoly.IntegralityError`.  Every
-    division is checked.
+    of ``M``, skipping the zero entries of ``p``; the rest is one call of the
+    law's generated :attr:`~nilentropy.collect.CollectionLaw.orbit_step`,
+    whose division by ``denominator`` raises
+    :class:`~nilentropy.mpoly.IntegralityError` at the first remainder.
     """
     q = [0] * len(columns)
     for v, column in zip(p, columns):
         if v:
             for i, m in column:
                 q[i] += m * v
-    if denominator != 1:
-        q, remainders = zip(*map(divmod, q, repeat(denominator)))
-        if any(remainders):
-            _inexact(denominator, next(filter(None, remainders)))
-    return q, law.unpack_scaled(q)
+    return law.orbit_step(q, denominator)
 
 
 def apply(phi, g):
@@ -225,7 +225,8 @@ def apply(phi, g):
 
 
 def _orbit(phi, g):
-    """``phi(g), phi^2(g), ...`` without end, for a checked vector ``g``.
+    """``(phi^n(g), its box length)`` for ``n = 1, 2, ...`` without end, for
+    a checked vector ``g``.
 
     The scaled logarithm ``D log phi^n(g)`` is integral, since ``phi^n(g)`` is
     a group element, and carries from one step to the next: the orbit packs
@@ -235,8 +236,8 @@ def _orbit(phi, g):
     columns, denominator = phi.linear_map
     p = law.pack_scaled(g)
     while True:
-        p, h = _step(law, columns, denominator, p)
-        yield h
+        p, h, box = _step(law, columns, denominator, p)
+        yield h, box
 
 
 def compose(phi, psi):
@@ -258,7 +259,7 @@ def iterate(phi, n):
     spec = phi.spec
     if n == 0:
         return identity_endomorphism(spec)
-    return Endomorphism(spec, [next(islice(_orbit(phi, spec.indicator(j)), n - 1, None))
+    return Endomorphism(spec, [next(islice(_orbit(phi, spec.indicator(j)), n - 1, None))[0]
                                for j in range(spec.rank)])
 
 
@@ -543,15 +544,17 @@ def _spectral_radius(poly):
     Bit patterns order the positive floats, and the radius rounds to the float
     at ``lo`` when it lies between the midpoints below and above it.  The exact
     :func:`_inside` brackets it at midpoints: first those around the float
-    estimate of :func:`_guess`, then a side it rejects widened x256, then
-    bisection.  The estimate only orders the tests.
+    estimate of :func:`_guess`, then a side it rejects widened by one float,
+    and by 256 times the last widening at each further rejection, then
+    bisection.  The estimate, which is usually right or one float off, only
+    orders the tests.
     """
     if len(poly) == 1:
         return 0.0
     # invariant: rho >= _midpoint_below(lo), and rho < _midpoint_below(hi)
     # unless hi is past inf, which every larger radius rounds to
     lo = int.from_bytes(struct.pack("<d", _guess(poly)), "little")
-    hi, step = lo + 1, 256
+    hi, step = lo + 1, 1
     while _inside(poly, *_midpoint_below(lo)):
         lo, hi, step = max(lo - step, 0), lo, 256 * step
     while hi <= _INF_BITS and not _inside(poly, *_midpoint_below(hi)):

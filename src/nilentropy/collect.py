@@ -19,8 +19,12 @@ division.  Its exponential :attr:`CollectionLaw.unpack_scaled`,
 are unitriangular, ``z_k = D e_k + Q_k(e_0 .. e_{k-1})`` with integer
 ``Q_k``, so it is generated from them by back-substitution
 (:func:`~nilentropy.mpoly.back_substitution`), one exact division by ``D``
-per coordinate.  Every other map is derived by running those generated
-functions on ``MPoly`` arguments, so each polynomial map has one evaluator:
+per coordinate.  The same text, after a division of its input by a linear
+map's denominator and before the box length of its output, is the law's
+step of an orbit, :attr:`CollectionLaw.orbit_step`
+(:func:`~nilentropy.mpoly.orbit_step`).  Every other map is derived by
+running those generated functions on ``MPoly`` arguments, so each
+polynomial map has one evaluator:
 inversion is ``unpack_scaled(-pack_scaled(g))`` on the variables of ``g``,
 and multiplication is ``unpack_scaled`` of
 ``D * BCH(pack_scaled(g) / D, pack_scaled(h) / D)`` on the variables of
@@ -66,6 +70,7 @@ from .mpoly import (
     back_substitution,
     compile_poly,
     layer_expander,
+    orbit_step,
     straight_line,
 )
 
@@ -294,6 +299,20 @@ class CollectionLaw:
         (:func:`~nilentropy.mpoly.back_substitution`).
         """
         return back_substitution("unpack_scaled", *self._pack_compiled)
+
+    @cached_property
+    def orbit_step(self):
+        """``(q, den) -> (z, exp(z / D), box)``: one step of an orbit on scaled
+        logarithms, ``D`` being :attr:`log_scale`.
+
+        ``z = q / den`` is divided entry by entry, the first remainder
+        raising :class:`IntegralityError`; ``exp(z / D)`` is the text of
+        :attr:`unpack_scaled`; and ``box`` is its box length ``max_k
+        |e_k|^(1 / w_k)``, bit for bit that of
+        :func:`~nilentropy.nilgroup.karidi_length`
+        (:func:`~nilentropy.mpoly.orbit_step_source`).
+        """
+        return orbit_step(*self._pack_compiled, self.weights)
 
     @property
     def log_scale(self):

@@ -135,8 +135,6 @@ def _normalform_costs(spec):
 def _length_in_mode(h, spec, mode, genset, costs):
     if mode == "exact-bfs":
         return geodesic_length(h, spec, genset=genset)
-    if mode == "karidi":
-        return nilgroup._box_length(h, spec.weights)
     return float(sum(abs(v) * c for v, c in zip(h, costs)))
 
 
@@ -159,8 +157,9 @@ def growth_series(phi, g, n_max, mode="karidi", genset=None):
     g = spec.check_vector(g)
     costs = _normalform_costs(spec) if mode == "normalform-upper" else None
     entries = []
-    for n, h in zip(range(1, n_max + 1), _orbit(phi, g)):
-        length = _length_in_mode(h, spec, mode, genset, costs)
+    # in karidi mode the length is the box length each orbit step returns
+    for n, (h, box) in zip(range(1, n_max + 1), _orbit(phi, g)):
+        length = box if mode == "karidi" else _length_in_mode(h, spec, mode, genset, costs)
         if length is None:
             warnings.warn(
                 f"exact length unknown at n={n}; entry omitted",
@@ -350,7 +349,7 @@ def _subgroup_series(phi, g, lattice, n_max, mode):
     spec = phi.spec
     weights = [spec.weights[d] for d in lattice.depths]
     entries = []
-    for n, h in zip(range(1, n_max + 1), _orbit(phi, g)):
+    for n, (h, _) in zip(range(1, n_max + 1), _orbit(phi, g)):
         coeffs = lattice.reduce(h)
         if coeffs is None:
             raise SpecError("iterate left the subgroup")

@@ -64,11 +64,43 @@ def _hall_pair_ok(u, v):
     return not u.right > v
 
 
+# The most entries a Hall basis may have.  A rank and class whose Witt
+# dimension passes it raise SpecError before any entry is built: rank 2 and
+# class 40 would have 5.6e10 entries.  A basis this size builds in under half
+# a second; the specs the package derives laws for are far smaller (F(4,6)
+# has 964 entries and F(7,4) 728).
+MAX_DIMENSION = 1 << 15
+
+
+def _witt_dimension(rank, nil_class, limit):
+    """The number of Hall basis entries of weight at most ``nil_class``, or a
+    partial count above ``limit`` once it passes ``limit``.
+
+    By Witt's formula the weight-``d`` layer has ``N(d)`` entries, the number
+    of aperiodic necklaces of length ``d`` in ``rank`` letters, so
+    ``rank^d = sum(e * N(e) for e | d)``.
+    """
+    if rank == 1:
+        return 1
+    layers, total = [0], 0
+    for d in range(1, nil_class + 1):
+        periodic = sum(e * layers[e] for e in range(1, d // 2 + 1) if d % e == 0)
+        layers.append((rank ** d - periodic) // d)
+        total += layers[d]
+        if total > limit:
+            break
+    return total
+
+
 class HallBasis:
-    """Hall basis of the free Lie ring of given rank, truncated at ``nil_class``."""
+    """Hall basis of the free Lie ring of given rank, truncated at ``nil_class``.
+
+    A rank and class with more than :data:`MAX_DIMENSION` entries raise
+    :class:`~nilentropy.nilgroup.SpecError` before anything is built.
+    """
 
     def __init__(self, rank, nil_class):
-        from .nilgroup import _integer  # nilgroup imports this module
+        from .nilgroup import SpecError, _integer  # nilgroup imports this module
 
         rank = _integer(rank, "rank")
         nil_class = _integer(nil_class, "class")
@@ -76,6 +108,9 @@ class HallBasis:
             raise ValueError(f"rank must be >= 1, got {rank}")
         if nil_class < 1:
             raise ValueError(f"class must be >= 1, got {nil_class}")
+        if _witt_dimension(rank, nil_class, MAX_DIMENSION) > MAX_DIMENSION:
+            raise SpecError(f"a Hall basis of rank {rank} and class {nil_class} has more "
+                            f"than {MAX_DIMENSION} entries")
         self.rank = rank
         self.nil_class = nil_class
         by_weight = {1: [BasicCommutator(gen=i) for i in range(rank)]}

@@ -18,7 +18,13 @@ exact-division check by ``D``; a remainder raises
 through unchanged.  The inverse of a unitriangular map, such
 as the exponential of a law's scaled logarithm, is generated from the
 map's own polynomials by :func:`back_substitution`, one exact division per
-output.  The right products of a word-metric ball
+output.  One step of an orbit on scaled logarithms is generated by
+:func:`orbit_step` around the same back-substitution text: a prologue
+divides the linear image by the map's denominator, and an epilogue takes
+the box length of the result with one exact ``max`` and one float root per
+weight, plus a root for each value in a guard band where rounding could
+reorder two roots, so the float is that of a root per coordinate.  The
+right products of a word-metric ball
 are generated together by :func:`layer_expander`, one function per ball
 that expands a whole breadth-first layer.
 
@@ -33,7 +39,7 @@ derives its next maps from the ones already generated.  For that,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import exp as _exp, gcd, lcm, log as _log
 
 # Bits per variable in a packed monomial, and the largest exponent they hold.
 _BITS = 8
@@ -402,24 +408,14 @@ def _triangular_rows(scale, compiled):
     return rows
 
 
-def back_substitution_source(name, scale, compiled):
-    """Python source of the inverse of a unitriangular polynomial map.
-
-    ``compiled`` holds integer polynomials ``z_k = scale * v_k + Q_k(v_0 ..
-    v_{k-1})`` (checked by :func:`_triangular_rows`).  The function takes
-    one sequence ``z`` and solves for ``v`` in order:
-    ``v_k, r = divmod(z_k - Q_k, scale)``, raising :class:`IntegralityError`
-    through ``_inexact`` on a remainder, so the first ``v_k`` that is not
-    an integer fails its own division.  Each power ``v_j ** e`` (``e > 1``)
-    is computed once, right after ``v_j``; a sum of more than ``_CHUNK``
-    terms is split into statements.  The text is a deterministic function
-    of its arguments.
-    """
+def _back_substitution_lines(scale, compiled):
+    """Statements solving ``v_0, v_1, ...`` in order from the bound ``z_0,
+    z_1, ...``, for the unitriangular map ``compiled`` at ``scale`` (see
+    :func:`back_substitution_source`)."""
     rows = _triangular_rows(scale, compiled)
     powers = sorted({(v, e) for terms in rows for _, ve in terms
                      for v, e in ve if e > 1})
-    lines = [f"def {name}(a0):",
-             f"    {', '.join(f'z{k}' for k in range(len(rows)))}, = a0"]
+    lines = []
     for k, terms in enumerate(rows):
         texts = [f"z{k}"] + [_term_text(-c, ve) for c, ve in terms]
         chunks = [_sum_text(texts[i:i + _CHUNK])
@@ -436,7 +432,134 @@ def back_substitution_source(name, scale, compiled):
             lines.append("    if r:")
             lines.append(f"        _inexact({scale!r}, r)")
         lines.extend(f"    v{v}_{e} = v{v} ** {e}" for v, e in powers if v == k)
-    lines.append(f"    return ({', '.join(f'v{k}' for k in range(len(rows)))},)")
+    return lines
+
+
+def _names(prefix, n):
+    return ", ".join(f"{prefix}{k}" for k in range(n))
+
+
+def back_substitution_source(name, scale, compiled):
+    """Python source of the inverse of a unitriangular polynomial map.
+
+    ``compiled`` holds integer polynomials ``z_k = scale * v_k + Q_k(v_0 ..
+    v_{k-1})`` (checked by :func:`_triangular_rows`).  The function takes
+    one sequence ``z`` and solves for ``v`` in order:
+    ``v_k, r = divmod(z_k - Q_k, scale)``, raising :class:`IntegralityError`
+    through ``_inexact`` on a remainder, so the first ``v_k`` that is not
+    an integer fails its own division.  Each power ``v_j ** e`` (``e > 1``)
+    is computed once, right after ``v_j``; a sum of more than ``_CHUNK``
+    terms is split into statements.  The text is a deterministic function
+    of its arguments.
+    """
+    n = len(compiled)
+    lines = [f"def {name}(a0):", f"    {_names('z', n)}, = a0"]
+    lines.extend(_back_substitution_lines(scale, compiled))
+    lines.append(f"    return ({_names('v', n)},)")
+    return "\n".join(lines) + "\n"
+
+
+# The box epilogue of an orbit step takes, for each weight w > 1, the root of
+# the largest absolute value m of that weight, and the root of each other
+# value a in the guard band m - (m >> _BAND_SHIFT) <= a < m; when m has more
+# than _BAND_BITS bits, it takes the root of every value of the weight.  That
+# finds the largest computed root of the weight, for every weight and int
+# size, assuming the C library's log and exp are within one ulp.  For a >= 2
+# the computed root is exp(fl(L(a) / w)), with L(a) = math.log(a).  Outside
+# the band, a < m means m - a > m 2^-32, so log m - log a > 2^-32.  The
+# rounding errors are:
+# - L(a).  When float(a) does not overflow it is log(float(a)): float(a) is
+#   within a relative 2^-53, and log within one ulp of a result below 710,
+#   2^-43.  Otherwise CPython takes log(f) + log(2) e, where a = f 2^e and
+#   f in [1/2, 1) is rounded to 53 bits: two errors of 2^-53 and two
+#   roundings of results below 2^14 (a has at most 2^14 bits), 2^-40 each.
+#   Either way |L(a) - log a| < 2^-38.
+# - The quotient by w, which lies in 0..255 (a weight is at most the class,
+#   below 128 since packed exponents stop at 255): one rounding of a result
+#   below 710, 2^-44.  A larger quotient overflows exp, and then the root of
+#   m and the per-coordinate loop both raise.
+# - exp: one ulp, a relative 2^-52.
+# So the computed roots keep the order of a < m while
+# (2^-32 - 2 * 2^-38) / w > 2 * (2^-44 + 2^-52), which holds for every
+# w < 2^8, more than 7 times over at w = 255.  Below 2^32, m >> 32 is 0 and
+# every a < m lies at least 1/m > 2^-32 below m.  A value of at most 1 has
+# the root 0.0 or 1.0, no more than the root of any m >= 2.  Weight 1 needs
+# no band: its root is float(a), which never reverses an order.  Weight 0
+# takes the root of m, which raises ZeroDivisionError for m > 1, as the root
+# of any such value does.  So the largest root taken is, to the bit, the
+# largest root per coordinate, exact ties across weights included.
+_BAND_SHIFT = 32
+_BAND_BITS = 1 << 14
+
+
+def _root(value, w):
+    """``value^(1/w)`` as a float, for an ``int`` ``value >= 0``."""
+    if value <= 1 or w == 1:
+        return float(value)
+    return _exp(_log(value) / w)
+
+
+def _box_lines(weights):
+    """Statements setting ``box`` to ``max(_root(abs(v_k), w_k))``, 0.0 for no
+    coordinate: one exact ``max`` and one root per weight, plus the roots
+    of its guard band (see ``_BAND_SHIFT``), weights in increasing order."""
+    groups = {}
+    for k, w in enumerate(weights):
+        if not 0 <= w <= _MAX_EXP:
+            raise ValueError(f"weight {w} out of range 0..{_MAX_EXP}")
+        groups.setdefault(w, []).append(k)
+    lines = ["    box = 0.0"]
+    for w, ks in sorted(groups.items()):
+        band = w != 1 and len(ks) > 1
+        args = [f"a{k} := abs(v{k})" if band else f"abs(v{k})" for k in ks]
+        lines.append(f"    m = max({', '.join(args)})" if len(ks) > 1 else f"    m = {args[0]}")
+        if w == 1:
+            lines.extend(["    if m > box:", "        box = float(m)"])
+            continue
+        lines.extend(["    if m > 1:",
+                      f"        t = _exp(_log(m) / {w!r})",
+                      "        if t > box:",
+                      "            box = t"])
+        if band:
+            lines.extend([f"        if m >> {_BAND_SHIFT}:",
+                          f"            lo = 0 if m >> {_BAND_BITS} else m - (m >> {_BAND_SHIFT})"])
+            for k in ks:
+                lines.extend([f"            if lo <= a{k} < m:",
+                              f"                box = max(box, _root(a{k}, {w!r}))"])
+        lines.extend(["    elif m > box:",
+                      "        box = float(m)"])
+    return lines
+
+
+def orbit_step_source(scale, compiled, weights):
+    """Python source of ``orbit_step(q, den) -> (z, v, box)``, one step of an
+    orbit on scaled logarithms.
+
+    The prologue divides every entry of ``q`` by ``den``, ``z_k, r =
+    divmod(q_k, den)``, raising :class:`IntegralityError` through
+    ``_inexact`` at the first remainder.  The body is the text of
+    :func:`back_substitution_source` for ``scale`` and ``compiled``,
+    solving ``v`` from ``z``.  The epilogue takes the box length
+    ``max(_root(abs(v_k), w_k))`` of ``v``, weight by weight in increasing
+    order (a law's weights never decrease, so a root that raises does so
+    where the per-coordinate loop raises): one exact integer ``max`` and one
+    root per weight, and a
+    root for each other value of the weight in its guard band, where
+    rounding could reorder two roots; so the float is that of the
+    per-coordinate loop, bit for bit.  The text is a deterministic function
+    of its arguments.
+    """
+    n = len(compiled)
+    if len(weights) != n:
+        raise ValueError(f"{len(weights)} weights for {n} coordinates")
+    lines = ["def orbit_step(a0, den):", f"    {_names('z', n)}, = a0", "    if den != 1:"]
+    for k in range(n):
+        lines.extend([f"        z{k}, r = divmod(z{k}, den)",
+                      "        if r:",
+                      "            _inexact(den, r)"])
+    lines.extend(_back_substitution_lines(scale, compiled))
+    lines.extend(_box_lines(weights))
+    lines.append(f"    return ({_names('z', n)},), ({_names('v', n)},), box")
     return "\n".join(lines) + "\n"
 
 
@@ -480,7 +603,7 @@ def layer_expander_source(directions, size):
 
 
 def _define(name, source):
-    namespace = {"_inexact": _inexact}
+    namespace = {"_inexact": _inexact, "_root": _root, "_exp": _exp, "_log": _log}
     exec(compile(source, f"<{name}>", "exec"), namespace)
     # popped, so the function and its globals form no reference cycle and a
     # dropped function is freed at once
@@ -507,3 +630,11 @@ def layer_expander(directions, size):
     A non-integral product raises :class:`IntegralityError`.
     """
     return _define("expand", layer_expander_source(directions, size))
+
+
+def orbit_step(scale, compiled, weights):
+    """Compile :func:`orbit_step_source` into a function; the text is dropped.
+
+    A remainder in a division raises :class:`IntegralityError`.
+    """
+    return _define("orbit_step", orbit_step_source(scale, compiled, weights))

@@ -25,6 +25,7 @@ from itertools import compress
 from .collect import CollectionLaw
 from .hall import HallBasis
 from .linalg import smith_factors
+from .mpoly import _root
 
 DEFAULT_RADIUS_CAP = 10
 DEFAULT_BALL_BUDGET = 10_000_000
@@ -580,12 +581,6 @@ def rewrite_mod_last_term(g, spec):
     z = spec.law.multiply(spec.law.inverse(trimmed), g)
     assert all(w == c or v == 0 for v, w in zip(z, spec.weights))
     return trimmed, z
-
-
-def _root(value, w):
-    if value <= 1 or w == 1:
-        return float(value)
-    return math.exp(math.log(value) / w)
 
 
 def _box_length(g, weights):

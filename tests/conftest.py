@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import repeat
 
 import pytest
 
@@ -14,7 +15,8 @@ from nilentropy import (
 )
 from nilentropy.assoc import scale
 from nilentropy.autom import _basis_entries, _tree_evaluator
-from nilentropy.nilgroup import _law_commutator, _root
+from nilentropy.mpoly import _inexact
+from nilentropy.nilgroup import _box_length, _law_commutator, _root
 
 
 @pytest.fixture(scope="session")
@@ -134,6 +136,24 @@ def box_length_reference(g, weights):
         if v:
             value = max(value, _root(abs(v), w))
     return value
+
+
+def orbit_step_reference(law, q, den):
+    """Reference orbit step ``(z, exp(z / D), box length)`` for ``z = q / den``:
+    a ``divmod`` map with a check of the first remainder, then the law's
+    ``unpack_scaled``, then ``_box_length``.
+
+    These are the three passes ``autom._step`` and ``growth_series`` made
+    before the law generated one ``orbit_step`` kernel; tests keep them as
+    the oracle of that kernel.
+    """
+    z = tuple(q)
+    if den != 1:
+        z, remainders = zip(*map(divmod, z, repeat(den)))
+        if any(remainders):
+            _inexact(den, next(filter(None, remainders)))
+    h = law.unpack_scaled(z)
+    return z, h, _box_length(h, law.weights)
 
 
 def karidi_band_reference(spec, radius, genset=None):

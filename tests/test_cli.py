@@ -33,6 +33,14 @@ def test_hall_lists_basis(capsys):
         assert int(weight) in (1, 2, 3)
 
 
+def test_hall_refuses_an_oversized_basis():
+    # 5.6e10 entries by Witt's formula: refused before the basis is built
+    proc = run_cli("hall", "--rank", "2", "--class", "40")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: a Hall basis of rank 2 and class 40 has more than 32768 entries\n"
+
+
 def test_eval_word(capsys):
     assert main(["eval", "--group", "free:2,2", "--word", "x2 x1"]) == 0
     assert capsys.readouterr().out.strip() == "(1,1,1)"

@@ -1,5 +1,6 @@
 """Generated straight-line laws against the term-by-term reference evaluator."""
 
+import math
 import os
 import subprocess
 import sys
@@ -28,17 +29,21 @@ from nilentropy import (
     power,
     surface_quotient,
 )
+from nilentropy import mpoly
 from nilentropy.mpoly import (
     MPoly,
     back_substitution,
     back_substitution_source,
     compile_poly,
     layer_expander,
+    orbit_step,
+    orbit_step_source,
     straight_line,
     straight_line_source,
 )
+from nilentropy.nilgroup import _box_length
 
-from conftest import eval_compiled, unpack_reference
+from conftest import box_length_reference, eval_compiled, unpack_reference
 
 GROUPS = {
     "F(2,2)": lambda: free_nilpotent(2, 2),
@@ -344,6 +349,105 @@ def test_back_substitution_of_a_long_sum():
             solve(z[:2] + (z[2] + 4,))
 
 
+def _identity_step(weights):
+    """``orbit_step`` of the identity map at scale 1: ``q -> (q, q, box(q))``."""
+    compiled = tuple((1, ((1, ((k, 1),)),)) for k in range(len(weights)))
+    return orbit_step(1, compiled, weights)
+
+
+def _box_outcome(box):
+    """``repr`` of ``box()``, or the type and message of what it raised."""
+    try:
+        return repr(box())
+    except (OverflowError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_box_matches(vec, weights):
+    want = _box_outcome(lambda: _box_length(vec, weights))
+    assert _box_outcome(lambda: box_length_reference(vec, weights)) == want
+    assert _box_outcome(lambda: _identity_step(weights)(vec, 1)[2]) == want
+
+
+# magnitudes of same-weight near-ties: small, 2^53 (the last integer run
+# that floats hold exactly), 2^1024 (where math.log(int) switches to frexp),
+# far beyond, and past 2^16384 bits, where the epilogue takes every root
+CENTRES = (2 ** 20, 2 ** 32, 2 ** 53, 2 ** 1024, 2 ** 5000, 2 ** 16400, 2 ** 20000)
+
+
+@st.composite
+def _box_inputs(draw):
+    vec, weights = [], []
+    for w in sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=4))):
+        centre = draw(st.sampled_from(CENTRES)) + draw(st.integers(-16, 16))
+        for _ in range(draw(st.integers(1, 4))):
+            k = draw(st.integers(0, 4))
+            gap = draw(st.one_of(st.just(k), st.integers(20, 64).map(lambda s: k * (centre >> s))))
+            v = draw(st.one_of(st.just(centre - gap), st.integers(-2, 2)))
+            vec.append(draw(st.sampled_from((v, -v))))
+            weights.append(w)
+    return tuple(vec), tuple(weights)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_box_inputs())
+def test_box_epilogue_matches_box_length(inputs):
+    """The generated box epilogue, one root per weight plus its guard band,
+    against the root of every coordinate, on near-ties of one weight."""
+    _assert_box_matches(*inputs)
+
+
+@pytest.mark.parametrize("vec, weights", [
+    ((3, 27), (1, 3)),
+    ((2 ** 100, 2 ** 300), (1, 3)),
+    ((0, 0, 0), (1, 2, 2)),
+    ((5, -5, 5), (2, 2, 2)),
+    ((2 ** 60, 2 ** 60 - 1, -2 ** 60), (1, 3, 3)),
+    ((1, 0, 7), (0, 1, 2)),
+    ((-1, 1, 0), (0, 0, 3)),
+    ((2, 1), (0, 1)),
+    ((2 ** 1024, 3), (1, 2)),
+    ((5, 2 ** 2100, 2 ** 2100 - 1), (1, 2, 2)),
+], ids=["tie 3 = 27^(1/3)", "tie 2^100 = (2^300)^(1/3)", "zeros", "equal values",
+        "one below", "weight 0", "weight 0 only", "weight 0 raises",
+        "weight 1 overflows", "weight 2 overflows"])
+def test_box_epilogue_edge_cases(vec, weights):
+    _assert_box_matches(vec, weights)
+
+
+@pytest.mark.parametrize("vec, weights", [
+    ((1, 2 ** 60, 2 ** 60 - 1), (1, 2, 2)),
+    ((5, 7, -2 ** 61, 2 ** 61 - 3), (2, 3, 3, 3)),
+    ((-(2 ** 3000 - 1), 2 ** 3000), (5, 5)),
+    ((2 ** 16400 - 2 ** 16369 - 1, 3, 2 ** 16400), (17, 17, 17)),
+])
+def test_box_epilogue_keeps_roots_that_rounding_reorders(monkeypatch, vec, weights):
+    """Under a logarithm that reads odd integers high, by 2^-39 up to 2^14
+    bits and by 2^-30 past them, the root of an odd value passes that of the
+    even value just above it.  The guard band, and past 2^14 bits the root
+    of every value, take that root too."""
+    def skewed(x):
+        if isinstance(x, int) and x % 2:
+            return math.log(x) + (2 ** -39 if x.bit_length() <= 2 ** 14 else 2 ** -30)
+        return math.log(x)
+
+    monkeypatch.setattr(mpoly, "_log", skewed)
+    # one root per weight, of its largest value, would fall short
+    tops = {w: max(abs(v) for v, u in zip(vec, weights) if u == w) for w in weights}
+    assert (max(mpoly._root(abs(v), w) for v, w in zip(vec, weights))
+            > max(mpoly._root(m, w) for w, m in tops.items()))
+    _assert_box_matches(vec, weights)
+
+
+def test_box_epilogue_takes_one_root_per_weight():
+    source = orbit_step_source(1, tuple((1, ((1, ((k, 1),)),)) for k in range(5)),
+                               (1, 1, 2, 2, 2))
+    assert source.count("_exp(_log(m)") == 1
+    assert "m = max(abs(v0), abs(v1))" in source
+    with pytest.raises(ValueError, match="^weight 256 out of range 0..255$"):
+        orbit_step_source(1, ((1, ((1, ((0, 1),)),)),), (256,))
+
+
 # entry point -> (the law kernel whose division fails, a call through it)
 ENTRY_POINTS = {
     "multiply": ("multiply", lambda s: multiply(s.indicator(0), s.indicator(1), s)),
@@ -352,9 +456,9 @@ ENTRY_POINTS = {
     "eval_word": ("multiply", lambda s: eval_word("x1 x2^-1", s)),
     "commutator": ("multiply", lambda s: commutator(s.indicator(0), s.indicator(1), s)),
     "conjugate": ("multiply", lambda s: conjugate(s.indicator(0), s.indicator(1), s)),
-    "apply": ("unpack_scaled",
+    "apply": ("orbit_step",
               lambda s: apply(builtin_automorphism("fib", s), s.indicator(0))),
-    "growth_series": ("unpack_scaled",
+    "growth_series": ("orbit_step",
                       lambda s: growth_series(builtin_automorphism("fib", s), s.indicator(0), 10)),
     "bfs_ball": ("layer_expander", lambda s: bfs_ball(s, 1)),
     "SubgroupLattice.reduce": (
@@ -374,6 +478,10 @@ def test_integrality_error_from_every_entry_point(name):
     bad = ((2, ((1, ()),)),) * n
     if kernel == "layer_expander":
         spec.law.layer_expander = lambda directions: layer_expander([bad] * len(directions), n)
+    elif kernel == "orbit_step":
+        # z_k = 2 v_k + 1: every solved coordinate is (z_k - 1) / 2
+        odd = tuple((1, ((1, ()), (2, ((k, 1),)))) for k in range(n))
+        spec.law.orbit_step = orbit_step(2, odd, spec.weights)
     else:
         sizes = (n, n) if kernel == "multiply" else (n,)
         setattr(spec.law, kernel, straight_line("bad", bad, sizes))
@@ -387,6 +495,7 @@ from nilentropy import free_nilpotent, surface_quotient
 from nilentropy.mpoly import (
     back_substitution_source,
     layer_expander_source,
+    orbit_step_source,
     straight_line_source,
 )
 for law in (free_nilpotent(3, 4).law, surface_quotient(2, 3).law):
@@ -406,6 +515,9 @@ for spec in (free_nilpotent(2, 3), surface_quotient(2, 3)):
     directions = [v for g in genset for v in (g, law.inverse(g))]
     text = layer_expander_source(law._layer_compiled(directions), law.dim)
     print("expand", len(text), hashlib.sha256(text.encode()).hexdigest())
+for law in (free_nilpotent(3, 4).law, surface_quotient(2, 3).law):
+    text = orbit_step_source(*law._pack_compiled, law.weights)
+    print("orbit_step", len(text), hashlib.sha256(text.encode()).hexdigest())
 """
 
 
@@ -422,6 +534,8 @@ pack 1091 b3e5a8ba567755eabab12a29025c444fc88b0261b7ed854f982a46764a5e1eeb
 unpack_scaled 2580 173eba646f7a4b06e63faf9c320aea8c2705da79873b2020aa0559b6eb98e8df
 expand 1527 99d30669766a81678d5c27bf3283c6ee6a9e6d7e678ea0d39bd60730ffc3ace5
 expand 4656 a598a61299fbe38bda5cfc044283c6642b9328271154b620b128d04a617dbded
+orbit_step 10020 0dd6ff58e9745a733754bc37c7078f59156a306e19f2fc4cb2d4999c841d1b40
+orbit_step 7075 3d1158e7fd42eef177fa6f9f08bc856e295ff9667378c53fb21951c49a164f00
 """
 
 
@@ -432,6 +546,6 @@ def test_generated_source_independent_of_hash_seed():
         proc = subprocess.run([sys.executable, "-c", SOURCE_DIGEST], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 10
+    assert len(outputs[0].splitlines()) == 12
     assert outputs[0] == outputs[1]
     assert outputs[0] == SOURCE_DIGEST_LINES

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisors, mobius
 
-from nilentropy import HallBasis, free_nilpotent, surface_quotient
+from nilentropy import HallBasis, SpecError, free_nilpotent, surface_quotient
+from nilentropy import hall
 from nilentropy.assoc import add, scale
-from nilentropy.hall import _hall_pair_ok
+from nilentropy.hall import MAX_DIMENSION, _hall_pair_ok, _witt_dimension
 from nilentropy.mpoly import MPoly
 
 
@@ -21,6 +22,30 @@ def test_layer_sizes_match_necklace_counts(rank):
     basis = HallBasis(rank, 6)
     for d in range(1, 7):
         assert basis.graded_dimension(d) == necklace_count(rank, d)
+
+
+@pytest.mark.parametrize("rank, nil_class", [(1, 9), (2, 7), (3, 5), (4, 6), (7, 4)])
+def test_witt_dimension_is_the_basis_size(rank, nil_class):
+    want = sum(necklace_count(rank, d) for d in range(1, nil_class + 1))
+    assert _witt_dimension(rank, nil_class, MAX_DIMENSION) == want == len(HallBasis(rank, nil_class))
+
+
+def test_budget_admits_the_largest_specs_in_use():
+    # F(4,6) and F(7,4) are the largest specs the tests and the roadmap build
+    assert _witt_dimension(4, 6, MAX_DIMENSION) == 964
+    assert _witt_dimension(7, 4, MAX_DIMENSION) == 728
+    assert _witt_dimension(2, 40, 10 ** 12) == 56466147791
+
+
+@pytest.mark.parametrize("rank, nil_class", [(2, 40), (2, 10 ** 6), (60, 3), (3, 12)])
+def test_oversized_basis_is_refused_before_it_is_built(monkeypatch, rank, nil_class):
+    def built(*args, **kwargs):
+        raise AssertionError("a basis entry was built")
+
+    monkeypatch.setattr(hall, "BasicCommutator", built)
+    with pytest.raises(SpecError, match=f"^a Hall basis of rank {rank} and class {nil_class} "
+                                        f"has more than {MAX_DIMENSION} entries$"):
+        HallBasis(rank, nil_class)
 
 
 def test_layer_sizes_rank2_class5():

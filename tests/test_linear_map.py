@@ -35,11 +35,17 @@ from nilentropy import (
     power,
     surface_quotient,
 )
-from nilentropy.autom import _orbit
+from nilentropy.autom import _orbit, _step
 from nilentropy.linalg import bareiss_det
 from nilentropy.mpoly import exact_quotient
 
-from conftest import apply_reference, basis_images_reference, unpack_reference
+from conftest import (
+    apply_reference,
+    basis_images_reference,
+    box_length_reference,
+    orbit_step_reference,
+    unpack_reference,
+)
 
 BIG = st.integers(2 ** 64, 2 ** 96)
 COORD = st.one_of(st.integers(-3, 3), BIG, BIG.map(lambda v: -v))
@@ -217,19 +223,48 @@ def _surface_twist_composite(spec):
     return compose(a, b).images
 
 
-@pytest.mark.parametrize("make, images", [
+ORBIT_MAPS = [
     (lambda: free_nilpotent(2, 5), _hyperbolic_block_images),
     (lambda: free_nilpotent(3, 4), _hyperbolic_block_images),
     (GROUPS["surface(2,3)"][0], _surface_twist_composite),
-], ids=["F(2,5) block", "F(3,4) block", "surface(2,3) twists"])
+]
+ORBIT_IDS = ["F(2,5) block", "F(3,4) block", "surface(2,3) twists"]
+
+
+@pytest.mark.parametrize("make, images", ORBIT_MAPS, ids=ORBIT_IDS)
 def test_orbit_matches_reference(make, images):
     spec = make()
     phi = Endomorphism(spec, images(spec))
     g = want = tuple(range(1, spec.dim + 1))
-    for n, got in enumerate(islice(_orbit(phi, g), 40), 1):
+    for n, (got, box) in enumerate(islice(_orbit(phi, g), 40), 1):
         want = apply_reference(phi, want)
         assert got == want, n
+        assert repr(box) == repr(box_length_reference(want, spec.weights)), n
     assert n == 40
+
+
+@pytest.mark.parametrize("make, images", ORBIT_MAPS, ids=ORBIT_IDS)
+@pytest.mark.parametrize("start", ["range", "generator", "inverse"])
+def test_orbit_step_matches_the_old_path(make, images, start):
+    """Each step of ``_step`` against the three passes it fused: the
+    ``divmod`` map, ``unpack_scaled`` and ``_box_length``, on ``M p``
+    computed densely."""
+    spec = make()
+    law = spec.law
+    phi = Endomorphism(spec, images(spec))
+    columns, den = phi.linear_map
+    dense = [[0] * spec.dim for _ in range(spec.dim)]
+    for j, column in enumerate(columns):
+        for i, m in column:
+            dense[i][j] = m
+    g = {"range": tuple(range(1, spec.dim + 1)), "generator": spec.indicator(1),
+         "inverse": law.inverse(tuple(range(-3, spec.dim - 3)))}[start]
+    p = law.pack_scaled(g)
+    for n in range(1, 41):
+        q = [sum(m * v for m, v in zip(row, p)) for row in dense]
+        got = _step(law, columns, den, p)
+        assert got == orbit_step_reference(law, q, den), n
+        p = got[0]
 
 
 LAWS = {
