@@ -10,17 +10,18 @@ denominators into one integer matrix per endomorphism, held as its sparse
 columns (:attr:`Endomorphism.linear_map`), and every linear invariant is
 read off those columns.  The map acts on scaled logarithms ``p = D log g``
 (``D`` being the law's ``log_scale``), which are integer vectors, with
-``L = M / denominator``.  One step scatters ``M p`` over the sparse columns
-of ``M`` and makes one call of the law's generated ``orbit_step``, which
-divides ``q = M p`` by ``denominator``, takes the exponential ``exp(q / D)``
-and the box length of the image, every division checked; a remainder raises
-``IntegralityError`` where it occurs.  :func:`apply` is one generated
-``pack`` and one step; an orbit ``phi^n(g)`` keeps ``p`` from step to step,
-packs once and yields each image with its box length, the Karidi length of
-``growth_series``; :func:`iterate` reads ``phi^n`` off the orbits of the
-generators; the graded actions are the diagonal weight blocks of ``L``; and
-:func:`invert` takes the same step with ``L^-1``, from the ``Fraction``
-inverse of :mod:`.linalg`.
+``L = M / denominator``: one step is ``p -> M p / denominator``, an exact
+division, followed by the generated exponential ``exp(p / D)``, every
+division checked; a remainder raises ``IntegralityError`` where it occurs.
+:func:`apply` is one generated ``pack`` and one step; an orbit ``phi^n(g)``
+keeps ``p`` from step to step and packs once, and :func:`iterate` reads
+``phi^n`` off the orbits of the generators; the graded actions are the
+diagonal weight blocks of ``L``; and :func:`invert` takes the same step with
+``L^-1``, from the ``Fraction`` inverse of :mod:`.linalg`.  The Karidi
+series of ``growth_series`` reads box lengths off the same orbit, with each
+step after ``M p`` one call of the law's generated ``orbit_step``, which
+divides, takes the exponential and its box length in one pass; the exact
+callers never convert a coordinate to a float.
 
 The spectral report of an integer matrix is exact integer code: a Berkowitz
 characteristic polynomial, its squarefree part, and one exact predicate on
@@ -36,11 +37,11 @@ import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 from . import assoc
 from .linalg import bareiss_det, inverse
-from .mpoly import exact_quotient
+from .mpoly import _inexact, exact_quotient
 from .nilgroup import SpecError, _integer
 
 def _exact(x):
@@ -198,23 +199,31 @@ def identity_endomorphism(spec):
     return Endomorphism(spec, [spec.indicator(k) for k in range(spec.rank)])
 
 
-def _step(law, columns, denominator, p):
-    """``(q, exp(q / D), box)`` for ``q = M p / denominator``: one linear step
-    on the scaled logarithm ``p``, with the law's ``log_scale`` ``D``, and
-    the box length of the image.
-
-    ``M p`` is scattered over the sparse integer columns ``((i, m_ij), ...)``
-    of ``M``, skipping the zero entries of ``p``; the rest is one call of the
-    law's generated :attr:`~nilentropy.collect.CollectionLaw.orbit_step`,
-    whose division by ``denominator`` raises
-    :class:`~nilentropy.mpoly.IntegralityError` at the first remainder.
-    """
+def _scatter(columns, p):
+    """``M p`` over the sparse integer columns ``((i, m_ij), ...)`` of ``M``,
+    skipping the zero entries of ``p``."""
     q = [0] * len(columns)
     for v, column in zip(p, columns):
         if v:
             for i, m in column:
                 q[i] += m * v
-    return law.orbit_step(q, denominator)
+    return q
+
+
+def _step(law, columns, denominator, p):
+    """``(q, exp(q / D))`` for ``q = M p / denominator``: one linear step on the
+    scaled logarithm ``p``, with the law's ``log_scale`` ``D``.
+
+    ``M p`` is :func:`_scatter`; the division by ``denominator`` is one
+    ``divmod`` per entry, and the first nonzero remainder raises
+    :class:`~nilentropy.mpoly.IntegralityError`.  Every division is checked.
+    """
+    q = _scatter(columns, p)
+    if denominator != 1:
+        q, remainders = zip(*map(divmod, q, repeat(denominator)))
+        if any(remainders):
+            _inexact(denominator, next(filter(None, remainders)))
+    return q, law.unpack_scaled(q)
 
 
 def apply(phi, g):
@@ -225,8 +234,7 @@ def apply(phi, g):
 
 
 def _orbit(phi, g):
-    """``(phi^n(g), its box length)`` for ``n = 1, 2, ...`` without end, for
-    a checked vector ``g``.
+    """``phi(g), phi^2(g), ...`` without end, for a checked vector ``g``.
 
     The scaled logarithm ``D log phi^n(g)`` is integral, since ``phi^n(g)`` is
     a group element, and carries from one step to the next: the orbit packs
@@ -236,8 +244,28 @@ def _orbit(phi, g):
     columns, denominator = phi.linear_map
     p = law.pack_scaled(g)
     while True:
-        p, h, box = _step(law, columns, denominator, p)
-        yield h, box
+        p, h = _step(law, columns, denominator, p)
+        yield h
+
+
+def _karidi_lengths(phi, g):
+    """The box lengths of ``phi(g), phi^2(g), ...`` without end, for a checked
+    vector ``g``: the orbit of :func:`_orbit`, each step one :func:`_scatter`
+    and one call of the law's generated
+    :attr:`~nilentropy.collect.CollectionLaw.orbit_step`, which divides,
+    takes the exponential and its box length in one pass.
+
+    Only the Karidi series reads box lengths, which are floats: a weight-1
+    coordinate of ``2^1024`` has none.  Every other caller takes the exact
+    :func:`_step`.
+    """
+    law = phi.spec.law
+    step = law.orbit_step
+    columns, denominator = phi.linear_map
+    p = law.pack_scaled(g)
+    while True:
+        p, _, box = step(_scatter(columns, p), denominator)
+        yield box
 
 
 def compose(phi, psi):
@@ -259,7 +287,7 @@ def iterate(phi, n):
     spec = phi.spec
     if n == 0:
         return identity_endomorphism(spec)
-    return Endomorphism(spec, [next(islice(_orbit(phi, spec.indicator(j)), n - 1, None))[0]
+    return Endomorphism(spec, [next(islice(_orbit(phi, spec.indicator(j)), n - 1, None))
                                for j in range(spec.rank)])
 
 

@@ -21,7 +21,7 @@ are unitriangular, ``z_k = D e_k + Q_k(e_0 .. e_{k-1})`` with integer
 (:func:`~nilentropy.mpoly.back_substitution`), one exact division by ``D``
 per coordinate.  The same text, after a division of its input by a linear
 map's denominator and before the box length of its output, is the law's
-step of an orbit, :attr:`CollectionLaw.orbit_step`
+step of a Karidi orbit, :attr:`CollectionLaw.orbit_step`
 (:func:`~nilentropy.mpoly.orbit_step`).  Every other map is derived by
 running those generated functions on ``MPoly`` arguments, so each
 polynomial map has one evaluator:
@@ -303,7 +303,8 @@ class CollectionLaw:
     @cached_property
     def orbit_step(self):
         """``(q, den) -> (z, exp(z / D), box)``: one step of an orbit on scaled
-        logarithms, ``D`` being :attr:`log_scale`.
+        logarithms, ``D`` being :attr:`log_scale`, for the Karidi series of
+        :func:`~nilentropy.growth.growth_series`.
 
         ``z = q / den`` is divided entry by entry, the first remainder
         raising :class:`IntegralityError`; ``exp(z / D)`` is the text of

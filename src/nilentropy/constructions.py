@@ -242,7 +242,7 @@ class SemidirectSpec:
         if k == 0:
             return n
         phi = self.monodromy if k > 0 else self._inverse
-        return next(islice(_orbit(phi, n), abs(k) - 1, None))[0]
+        return next(islice(_orbit(phi, n), abs(k) - 1, None))
 
     def multiply(self, a, b):
         k1, n1 = a

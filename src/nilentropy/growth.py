@@ -25,6 +25,7 @@ from typing import NamedTuple
 from . import nilgroup
 from .autom import (
     Endomorphism,
+    _karidi_lengths,
     _orbit,
     abelianization_matrix,
     apply,
@@ -157,9 +158,11 @@ def growth_series(phi, g, n_max, mode="karidi", genset=None):
     g = spec.check_vector(g)
     costs = _normalform_costs(spec) if mode == "normalform-upper" else None
     entries = []
-    # in karidi mode the length is the box length each orbit step returns
-    for n, (h, box) in zip(range(1, n_max + 1), _orbit(phi, g)):
-        length = box if mode == "karidi" else _length_in_mode(h, spec, mode, genset, costs)
+    if mode == "karidi":
+        lengths = _karidi_lengths(phi, g)
+    else:
+        lengths = (_length_in_mode(h, spec, mode, genset, costs) for h in _orbit(phi, g))
+    for n, length in zip(range(1, n_max + 1), lengths):
         if length is None:
             warnings.warn(
                 f"exact length unknown at n={n}; entry omitted",
@@ -349,7 +352,7 @@ def _subgroup_series(phi, g, lattice, n_max, mode):
     spec = phi.spec
     weights = [spec.weights[d] for d in lattice.depths]
     entries = []
-    for n, (h, _) in zip(range(1, n_max + 1), _orbit(phi, g)):
+    for n, h in zip(range(1, n_max + 1), _orbit(phi, g)):
         coeffs = lattice.reduce(h)
         if coeffs is None:
             raise SpecError("iterate left the subgroup")

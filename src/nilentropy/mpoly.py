@@ -18,7 +18,7 @@ exact-division check by ``D``; a remainder raises
 through unchanged.  The inverse of a unitriangular map, such
 as the exponential of a law's scaled logarithm, is generated from the
 map's own polynomials by :func:`back_substitution`, one exact division per
-output.  One step of an orbit on scaled logarithms is generated by
+output.  One step of a Karidi orbit on scaled logarithms is generated by
 :func:`orbit_step` around the same back-substitution text: a prologue
 divides the linear image by the map's denominator, and an epilogue takes
 the box length of the result with one exact ``max`` and one float root per

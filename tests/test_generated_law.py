@@ -25,6 +25,7 @@ from nilentropy import (
     free_nilpotent,
     growth_series,
     inverse,
+    iterate,
     multiply,
     power,
     surface_quotient,
@@ -456,10 +457,11 @@ ENTRY_POINTS = {
     "eval_word": ("multiply", lambda s: eval_word("x1 x2^-1", s)),
     "commutator": ("multiply", lambda s: commutator(s.indicator(0), s.indicator(1), s)),
     "conjugate": ("multiply", lambda s: conjugate(s.indicator(0), s.indicator(1), s)),
-    "apply": ("orbit_step",
+    "apply": ("unpack_scaled",
               lambda s: apply(builtin_automorphism("fib", s), s.indicator(0))),
     "growth_series": ("orbit_step",
                       lambda s: growth_series(builtin_automorphism("fib", s), s.indicator(0), 10)),
+    "iterate": ("unpack_scaled", lambda s: iterate(builtin_automorphism("fib", s), 3)),
     "bfs_ball": ("layer_expander", lambda s: bfs_ball(s, 1)),
     "SubgroupLattice.reduce": (
         "unpack_scaled",

@@ -5,6 +5,7 @@ commutator-tree basis images, and the package without sympy or numpy."""
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from nilentropy import (
     Endomorphism,
     GroupSpec,
+    GrowthWarning,
     HallBasis,
     IntegralityError,
     SpecError,
@@ -27,15 +29,18 @@ from nilentropy import (
     eval_word,
     free_nilpotent,
     graded_matrix,
+    growth_series,
     identity_endomorphism,
     invert,
     is_automorphism,
+    iterate,
     linearization_matrix,
     multiply,
     power,
+    semidirect_unipotent,
     surface_quotient,
 )
-from nilentropy.autom import _orbit, _step
+from nilentropy.autom import _karidi_lengths, _orbit, _step
 from nilentropy.linalg import bareiss_det
 from nilentropy.mpoly import exact_quotient
 
@@ -236,7 +241,8 @@ def test_orbit_matches_reference(make, images):
     spec = make()
     phi = Endomorphism(spec, images(spec))
     g = want = tuple(range(1, spec.dim + 1))
-    for n, (got, box) in enumerate(islice(_orbit(phi, g), 40), 1):
+    orbit = zip(_orbit(phi, g), _karidi_lengths(phi, g))
+    for n, (got, box) in enumerate(islice(orbit, 40), 1):
         want = apply_reference(phi, want)
         assert got == want, n
         assert repr(box) == repr(box_length_reference(want, spec.weights)), n
@@ -246,9 +252,9 @@ def test_orbit_matches_reference(make, images):
 @pytest.mark.parametrize("make, images", ORBIT_MAPS, ids=ORBIT_IDS)
 @pytest.mark.parametrize("start", ["range", "generator", "inverse"])
 def test_orbit_step_matches_the_old_path(make, images, start):
-    """Each step of ``_step`` against the three passes it fused: the
-    ``divmod`` map, ``unpack_scaled`` and ``_box_length``, on ``M p``
-    computed densely."""
+    """Each ``orbit_step`` against the three passes it fuses: the ``divmod``
+    map, ``unpack_scaled`` and ``_box_length``, on ``M p`` computed densely;
+    the exact ``_step`` is the first two."""
     spec = make()
     law = spec.law
     phi = Endomorphism(spec, images(spec))
@@ -262,8 +268,9 @@ def test_orbit_step_matches_the_old_path(make, images, start):
     p = law.pack_scaled(g)
     for n in range(1, 41):
         q = [sum(m * v for m, v in zip(row, p)) for row in dense]
-        got = _step(law, columns, den, p)
+        got = law.orbit_step(q, den)
         assert got == orbit_step_reference(law, q, den), n
+        assert _step(law, columns, den, p) == got[:2], n
         p = got[0]
 
 
@@ -338,6 +345,45 @@ def test_linear_step_names_the_first_remainder(g):
     with pytest.raises(IntegralityError) as got:
         apply(phi, g)
     assert str(got.value) == str(first.value)
+    with pytest.raises(IntegralityError) as karidi:
+        next(_karidi_lengths(phi, g))
+    assert str(karidi.value) == str(first.value)
+
+
+# past the largest finite float, about 2^1024: such a coordinate has no
+# float box length, but an exact step takes it like any other integer
+HUGE = 2 ** 1100
+
+
+def test_exact_steps_take_coordinates_past_the_float_range():
+    spec = free_nilpotent(2, 2)
+    fib = builtin_automorphism("fib", spec)
+    g = (HUGE, -HUGE, 3)
+    assert apply(identity_endomorphism(spec), g) == g
+    assert apply(invert(fib), apply(fib, g)) == g
+    # the orbit of fib passes 2^1024 near step 1475
+    far = iterate(fib, 1500)
+    assert max(map(abs, far.images[0])) > 2 ** 1024
+    assert far == compose(iterate(fib, 1000), iterate(fib, 500))
+    group = semidirect_unipotent(spec, builtin_automorphism("unipotent-shear", spec))
+    assert group.monodromy_power(-2, group.monodromy_power(2, g)) == g
+    assert group.multiply(group.inverse_element((1, g)), (1, g)) == group.identity()
+
+
+def test_growth_series_past_the_float_range():
+    """An exact-bfs series omits the lengths it cannot find, wherever the
+    orbit goes; the Karidi length of such an element raises, as
+    ``_box_length`` does."""
+    spec = free_nilpotent(2, 2)
+    fib = builtin_automorphism("fib", spec)
+    with warnings.catch_warnings(record=True) as omitted:
+        warnings.simplefilter("always", GrowthWarning)
+        series = growth_series(fib, spec.indicator(0), 1500, mode="exact-bfs")
+    assert [e.n for e in series.entries] == [1, 2, 3, 4]
+    assert len(omitted) == 1496
+    assert str(omitted[-1].message) == "exact length unknown at n=1500; entry omitted"
+    with pytest.raises(OverflowError):
+        growth_series(fib, (HUGE, 0, 0), 1)
 
 
 def test_free_linearization_is_pack_times_inverse_log_basis():
