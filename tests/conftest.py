@@ -143,9 +143,9 @@ def orbit_step_reference(law, q, den):
     a ``divmod`` map with a check of the first remainder, then the law's
     ``unpack_scaled``, then ``_box_length``.
 
-    These are the three passes ``autom._step`` and ``growth_series`` made
-    before the law generated one ``orbit_step`` kernel; tests keep them as
-    the oracle of that kernel.
+    These are the three passes of a Karidi series step before the law
+    generated one ``orbit_step`` kernel (``autom._step`` still makes the
+    first two); tests keep them as the oracle of that kernel.
     """
     z = tuple(q)
     if den != 1:
