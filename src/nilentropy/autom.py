@@ -10,18 +10,19 @@ denominators into one integer matrix per endomorphism, held as its sparse
 columns (:attr:`Endomorphism.linear_map`), and every linear invariant is
 read off those columns.  The map acts on scaled logarithms ``p = D log g``
 (``D`` being the law's ``log_scale``), which are integer vectors, with
-``L = M / denominator``: one step is ``p -> M p / denominator``, an exact
-division, followed by the generated exponential ``exp(p / D)``, every
-division checked; a remainder raises ``IntegralityError`` where it occurs.
-:func:`apply` is one generated ``pack`` and one step; an orbit ``phi^n(g)``
-keeps ``p`` from step to step and packs once, and :func:`iterate` reads
-``phi^n`` off the orbits of the generators; the graded actions are the
-diagonal weight blocks of ``L``; and :func:`invert` takes the same step with
-``L^-1``, from the ``Fraction`` inverse of :mod:`.linalg`.  The Karidi
-series of ``growth_series`` reads box lengths off the same orbit, with each
-step after ``M p`` one call of the law's generated ``orbit_step``, which
-divides, takes the exponential and its box length in one pass; the exact
-callers never convert a coordinate to a float.
+``L = M / denominator``: one step is the product ``M p`` and one call of
+the law's generated ``unpack_scaled``, which divides it by
+``denominator`` and takes the exponential ``exp(p / D)`` of the quotient
+``p``, every division checked; a remainder raises ``IntegralityError``
+where it occurs.  :func:`apply` is one generated ``pack`` and one step; an
+orbit ``phi^n(g)`` keeps ``p`` from step to step and packs once, and
+:func:`iterate` reads ``phi^n`` off the orbits of the generators; the
+graded actions are the diagonal weight blocks of ``L``; and :func:`invert`
+takes the same step with ``L^-1``, from the ``Fraction`` inverse of
+:mod:`.linalg`.  The Karidi series of ``growth_series`` reads box lengths
+off the same orbit, through the law's generated ``orbit_step``, the same
+text followed by the box length; the exact callers never convert a
+coordinate to a float.
 
 The spectral report of an integer matrix is exact integer code: a Berkowitz
 characteristic polynomial, its squarefree part, and one exact predicate on
@@ -37,11 +38,11 @@ import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 
 from . import assoc
 from .linalg import bareiss_det, inverse
-from .mpoly import _inexact, exact_quotient
+from .mpoly import exact_quotient
 from .nilgroup import SpecError, _integer
 
 def _exact(x):
@@ -138,9 +139,9 @@ class Endomorphism:
         ``j``, with ``L = M / denominator`` on the Lie basis.  It acts on
         scaled logarithms: ``D log phi(g) = M (D log g) / denominator`` for the
         law's ``log_scale`` ``D``, so that
-        ``apply(g) = unpack_scaled(M pack_scaled(g) / denominator)``; it is
-        the form :func:`_step` takes.  On a quotient spec the images must
-        respect the relators (:class:`SpecError`).
+        ``apply(g) = exp(M pack_scaled(g) / denominator / D)``, which is
+        ``unpack_scaled(M pack_scaled(g), denominator)``.  On a quotient
+        spec the images must respect the relators (:class:`SpecError`).
         """
         if self._linear is None:
             spec = self.spec
@@ -210,62 +211,46 @@ def _scatter(columns, p):
     return q
 
 
-def _step(law, columns, denominator, p):
-    """``(q, exp(q / D))`` for ``q = M p / denominator``: one linear step on the
-    scaled logarithm ``p``, with the law's ``log_scale`` ``D``.
+def _steps(phi, g, kernel):
+    """``kernel(M p, denominator)`` along the orbit of a checked vector
+    ``g`` under ``phi``, without end, ``kernel`` being ``unpack_scaled`` or
+    ``orbit_step`` of the law.
 
-    ``M p`` is :func:`_scatter`; the division by ``denominator`` is one
-    ``divmod`` per entry, and the first nonzero remainder raises
-    :class:`~nilentropy.mpoly.IntegralityError`.  Every division is checked.
+    The scaled logarithm ``p = D log phi^n(g)`` is integral, since
+    ``phi^n(g)`` is a group element, and carries from one step to the next
+    as the kernel's first output: the orbit packs once.
     """
-    q = _scatter(columns, p)
-    if denominator != 1:
-        q, remainders = zip(*map(divmod, q, repeat(denominator)))
-        if any(remainders):
-            _inexact(denominator, next(filter(None, remainders)))
-    return q, law.unpack_scaled(q)
+    columns, denominator = phi.linear_map
+    out = (phi.spec.law.pack_scaled(g),)
+    while True:
+        out = kernel(_scatter(columns, out[0]), denominator)
+        yield out
 
 
 def apply(phi, g):
     """Image of ``g``: ``exp(L log g)`` through the integer linear map of ``phi``."""
     g = phi.spec.check_vector(g)
     law = phi.spec.law
-    return _step(law, *phi.linear_map, law.pack_scaled(g))[1]
+    columns, denominator = phi.linear_map
+    return law.unpack_scaled(_scatter(columns, law.pack_scaled(g)), denominator)[1]
 
 
 def _orbit(phi, g):
-    """``phi(g), phi^2(g), ...`` without end, for a checked vector ``g``.
-
-    The scaled logarithm ``D log phi^n(g)`` is integral, since ``phi^n(g)`` is
-    a group element, and carries from one step to the next: the orbit packs
-    once.
-    """
-    law = phi.spec.law
-    columns, denominator = phi.linear_map
-    p = law.pack_scaled(g)
-    while True:
-        p, h = _step(law, columns, denominator, p)
-        yield h
+    """``phi(g), phi^2(g), ...`` without end, for a checked vector ``g``."""
+    return (h for _, h in _steps(phi, g, phi.spec.law.unpack_scaled))
 
 
 def _karidi_lengths(phi, g):
     """The box lengths of ``phi(g), phi^2(g), ...`` without end, for a checked
-    vector ``g``: the orbit of :func:`_orbit`, each step one :func:`_scatter`
-    and one call of the law's generated
-    :attr:`~nilentropy.collect.CollectionLaw.orbit_step`, which divides,
-    takes the exponential and its box length in one pass.
+    vector ``g``: the orbit of :func:`_orbit`, each step through the law's
+    generated :attr:`~nilentropy.collect.CollectionLaw.orbit_step`, which
+    also takes the box length of the image.
 
     Only the Karidi series reads box lengths, which are floats: a weight-1
     coordinate of ``2^1024`` has none.  Every other caller takes the exact
-    :func:`_step`.
+    ``unpack_scaled``.
     """
-    law = phi.spec.law
-    step = law.orbit_step
-    columns, denominator = phi.linear_map
-    p = law.pack_scaled(g)
-    while True:
-        p, _, box = step(_scatter(columns, p), denominator)
-        yield box
+    return (box for _, _, box in _steps(phi, g, phi.spec.law.orbit_step))
 
 
 def compose(phi, psi):
@@ -377,9 +362,10 @@ def invert(phi):
         spec.dim,
     )
     law = spec.law
-    psi = Endomorphism(spec, [_step(law, inv_columns, inv_denominator,
-                                    law.pack_scaled(spec.indicator(j)))[1]
-                              for j in range(spec.rank)])
+    psi = Endomorphism(spec, [
+        law.unpack_scaled(_scatter(inv_columns, law.pack_scaled(spec.indicator(j))),
+                          inv_denominator)[1]
+        for j in range(spec.rank)])
     for j in range(spec.rank):
         if apply(phi, psi.images[j]) != spec.indicator(j):
             raise SpecError("inverse image does not map back to its generator")
@@ -397,8 +383,12 @@ class SpectralReport:
     ``charpoly`` lists the monic coefficients from the leading term down.
     ``spectral_radius`` is the largest eigenvalue modulus, correctly rounded:
     exact disk tests bracket it between the rounding midpoints around the
-    float.  ``radius_gap`` is ``spectral_radius - 1`` when the matrix is not
-    quasi-unipotent, else ``None``.
+    float.  ``radius_error`` is a fixed ``1e-9`` (``0.0`` when the matrix is
+    quasi-unipotent), not a computed bound: the radius is correctly rounded,
+    so its error is at most half a unit in the last place; the field stays
+    at that value so that reports do not change.  ``radius_gap`` is
+    ``spectral_radius - 1`` when the matrix is not quasi-unipotent, else
+    ``None``.
     """
 
     charpoly: tuple

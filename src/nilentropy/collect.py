@@ -15,16 +15,16 @@ Only the logarithm ``pack(e)`` is derived on the Lie side.  It is generated
 in integer form at one fixed scale ``D``, the common denominator of the
 logarithm: :attr:`CollectionLaw.pack_scaled` is ``g -> D log g`` with no
 division.  Its exponential :attr:`CollectionLaw.unpack_scaled`,
-``z -> exp(z / D)``, needs no derivation of its own: the pack polynomials
-are unitriangular, ``z_k = D e_k + Q_k(e_0 .. e_{k-1})`` with integer
-``Q_k``, so it is generated from them by back-substitution
-(:func:`~nilentropy.mpoly.back_substitution`), one exact division by ``D``
-per coordinate.  The same text, after a division of its input by a linear
-map's denominator and before the box length of its output, is the law's
-step of a Karidi orbit, :attr:`CollectionLaw.orbit_step`
-(:func:`~nilentropy.mpoly.orbit_step`).  Every other map is derived by
-running those generated functions on ``MPoly`` arguments, so each
-polynomial map has one evaluator:
+``(q, den) -> exp(q / den / D)``, needs no derivation of its own: the pack
+polynomials are unitriangular, ``z_k = D e_k + Q_k(e_0 .. e_{k-1})`` with
+integer ``Q_k``, so it is generated from them by back-substitution, one
+exact division by ``D`` per coordinate, after a checked division of its
+input by a linear map's denominator ``den``
+(:func:`~nilentropy.mpoly.orbit_step`).  It is one step of every exact
+orbit.  The same text, followed by the box length of its output, is the
+law's step of a Karidi orbit, :attr:`CollectionLaw.orbit_step`.  Every
+other map is derived by running those generated functions on ``MPoly``
+arguments, ``den`` being 1, so each polynomial map has one evaluator:
 inversion is ``unpack_scaled(-pack_scaled(g))`` on the variables of ``g``,
 and multiplication is ``unpack_scaled`` of
 ``D * BCH(pack_scaled(g) / D, pack_scaled(h) / D)`` on the variables of
@@ -65,14 +65,7 @@ from functools import cached_property
 from math import lcm
 
 from .assoc import add, bch_terms, scale
-from .mpoly import (
-    MPoly,
-    back_substitution,
-    compile_poly,
-    layer_expander,
-    orbit_step,
-    straight_line,
-)
+from .mpoly import MPoly, compile_poly, layer_expander, orbit_step, straight_line
 
 
 class CollectionLaw:
@@ -251,7 +244,8 @@ class CollectionLaw:
         """``exp(-log g)``, run through :attr:`pack_scaled` and
         :attr:`unpack_scaled` on the variables of ``g``."""
         g = [MPoly.var(self.dim, k) for k in range(self.dim)]
-        return tuple(map(compile_poly, self.unpack_scaled([-z for z in self.pack_scaled(g)])))
+        z = [-v for v in self.pack_scaled(g)]
+        return tuple(map(compile_poly, self.unpack_scaled(z, 1)[1]))
 
     @cached_property
     def _mul_compiled(self):
@@ -263,7 +257,7 @@ class CollectionLaw:
         log_g, log_h = (scale(dict(enumerate(self.pack_scaled(v))), Fraction(1, d))
                         for v in (g, h))
         vec = self.bch(log_g, log_h)
-        return tuple(map(compile_poly, self.unpack_scaled([vec[k] * d for k in range(n)])))
+        return tuple(map(compile_poly, self.unpack_scaled([vec[k] * d for k in range(n)], 1)[1]))
 
     # ---- generated kernels, derived on first use: the runtime entry points ----
 
@@ -284,33 +278,29 @@ class CollectionLaw:
 
     @cached_property
     def unpack_scaled(self):
-        """``z -> exp(z / D)``: coordinates for an integer vector ``z``, ``D``
-        being :attr:`log_scale`.
+        """``(q, den) -> (z, exp(z / D))``: one step of an orbit on scaled
+        logarithms, ``D`` being :attr:`log_scale`, for integer vectors ``q``.
 
-        The scaled logarithm is unitriangular: ``D log g`` has the
-        coordinates ``z_k = D e_k + Q_k(e_0 .. e_{k-1})`` with integer
-        ``Q_k``, since ``log_vectors[k]`` is 1 at ``k`` and supported at
-        ``k`` and later (heavier) coordinates, and every bracket lands in a
-        strictly heavier weight.  So the exponential is back-substitution
-        into the pack polynomials, one checked exact division by ``D`` per
-        coordinate: it raises :class:`IntegralityError` exactly when
-        ``z / D`` is not the logarithm of an integer element, at the first
-        coordinate that is not an integer
-        (:func:`~nilentropy.mpoly.back_substitution`).
+        ``z = q / den`` is divided entry by entry, the first remainder
+        raising :class:`IntegralityError`.  The scaled logarithm is
+        unitriangular: ``D log g`` has the coordinates ``z_k = D e_k +
+        Q_k(e_0 .. e_{k-1})`` with integer ``Q_k``, since ``log_vectors[k]``
+        is 1 at ``k`` and supported at ``k`` and later (heavier)
+        coordinates, and every bracket lands in a strictly heavier weight.
+        So the exponential is back-substitution into the pack polynomials,
+        one checked exact division by ``D`` per coordinate: it raises
+        :class:`IntegralityError` exactly when ``z / D`` is not the
+        logarithm of an integer element, at the first coordinate that is
+        not an integer (:func:`~nilentropy.mpoly.orbit_step_source`).
         """
-        return back_substitution("unpack_scaled", *self._pack_compiled)
+        return orbit_step(*self._pack_compiled)
 
     @cached_property
     def orbit_step(self):
-        """``(q, den) -> (z, exp(z / D), box)``: one step of an orbit on scaled
-        logarithms, ``D`` being :attr:`log_scale`, for the Karidi series of
-        :func:`~nilentropy.growth.growth_series`.
-
-        ``z = q / den`` is divided entry by entry, the first remainder
-        raising :class:`IntegralityError`; ``exp(z / D)`` is the text of
-        :attr:`unpack_scaled`; and ``box`` is its box length ``max_k
-        |e_k|^(1 / w_k)``, bit for bit that of
-        :func:`~nilentropy.nilgroup.karidi_length`
+        """``(q, den) -> (z, exp(z / D), box)``: :attr:`unpack_scaled` and the
+        box length ``max_k |e_k|^(1 / w_k)`` of its output, bit for bit that
+        of :func:`~nilentropy.nilgroup.karidi_length`, for the Karidi series
+        of :func:`~nilentropy.growth.growth_series`
         (:func:`~nilentropy.mpoly.orbit_step_source`).
         """
         return orbit_step(*self._pack_compiled, self.weights)
@@ -323,7 +313,7 @@ class CollectionLaw:
     def power(self, g, n):
         """``g^n = exp(n log g)``: :attr:`pack_scaled`, scaled by ``n``, then
         :attr:`unpack_scaled`, every division checked."""
-        return self.unpack_scaled([n * v for v in self.pack_scaled(g)])
+        return self.unpack_scaled([n * v for v in self.pack_scaled(g)], 1)[1]
 
     def _layer_compiled(self, directions):
         """:attr:`multiply` run on the variables of ``g`` and each of

@@ -113,24 +113,20 @@ class HallBasis:
                             f"than {MAX_DIMENSION} entries")
         self.rank = rank
         self.nil_class = nil_class
+        # only the nonempty layers, so that rank 1 pairs one layer per class
         by_weight = {1: [BasicCommutator(gen=i) for i in range(rank)]}
         for d in range(2, nil_class + 1):
-            layer = []
-            for wu in range(1, d):
-                for u in by_weight[wu]:
-                    for v in by_weight[d - wu]:
-                        if _hall_pair_ok(u, v):
-                            layer.append(BasicCommutator(left=u, right=v))
-            layer.sort()
-            by_weight[d] = layer
-        entries = []
-        for d in range(1, nil_class + 1):
-            entries.extend(by_weight[d])
+            layer = sorted(BasicCommutator(left=u, right=v)
+                           for wu, us in by_weight.items() if d - wu in by_weight
+                           for u in us for v in by_weight[d - wu] if _hall_pair_ok(u, v))
+            if layer:
+                by_weight[d] = layer
+        entries = [e for layer in by_weight.values() for e in layer]
         self.entries = tuple(entries)
         self.index = {e: i for i, e in enumerate(entries)}
         self.weights = tuple(e.weight for e in entries)
         self.by_weight = {
-            d: tuple(self.index[e] for e in by_weight[d])
+            d: tuple(self.index[e] for e in by_weight.get(d, ()))
             for d in range(1, nil_class + 1)
         }
         self._pair_cache = {}

@@ -15,18 +15,17 @@ that can fail.  That holds for every multiply and inverse output of a law,
 Hall's polynomials being integer-valued.  Any other output keeps an
 exact-division check by ``D``; a remainder raises
 :class:`IntegralityError` right there, and every entry point lets it
-through unchanged.  The inverse of a unitriangular map, such
-as the exponential of a law's scaled logarithm, is generated from the
-map's own polynomials by :func:`back_substitution`, one exact division per
-output.  One step of a Karidi orbit on scaled logarithms is generated by
-:func:`orbit_step` around the same back-substitution text: a prologue
-divides the linear image by the map's denominator, and an epilogue takes
-the box length of the result with one exact ``max`` and one float root per
-weight, plus a root for each value in a guard band where rounding could
-reorder two roots, so the float is that of a root per coordinate.  The
-right products of a word-metric ball
-are generated together by :func:`layer_expander`, one function per ball
-that expands a whole breadth-first layer.
+through unchanged.  One step of an orbit on scaled logarithms is
+generated by :func:`orbit_step`: a prologue divides the linear image by
+the map's denominator, and a body inverts a unitriangular map, the law's
+scaled logarithm, by back-substitution into its own polynomials, one exact
+division per output.  That is the law's exponential.  Given the weights,
+an epilogue also takes the box length of the result with one exact ``max``
+and one float root per weight, plus a root for each value in a guard band
+where rounding could reorder two roots, so the float is that of a root per
+coordinate; that is the step of a Karidi orbit.  The right products of a
+word-metric ball are generated together by :func:`layer_expander`, one
+function per ball that expands a whole breadth-first layer.
 
 Generated functions are the only evaluator of a polynomial map.  They run
 on ``int`` arguments at runtime, and on ``MPoly`` arguments while a law
@@ -88,10 +87,6 @@ class MPoly:
         self.terms = {} if terms is None else terms
         self.den = den
         self.top = top
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
 
     @classmethod
     def const(cls, nvars, value):
@@ -408,55 +403,8 @@ def _triangular_rows(scale, compiled):
     return rows
 
 
-def _back_substitution_lines(scale, compiled):
-    """Statements solving ``v_0, v_1, ...`` in order from the bound ``z_0,
-    z_1, ...``, for the unitriangular map ``compiled`` at ``scale`` (see
-    :func:`back_substitution_source`)."""
-    rows = _triangular_rows(scale, compiled)
-    powers = sorted({(v, e) for terms in rows for _, ve in terms
-                     for v, e in ve if e > 1})
-    lines = []
-    for k, terms in enumerate(rows):
-        texts = [f"z{k}"] + [_term_text(-c, ve) for c, ve in terms]
-        chunks = [_sum_text(texts[i:i + _CHUNK])
-                  for i in range(0, len(texts), _CHUNK)]
-        value = chunks[0]
-        if len(chunks) > 1:
-            lines.append(f"    s = {value}")
-            lines.extend(f"    s += {chunk}" for chunk in chunks[1:])
-            value = "s"
-        if scale == 1:
-            lines.append(f"    v{k} = {value}")
-        else:
-            lines.append(f"    v{k}, r = divmod({value}, {scale!r})")
-            lines.append("    if r:")
-            lines.append(f"        _inexact({scale!r}, r)")
-        lines.extend(f"    v{v}_{e} = v{v} ** {e}" for v, e in powers if v == k)
-    return lines
-
-
 def _names(prefix, n):
     return ", ".join(f"{prefix}{k}" for k in range(n))
-
-
-def back_substitution_source(name, scale, compiled):
-    """Python source of the inverse of a unitriangular polynomial map.
-
-    ``compiled`` holds integer polynomials ``z_k = scale * v_k + Q_k(v_0 ..
-    v_{k-1})`` (checked by :func:`_triangular_rows`).  The function takes
-    one sequence ``z`` and solves for ``v`` in order:
-    ``v_k, r = divmod(z_k - Q_k, scale)``, raising :class:`IntegralityError`
-    through ``_inexact`` on a remainder, so the first ``v_k`` that is not
-    an integer fails its own division.  Each power ``v_j ** e`` (``e > 1``)
-    is computed once, right after ``v_j``; a sum of more than ``_CHUNK``
-    terms is split into statements.  The text is a deterministic function
-    of its arguments.
-    """
-    n = len(compiled)
-    lines = [f"def {name}(a0):", f"    {_names('z', n)}, = a0"]
-    lines.extend(_back_substitution_lines(scale, compiled))
-    lines.append(f"    return ({_names('v', n)},)")
-    return "\n".join(lines) + "\n"
 
 
 # The box epilogue of an orbit step takes, for each weight w > 1, the root of
@@ -531,35 +479,61 @@ def _box_lines(weights):
     return lines
 
 
-def orbit_step_source(scale, compiled, weights):
-    """Python source of ``orbit_step(q, den) -> (z, v, box)``, one step of an
-    orbit on scaled logarithms.
+def orbit_step_source(scale, compiled, weights=None):
+    """Python source of one step of an orbit on scaled logarithms:
+    ``unpack_scaled(q, den) -> (z, v)`` without ``weights``, and
+    ``orbit_step(q, den) -> (z, v, box)`` with them.
 
     The prologue divides every entry of ``q`` by ``den``, ``z_k, r =
     divmod(q_k, den)``, raising :class:`IntegralityError` through
-    ``_inexact`` at the first remainder.  The body is the text of
-    :func:`back_substitution_source` for ``scale`` and ``compiled``,
-    solving ``v`` from ``z``.  The epilogue takes the box length
-    ``max(_root(abs(v_k), w_k))`` of ``v``, weight by weight in increasing
-    order (a law's weights never decrease, so a root that raises does so
-    where the per-coordinate loop raises): one exact integer ``max`` and one
-    root per weight, and a
-    root for each other value of the weight in its guard band, where
-    rounding could reorder two roots; so the float is that of the
-    per-coordinate loop, bit for bit.  The text is a deterministic function
-    of its arguments.
+    ``_inexact`` at the first remainder.  The body inverts the unitriangular
+    map ``compiled``, integer polynomials ``z_k = scale * v_k + Q_k(v_0 ..
+    v_{k-1})`` (checked by :func:`_triangular_rows`), solving for ``v`` in
+    order: ``v_k, r = divmod(z_k - Q_k, scale)``, so the first ``v_k`` that
+    is not an integer fails its own division.  Each power ``v_j ** e``
+    (``e > 1``) is computed once, right after ``v_j``; a sum of more than
+    ``_CHUNK`` terms is split into statements.  With ``weights``, the
+    epilogue takes the box length ``max(_root(abs(v_k), w_k))`` of ``v``,
+    weight by weight in increasing order (a law's weights never decrease,
+    so a root that raises does so where the per-coordinate loop raises):
+    one exact integer ``max`` and one root per weight, and a root for each
+    other value of the weight in its guard band, where rounding could
+    reorder two roots; so the float is that of the per-coordinate loop, bit
+    for bit.  The text is a deterministic function of its arguments.
     """
     n = len(compiled)
-    if len(weights) != n:
+    if weights is not None and len(weights) != n:
         raise ValueError(f"{len(weights)} weights for {n} coordinates")
-    lines = ["def orbit_step(a0, den):", f"    {_names('z', n)}, = a0", "    if den != 1:"]
+    rows = _triangular_rows(scale, compiled)
+    powers = sorted({(v, e) for terms in rows for _, ve in terms
+                     for v, e in ve if e > 1})
+    name = "unpack_scaled" if weights is None else "orbit_step"
+    lines = [f"def {name}(a0, den):", f"    {_names('z', n)}, = a0", "    if den != 1:"]
     for k in range(n):
         lines.extend([f"        z{k}, r = divmod(z{k}, den)",
                       "        if r:",
                       "            _inexact(den, r)"])
-    lines.extend(_back_substitution_lines(scale, compiled))
-    lines.extend(_box_lines(weights))
-    lines.append(f"    return ({_names('z', n)},), ({_names('v', n)},), box")
+    for k, terms in enumerate(rows):
+        texts = [f"z{k}"] + [_term_text(-c, ve) for c, ve in terms]
+        chunks = [_sum_text(texts[i:i + _CHUNK])
+                  for i in range(0, len(texts), _CHUNK)]
+        value = chunks[0]
+        if len(chunks) > 1:
+            lines.append(f"    s = {value}")
+            lines.extend(f"    s += {chunk}" for chunk in chunks[1:])
+            value = "s"
+        if scale == 1:
+            lines.append(f"    v{k} = {value}")
+        else:
+            lines.append(f"    v{k}, r = divmod({value}, {scale!r})")
+            lines.append("    if r:")
+            lines.append(f"        _inexact({scale!r}, r)")
+        lines.extend(f"    v{v}_{e} = v{v} ** {e}" for v, e in powers if v == k)
+    result = f"    return ({_names('z', n)},), ({_names('v', n)},)"
+    if weights is not None:
+        lines.extend(_box_lines(weights))
+        result += ", box"
+    lines.append(result)
     return "\n".join(lines) + "\n"
 
 
@@ -618,12 +592,6 @@ def straight_line(name, compiled, arg_sizes):
     return _define(name, straight_line_source(name, compiled, arg_sizes))
 
 
-def back_substitution(name, scale, compiled):
-    """Compile :func:`back_substitution_source` into a function; the text is
-    dropped.  A non-integral output raises :class:`IntegralityError`."""
-    return _define(name, back_substitution_source(name, scale, compiled))
-
-
 def layer_expander(directions, size):
     """Compile :func:`layer_expander_source` into a function; the text is dropped.
 
@@ -632,9 +600,10 @@ def layer_expander(directions, size):
     return _define("expand", layer_expander_source(directions, size))
 
 
-def orbit_step(scale, compiled, weights):
+def orbit_step(scale, compiled, weights=None):
     """Compile :func:`orbit_step_source` into a function; the text is dropped.
 
     A remainder in a division raises :class:`IntegralityError`.
     """
-    return _define("orbit_step", orbit_step_source(scale, compiled, weights))
+    return _define("unpack_scaled" if weights is None else "orbit_step",
+                   orbit_step_source(scale, compiled, weights))

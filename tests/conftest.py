@@ -141,18 +141,18 @@ def box_length_reference(g, weights):
 def orbit_step_reference(law, q, den):
     """Reference orbit step ``(z, exp(z / D), box length)`` for ``z = q / den``:
     a ``divmod`` map with a check of the first remainder, then the law's
-    ``unpack_scaled``, then ``_box_length``.
+    ``unpack_scaled`` at denominator 1, then ``_box_length``.
 
     These are the three passes of a Karidi series step before the law
-    generated one ``orbit_step`` kernel (``autom._step`` still makes the
-    first two); tests keep them as the oracle of that kernel.
+    generated one ``orbit_step`` kernel; tests keep them as the oracle of
+    that kernel.
     """
     z = tuple(q)
     if den != 1:
         z, remainders = zip(*map(divmod, z, repeat(den)))
         if any(remainders):
             _inexact(den, next(filter(None, remainders)))
-    h = law.unpack_scaled(z)
+    h = law.unpack_scaled(z, 1)[1]
     return z, h, _box_length(h, law.weights)
 
 

@@ -33,6 +33,11 @@ def test_hall_lists_basis(capsys):
         assert int(weight) in (1, 2, 3)
 
 
+def test_hall_rank_one_at_a_huge_class(capsys):
+    assert main(["hall", "--rank", "1", "--class", "20000"]) == 0
+    assert capsys.readouterr().out == "0\tx1\t1\n"
+
+
 def test_hall_refuses_an_oversized_basis():
     # 5.6e10 entries by Witt's formula: refused before the basis is built
     proc = run_cli("hall", "--rank", "2", "--class", "40")
@@ -82,6 +87,25 @@ def test_aut_check_fib(capsys):
     assert payload["charpoly"] == [1, -1, -1]
     assert payload["spectral_radius"] == pytest.approx(GOLDEN, abs=1e-9)
     assert payload["unipotent"] is False
+
+
+def test_aut_check_out_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["aut-check", "--group", "free:2,3", "--aut", "builtin:fib",
+                 "--out", str(path)]) == 0
+    assert path.read_text() == capsys.readouterr().out
+
+
+def test_images_file_matches_the_builtin(tmp_path, capsys):
+    """``--aut PATH`` with fib's images gives fib's output, byte for byte."""
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps({"images": [[1, 1, 0, 0, 0], [1, 0, 0, 0, 0]]}))
+    for command in (["aut-check"], ["grow", "--subject", "x1", "--n", "20"]):
+        outputs = []
+        for aut in ("builtin:fib", str(path)):
+            assert main([*command, "--group", "free:2,3", "--aut", aut]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], command
 
 
 def test_aut_check_refuses_map_off_the_relators(capsys):
@@ -148,6 +172,17 @@ def test_entropy_report(capsys):
     assert payload["window"] == [15, 30]
 
 
+def test_entropy_subjects(capsys):
+    """``--subject`` repeated over the generators is the default report."""
+    args = ["entropy", "--group", "free:2,2", "--aut", "builtin:fib", "--n", "30"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main([*args, "--subject", "x1", "--subject", "[0,1,0]"]) == 0
+    assert capsys.readouterr().out == default
+    assert main([*args, "--subject", "x1 x2"]) == 0
+    assert json.loads(capsys.readouterr().out)["window"] == [15, 30]
+
+
 def test_entropy_plot_files(tmp_path, capsys):
     prefix = str(tmp_path / "fib")
     assert main(
@@ -178,6 +213,17 @@ def test_tower_rows(capsys):
     for line in lines:
         value = float(line.split("\t")[1])
         assert value == pytest.approx(GOLDEN, rel=0.03)
+
+
+def test_tower_out_file(tmp_path, capsys):
+    path = tmp_path / "tower.json"
+    assert main(["tower", "--group", "free:2,3", "--aut", "builtin:fib",
+                 "--classes", "2,3", "--out", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = json.loads(path.read_text())
+    assert [row["class"] for row in rows] == [2, 3]
+    assert lines == [f"{r['class']}\t{r['entropy']:.6f}\t{r['residual']:.3g}" for r in rows]
+    assert set(rows[0]) == {"class", "entropy", "residual", "window"}
 
 
 def test_distortion_trivial_weight(capsys):

@@ -162,6 +162,7 @@ def test_infinite_index_closure(heis):
     lat = subgroup_closure(heis, [(1, 0, 0)])
     assert lat.hirsch_length == 1
     assert lat.abelianized_index() is None
+    assert lat.index() is None
 
 
 def test_lattice_rows_are_checked_once(heis):

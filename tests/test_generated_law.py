@@ -33,8 +33,6 @@ from nilentropy import (
 from nilentropy import mpoly
 from nilentropy.mpoly import (
     MPoly,
-    back_substitution,
-    back_substitution_source,
     compile_poly,
     layer_expander,
     orbit_step,
@@ -240,7 +238,7 @@ def test_kernels_evaluate_over_polynomials(name, data):
     law = GROUPS[name]().law
     n, d = law.dim, law.log_scale
     v = tuple(MPoly.var(n, k) for k in range(n))
-    assert law.unpack_scaled(law.pack_scaled(v)) == v
+    assert law.unpack_scaled(law.pack_scaled(v), 1)[1] == v
     assert law.pack_scaled(v) == tuple(law._pack_sym[k] * d for k in range(n))
     directions = data.draw(st.lists(st.tuples(*[KERNEL_COORD] * n), min_size=1, max_size=3))
     g = data.draw(st.tuples(*[KERNEL_COORD] * n))
@@ -318,20 +316,42 @@ TRIANGULAR = ((1, ((2, ((0, 1),)),)), (1, ((-1, ((0, 2),)), (2, ((1, 1),)))))
 ])
 def test_back_substitution_refuses_a_non_triangular_map(compiled, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        back_substitution_source("unpack", 2, compiled)
+        orbit_step_source(2, compiled)
 
 
 def test_back_substitution_inverts_the_map():
-    solve = back_substitution("unpack", 2, TRIANGULAR)
+    solve = orbit_step(2, TRIANGULAR)
     for v in [(0, 0), (3, -4), (2 ** 70, -5)]:
-        assert solve(_interpret(TRIANGULAR, v)) == v
+        z = _interpret(TRIANGULAR, v)
+        assert solve(z, 1) == (z, v)
+        assert solve([3 * x for x in z], 3) == (z, v)
     # v0 = 1 is exact, then 2 v1 = 0 + v0^2 is not
     with pytest.raises(IntegralityError, match="^expected multiple of 2, got remainder 1$"):
-        solve((2, 0))
-    # at scale 1 there is nothing to check: z0 = v0, z1 = v1 - v0^2
+        solve((2, 0), 1)
+    # the prologue divides by den first
+    with pytest.raises(IntegralityError, match="^expected multiple of 3, got remainder 2$"):
+        solve((6, 2), 3)
+    # at scale 1 the body has nothing to check: z0 = v0, z1 = v1 - v0^2; the
+    # prologue's two divisions by den are the only ones
     unit = ((1, ((1, ((0, 1),)),)), (1, ((-1, ((0, 2),)), (1, ((1, 1),)))))
-    assert "divmod" not in back_substitution_source("unpack", 1, unit)
-    assert back_substitution("unpack", 1, unit)((3, 5)) == (3, 14)
+    source = orbit_step_source(1, unit)
+    assert source.count("divmod") == 2 and "divmod(z0, den)" in source
+    assert orbit_step(1, unit)((3, 5), 1) == ((3, 5), (3, 14))
+
+
+def test_step_adds_the_box_epilogue_only_with_weights():
+    """Without weights the step is the law's ``unpack_scaled``; with them,
+    ``orbit_step``: the same text up to the return, then the box length."""
+    plain = orbit_step_source(2, TRIANGULAR)
+    boxed = orbit_step_source(2, TRIANGULAR, (1, 2))
+    head = plain.rsplit("\n    return ", 1)[0]
+    assert plain.startswith("def unpack_scaled(a0, den):\n")
+    assert boxed.startswith("def orbit_step(a0, den):\n")
+    assert "box" not in plain and boxed[len("def orbit_step"):].startswith(
+        head[len("def unpack_scaled"):])
+    assert orbit_step(2, TRIANGULAR, (1, 2))((6, -1), 1) == ((6, -1), (3, 4), 3.0)
+    with pytest.raises(ValueError, match="^1 weights for 2 coordinates$"):
+        orbit_step_source(2, TRIANGULAR, (1,))
 
 
 def test_back_substitution_of_a_long_sum():
@@ -340,14 +360,14 @@ def test_back_substitution_of_a_long_sum():
               for k in range(1, 1202))
     compiled = ((1, ((6, ((0, 1),)),)), (1, ((6, ((1, 1),)),)),
                 (1, ((6, ((2, 1),)),) + q))
-    source = back_substitution_source("unpack", 6, compiled)
+    source = orbit_step_source(6, compiled)
     assert source.count("    s += ") == 2
-    solve = back_substitution("unpack", 6, compiled)
+    solve = orbit_step(6, compiled)
     for v in [(1, 1, 0), (2, -3, 5), (-7, 2 ** 20, 11)]:
         z = _interpret(compiled, v)
-        assert solve(z) == v
+        assert solve(z, 1)[1] == v
         with pytest.raises(IntegralityError, match="^expected multiple of 6, got remainder 4$"):
-            solve(z[:2] + (z[2] + 4,))
+            solve(z[:2] + (z[2] + 4,), 1)
 
 
 def _identity_step(weights):
@@ -478,12 +498,14 @@ def test_integrality_error_from_every_entry_point(name):
     n = spec.dim
     # every output of the corrupted kernel is 1/2
     bad = ((2, ((1, ()),)),) * n
+    # z_k = 2 v_k + 1: every solved coordinate of a step is (z_k - 1) / 2
+    odd = tuple((1, ((1, ()), (2, ((k, 1),)))) for k in range(n))
     if kernel == "layer_expander":
         spec.law.layer_expander = lambda directions: layer_expander([bad] * len(directions), n)
     elif kernel == "orbit_step":
-        # z_k = 2 v_k + 1: every solved coordinate is (z_k - 1) / 2
-        odd = tuple((1, ((1, ()), (2, ((k, 1),)))) for k in range(n))
         spec.law.orbit_step = orbit_step(2, odd, spec.weights)
+    elif kernel == "unpack_scaled":
+        spec.law.unpack_scaled = orbit_step(2, odd)
     else:
         sizes = (n, n) if kernel == "multiply" else (n,)
         setattr(spec.law, kernel, straight_line("bad", bad, sizes))
@@ -495,7 +517,6 @@ SOURCE_DIGEST = """
 import hashlib
 from nilentropy import free_nilpotent, surface_quotient
 from nilentropy.mpoly import (
-    back_substitution_source,
     layer_expander_source,
     orbit_step_source,
     straight_line_source,
@@ -506,8 +527,7 @@ for law in (free_nilpotent(3, 4).law, surface_quotient(2, 3).law):
              for name, compiled, sizes in (("multiply", law._mul_compiled, (n, n)),
                                            ("inverse", law._inv_compiled, (n,)),
                                            ("pack", law._pack_compiled[1], (n,)))]
-    texts.append(("unpack_scaled",
-                  back_substitution_source("unpack_scaled", *law._pack_compiled)))
+    texts.append(("unpack_scaled", orbit_step_source(*law._pack_compiled)))
     for name, text in texts:
         print(name, len(text), hashlib.sha256(text.encode()).hexdigest())
 for spec in (free_nilpotent(2, 3), surface_quotient(2, 3)):
@@ -529,11 +549,11 @@ SOURCE_DIGEST_LINES = """\
 multiply 2450 1acc2f9f988749db245488d51233eb7cb8e6cbaa7086574776a942d103185830
 inverse 1877 745a622fb363a12ea1ae866223af607b12ee46a2b51817a116dfe0e23504510b
 pack 2102 364c4856c4b9dd1e5f67a22e58deffba83975e72183a8ee14cee95cd40e123dc
-unpack_scaled 4011 54aaa50b43d239c47eeb4a24ba1c3791f6e2490b678ab12de5a26a47a88b31ac
+unpack_scaled 6630 dcbb146696470e021f9c44f9517cc2ea89ea94c8b3c6786d073c778d932b8482
 multiply 1418 577846c74cf95ebafe3c65d1e51681035e2fe16ab8cbf8fe1242e8c84d2e091d
 inverse 946 81ffd400c8ce57ed13db4a34c55d4dc2072c97551b06d0a84698923d94640772
 pack 1091 b3e5a8ba567755eabab12a29025c444fc88b0261b7ed854f982a46764a5e1eeb
-unpack_scaled 2580 173eba646f7a4b06e63faf9c320aea8c2705da79873b2020aa0559b6eb98e8df
+unpack_scaled 4625 310f914909096f81485a144b321f700e4242c8fa5fb0dde4cae3da7741402b16
 expand 1527 99d30669766a81678d5c27bf3283c6ee6a9e6d7e678ea0d39bd60730ffc3ace5
 expand 4656 a598a61299fbe38bda5cfc044283c6642b9328271154b620b128d04a617dbded
 orbit_step 10020 0dd6ff58e9745a733754bc37c7078f59156a306e19f2fc4cb2d4999c841d1b40

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from nilentropy import (
     entropy_estimate,
     finite_index_experiment,
     free_nilpotent,
+    geodesic_length,
     growth_series,
     identity_endomorphism,
     iterate,
@@ -32,6 +34,7 @@ from nilentropy import (
     quotient_tower,
     series_from_csv,
     series_to_csv,
+    subgroup_closure,
     surface_quotient,
     unipotent_degree_sweep,
 )
@@ -241,6 +244,33 @@ def test_finite_index_central_shear(heis):
     phi = builtin_automorphism("central-shear", heis)
     out = finite_index_experiment(phi, [(2, 0, 0), (0, 2, 0), (0, 0, 1)])
     assert out["subgroup_entropy"] == pytest.approx(1.0, abs=0.01)
+
+
+def test_finite_index_exact_bfs(heis):
+    """The exact-bfs subgroup series: word lengths over the lattice rows
+    along the orbit, an entry past the radius cap omitted with a warning."""
+    gens = [(2, 0, 0), (0, 2, 0), (0, 0, 1)]
+    out = finite_index_experiment(identity_endomorphism(heis), gens, n_max=20,
+                                  mode="exact-bfs")
+    assert (out["subgroup_entropy"], out["residual"], out["window"]) == (1.0, 0.0, [10, 20])
+    shear = builtin_automorphism("unipotent-shear", heis)
+    lattice = subgroup_closure(heis, gens)
+    want = [(n, geodesic_length(apply(iterate(shear, n), (0, 2, 0)), heis, genset=lattice.rows))
+            for n in range(1, 13)]
+    with warnings.catch_warnings(record=True) as omitted:
+        warnings.simplefilter("always", GrowthWarning)
+        series = growth._subgroup_series(shear, (0, 2, 0), lattice, 12, "exact-bfs")
+    assert [(e.n, e.length) for e in series.entries] == [(n, k) for n, k in want if k is not None]
+    assert [str(w.message) for w in omitted] == [
+        f"exact subgroup length unknown at n={n}; entry omitted" for n, k in want if k is None]
+    assert omitted and len(series.entries) > 3
+
+
+def test_finite_index_rejects_an_unknown_mode(heis):
+    gens = [(2, 0, 0), (0, 2, 0), (0, 0, 1)]
+    with pytest.raises(SpecError, match="^subgroup series supports karidi or exact-bfs, "
+                                        "not 'normalform-upper'$"):
+        finite_index_experiment(identity_endomorphism(heis), gens, mode="normalform-upper")
 
 
 def test_finite_index_rejects_non_invariant(heis):

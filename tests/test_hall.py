@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,16 @@ def test_oversized_basis_is_refused_before_it_is_built(monkeypatch, rank, nil_cl
     with pytest.raises(SpecError, match=f"^a Hall basis of rank {rank} and class {nil_class} "
                                         f"has more than {MAX_DIMENSION} entries$"):
         HallBasis(rank, nil_class)
+
+
+def test_rank_one_builds_in_linear_time():
+    # every layer past weight 1 is empty; pairing every weight pair of a
+    # class this large takes the better part of a minute
+    start = time.perf_counter()
+    basis = HallBasis(1, 20000)
+    assert time.perf_counter() - start < 2.0
+    assert len(basis) == 1 and basis.graded_dimension(1) == 1
+    assert all(basis.graded_dimension(d) == 0 for d in range(2, 20001))
 
 
 def test_layer_sizes_rank2_class5():

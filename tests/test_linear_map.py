@@ -40,7 +40,7 @@ from nilentropy import (
     semidirect_unipotent,
     surface_quotient,
 )
-from nilentropy.autom import _karidi_lengths, _orbit, _step
+from nilentropy.autom import _karidi_lengths, _orbit, _scatter
 from nilentropy.linalg import bareiss_det
 from nilentropy.mpoly import exact_quotient
 
@@ -254,7 +254,8 @@ def test_orbit_matches_reference(make, images):
 def test_orbit_step_matches_the_old_path(make, images, start):
     """Each ``orbit_step`` against the three passes it fuses: the ``divmod``
     map, ``unpack_scaled`` and ``_box_length``, on ``M p`` computed densely;
-    the exact ``_step`` is the first two."""
+    the exact step, ``unpack_scaled`` on the sparse ``M p``, is the first
+    two."""
     spec = make()
     law = spec.law
     phi = Endomorphism(spec, images(spec))
@@ -270,7 +271,7 @@ def test_orbit_step_matches_the_old_path(make, images, start):
         q = [sum(m * v for m, v in zip(row, p)) for row in dense]
         got = law.orbit_step(q, den)
         assert got == orbit_step_reference(law, q, den), n
-        assert _step(law, columns, den, p) == got[:2], n
+        assert law.unpack_scaled(_scatter(columns, p), den) == got[:2], n
         p = got[0]
 
 
@@ -289,7 +290,7 @@ def test_unpack_scaled_is_the_scaled_exponential(name, data):
     law = LAWS[name]()
     d = law.log_scale
     g = data.draw(st.tuples(*[COORD] * law.dim))
-    assert law.unpack_scaled(law.pack_scaled(g)) == g
+    assert law.unpack_scaled(law.pack_scaled(g), 1)[1] == g
     # any integer vector: exp(z / D) when integral, else a checked remainder
     z = data.draw(st.one_of(
         st.tuples(*[st.integers(-3 * d, 3 * d)] * law.dim),
@@ -297,17 +298,21 @@ def test_unpack_scaled_is_the_scaled_exponential(name, data):
     ))
     want = unpack_reference(law, {k: Fraction(v, d) for k, v in enumerate(z) if v})
     if all(Fraction(v).denominator == 1 for v in want):
-        assert law.unpack_scaled(z) == tuple(want)
+        assert law.unpack_scaled(z, 1) == (z, tuple(want))
     else:
         with pytest.raises(IntegralityError):
-            law.unpack_scaled(z)
+            law.unpack_scaled(z, 1)
 
 
 def test_unpack_scaled_names_the_scale():
     law = free_nilpotent(2, 2).law
     assert law.log_scale == 2
     with pytest.raises(IntegralityError, match="^expected multiple of 2, got remainder 1$"):
-        law.unpack_scaled((1, 0, 0))
+        law.unpack_scaled((1, 0, 0), 1)
+    # the map's denominator divides first, checked the same way
+    assert law.unpack_scaled((6, 0, 12), 3) == ((2, 0, 4), (1, 0, 2))
+    with pytest.raises(IntegralityError, match="^expected multiple of 3, got remainder 1$"):
+        law.unpack_scaled((7, 0, 12), 3)
 
 
 def test_identity_map_has_unit_linearization():

@@ -23,7 +23,7 @@ def polys(draw, nvars):
 
 
 def _mpoly(nvars, terms):
-    out = MPoly.zero(nvars)
+    out = MPoly(nvars)
     for exps, c in terms:
         mono = MPoly.const(nvars, c)
         for i, e in enumerate(exps):

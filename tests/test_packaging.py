@@ -88,7 +88,6 @@ def test_no_unused_module_imports():
 UNREFERENCED_OK = {
     ("assoc", "magnus_normal_form"),
     ("constructions", "SubgroupLattice.member_from_coefficients"),
-    ("mpoly", "MPoly.zero"),
 }
 
 
