@@ -15,11 +15,11 @@ Only the logarithm ``pack(e)`` is derived on the Lie side.  It is generated
 in integer form at one fixed scale ``D``, the common denominator of the
 logarithm: :attr:`CollectionLaw.pack_scaled` is ``g -> D log g`` with no
 division.  Its exponential :attr:`CollectionLaw.unpack_scaled`,
-``(q, den) -> exp(q / den / D)``, needs no derivation of its own: the pack
-polynomials are unitriangular, ``z_k = D e_k + Q_k(e_0 .. e_{k-1})`` with
-integer ``Q_k``, so it is generated from them by back-substitution, one
-exact division by ``D`` per coordinate, after a checked division of its
-input by a linear map's denominator ``den``
+``(q, den) -> (z, exp(z / D))`` with ``z = q / den``, needs no derivation
+of its own: the pack polynomials are unitriangular, ``z_k = D e_k +
+Q_k(e_0 .. e_{k-1})`` with integer ``Q_k``, so it is generated from them by
+back-substitution, one exact division by ``D`` per coordinate, after a
+checked division of its input by a linear map's denominator ``den``
 (:func:`~nilentropy.mpoly.orbit_step`).  It is one step of every exact
 orbit.  The same text, followed by the box length of its output, is the
 law's step of a Karidi orbit, :attr:`CollectionLaw.orbit_step`.  Every
