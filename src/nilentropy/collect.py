@@ -312,7 +312,12 @@ class CollectionLaw:
 
     def power(self, g, n):
         """``g^n = exp(n log g)``: :attr:`pack_scaled`, scaled by ``n``, then
-        :attr:`unpack_scaled`, every division checked."""
+        :attr:`unpack_scaled`, every division checked; ``n`` in {0, 1, -1}
+        is the identity, ``g`` or :attr:`inverse`, with no exponential."""
+        if n in (0, 1):
+            return tuple(g) if n else (0,) * self.dim
+        if n == -1:
+            return self.inverse(g)
         return self.unpack_scaled([n * v for v in self.pack_scaled(g)], 1)[1]
 
     def _layer_compiled(self, directions):

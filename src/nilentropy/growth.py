@@ -358,7 +358,7 @@ def _subgroup_series(phi, g, lattice, n_max, mode):
             raise SpecError("iterate left the subgroup")
         if mode == "karidi":
             length = nilgroup._box_length(coeffs, weights)
-        elif mode == "exact-bfs":
+        else:
             length = geodesic_length(h, spec, genset=lattice.rows)
             if length is None:
                 warnings.warn(
@@ -367,10 +367,6 @@ def _subgroup_series(phi, g, lattice, n_max, mode):
                     stacklevel=3,
                 )
                 continue
-        else:
-            raise SpecError(
-                f"subgroup series supports karidi or exact-bfs, not {mode!r}"
-            )
         entries.append(GrowthEntry(n, length, mode))
     return GrowthSeries(tuple(entries), subject=tuple(g), automorphism=phi)
 
@@ -382,6 +378,8 @@ def finite_index_experiment(phi, subgroup_generators, n_max=30,
     The subgroup metric uses the subgroup's own polycyclic coordinates
     (karidi mode) or BFS over its generating rows (exact-bfs mode).
     """
+    if mode not in ("karidi", "exact-bfs"):
+        raise SpecError(f"subgroup series supports karidi or exact-bfs, not {mode!r}")
     spec = phi.spec
     if not is_automorphism(phi):
         raise SpecError("finite-index comparison requires an automorphism")

@@ -377,8 +377,8 @@ def _xgcd(a, b):
 
 
 def _law_commutator(law, g, h):
-    """``g^-1 h^-1 g h`` straight on the law, without the public checks."""
-    return law.multiply(law.multiply(law.multiply(law.inverse(g), law.inverse(h)), g), h)
+    """``g^-1 h^-1 g h`` as ``(h g)^-1 (g h)``, straight on the law, no checks."""
+    return law.multiply(law.inverse(law.multiply(h, g)), law.multiply(g, h))
 
 
 def _generator_commutators(spec):
@@ -407,10 +407,13 @@ def _sift_closure(spec, generators, maps=(), budget=DEFAULT_CLOSURE_BUDGET,
     coordinate, a coincident depth that does not divide is merged with an
     extended-gcd pair of powers, and the displaced row is sifted again.
     Rounds over the rows sift their pairwise commutators and their images
-    under ``maps`` until no slot changes, which makes the depth-ordered
-    products of the rows exactly the subgroup.  A map only has to be checked
-    on the rows when it is a defect ``g -> g^-1 a(g)`` of an automorphism
-    ``a`` (commutators with a fixed element are such defects).
+    under ``maps`` until a round changes no slot.  That round is the closure
+    proof: every commutator of two rows sifted to the identity, so the
+    depth-ordered products of the rows are exactly the subgroup, and no
+    second pass is needed, since the back-reduction below keeps depths and
+    leading entries.  A map only has to be checked on the rows when it is a
+    defect ``g -> g^-1 a(g)`` of an automorphism ``a`` (commutators with a
+    fixed element are such defects).
 
     Rows come back by increasing leading coordinate with positive leading
     entries, and each entry at a deeper row's depth reduced into
@@ -517,7 +520,7 @@ def power(g, n, spec):
 
 
 def commutator(g, h, spec):
-    """Group commutator ``g^-1 h^-1 g h``."""
+    """Group commutator ``g^-1 h^-1 g h``, computed as ``(h g)^-1 (g h)``."""
     return _law_commutator(spec.law, spec.check_vector(g), spec.check_vector(h))
 
 

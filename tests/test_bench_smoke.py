@@ -128,6 +128,23 @@ QUOTIENT_SURFACE_101 = (
 )
 
 
+# sha256 of the ``repr`` of ``subgroup_closure(spec, [g1, g2]).rows`` for the
+# first ten quotient-surface units of seed 101, as computed when the closure
+# re-tested every commutator of its rows after the sift
+QUOTIENT_CLOSURE_101 = (
+    "6d63ed7433dfbc0e29247b8b6d40c72bed2309ef295126b5b8e02c00e241dd61",
+    "870979e7d268fdaf39ef1cc2296db6ac8a6a05bd44843edb9b133dff840ef85d",
+    "d3455d32274841530d6d2032e6c3aeea0317d592884eda7f96c87e9e8b217120",
+    "8dd1c53f8c908c823abd5627c0595ac006d3595d0fa88d133a6939d092b1afe1",
+    "acb15b83b15815dd0227faafc2f37762442245bc1f64eae58d0ef88a2a36d18d",
+    "f951901ff94426f4be1847f28aa7374f16d0fbeb011b42ee3f3af0f85793d908",
+    "945cb97ad694f916dfba16e74c81d912b47906438082cc6e4e310b0bf1b06966",
+    "cecec78106b4290d5dbffbbfd8ff7b99361215e6678197141e8fcfda073855b3",
+    "9c42b0b334a968f822c6e6787a36fd0e9b6dc23088762d5d4bb572d6e3a40088",
+    "7a5dcc6b3541b1daa6eff95d40c888a53d4b29a9bde80cbabb8650e157d1a8de",
+)
+
+
 def test_entropy_free_series_are_pinned():
     import nilentropy as ne
 
@@ -150,3 +167,14 @@ def test_quotient_surface_series_are_pinned():
     for i, pin in enumerate(QUOTIENT_SURFACE_101):
         g = ne.eval_word(workload.inputs(101, i)["words"][0], workload.spec)
         assert _series_pin(ne.growth_series(phi, g, workload.n_max)) == pin
+
+
+def test_quotient_surface_closures_are_pinned():
+    import nilentropy as ne
+
+    workload = _load_workloads().QuotientSurface()
+    workload.setup(_NoTimer())
+    for i, pin in enumerate(QUOTIENT_CLOSURE_101):
+        g1, g2 = (ne.eval_word(w, workload.spec) for w in workload.inputs(101, i)["words"])
+        rows = ne.subgroup_closure(workload.spec, [g1, g2]).rows
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == pin

@@ -28,6 +28,7 @@ from nilentropy import (
     iterate,
     multiply,
     power,
+    subgroup_closure,
     surface_quotient,
 )
 from nilentropy import mpoly
@@ -40,7 +41,7 @@ from nilentropy.mpoly import (
     straight_line,
     straight_line_source,
 )
-from nilentropy.nilgroup import _box_length
+from nilentropy.nilgroup import _box_length, _law_commutator
 
 from conftest import box_length_reference, eval_compiled, unpack_reference
 
@@ -148,7 +149,7 @@ def test_power_matches_reference(name, data):
     spec = GROUPS[name]()
     g = _vector(data, spec)
     ref = ReferenceLaw(spec)
-    for n in (0, -1, data.draw(EXPONENT)):
+    for n in (0, 1, -1, data.draw(EXPONENT)):
         assert spec.law.power(g, n) == ref.power(g, n)
 
 
@@ -159,6 +160,36 @@ def test_inverse_matches_reference(name, data):
     spec = GROUPS[name]()
     g = _vector(data, spec)
     assert spec.law.inverse(g) == ReferenceLaw(spec).inverse(g)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_commutator_matches_reference(name, data):
+    """The law's ``(h g)^-1 (g h)`` against the reference ``g^-1 h^-1 g h``."""
+    spec = GROUPS[name]()
+    g, h = _vector(data, spec), _vector(data, spec)
+    ref = ReferenceLaw(spec)
+    want = ref.multiply(ref.multiply(ref.multiply(ref.inverse(g), ref.inverse(h)), g), h)
+    assert _law_commutator(spec.law, g, h) == want
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_subgroup_closure_is_closed(name, data):
+    """The sift's last round, in which no slot changed, is the closure proof:
+    the closure holds both generators and every commutator of its rows.
+    Coordinates stay small: a closure of two big elements of F(2,5) takes
+    about a second."""
+    spec = GROUPS[name]()
+    g, h = (data.draw(st.tuples(*[st.integers(-9, 9)] * spec.dim)) for _ in range(2))
+    lattice = subgroup_closure(spec, [g, h])
+    assert g in lattice and h in lattice
+    rows = lattice.rows
+    for i, a in enumerate(rows):
+        for b in rows[i + 1:]:
+            assert _law_commutator(spec.law, a, b) in lattice
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -266,7 +266,14 @@ def test_finite_index_exact_bfs(heis):
     assert omitted and len(series.entries) > 3
 
 
-def test_finite_index_rejects_an_unknown_mode(heis):
+def test_finite_index_rejects_an_unknown_mode(heis, monkeypatch):
+    """The mode is checked at entry, before the automorphism test, the
+    closure and the ambient comparison run."""
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the mode check")
+
+    for name in ("is_automorphism", "subgroup_closure", "abelian_comparison"):
+        monkeypatch.setattr(growth, name, never)
     gens = [(2, 0, 0), (0, 2, 0), (0, 0, 1)]
     with pytest.raises(SpecError, match="^subgroup series supports karidi or exact-bfs, "
                                         "not 'normalform-upper'$"):
