@@ -4,8 +4,9 @@ An endomorphism is stored by its generator images.  By the Mal'cev
 correspondence it acts linearly on the rational Lie algebra of the group:
 ``log phi(g) = L log g``.  The columns of ``L`` on the Lie basis are the
 logarithms of the generator images and, for every other basis entry, the
-same commutator tree of brackets over those columns (for a quotient spec the
-trees are the free-cover entries at the kept positions).  ``L`` is cleared of
+same commutator tree of brackets over those columns: they are read off
+:meth:`~nilentropy.hall.HallBasis.evaluate` of the free cover's basis at the
+positions the spec keeps (all of them on a free spec).  ``L`` is cleared of
 denominators into one integer matrix per endomorphism, held as its sparse
 columns (:attr:`Endomorphism.linear_map`), and every linear invariant is
 read off those columns.  The map acts on scaled logarithms ``p = D log g``
@@ -74,29 +75,6 @@ def mat_identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _basis_entries(spec):
-    """The commutator trees of the spec's basis: the free entries it keeps."""
-    return [spec.basis.entries[p] for p in spec._positions]
-
-
-def _tree_evaluator(leaf, node):
-    """Cached value of a commutator tree: ``leaf(gen)`` at the generators and
-    ``node(left, right)`` at every bracket."""
-    cached = {}
-
-    def value(entry):
-        got = cached.get(entry)
-        if got is None:
-            if entry.is_generator():
-                got = leaf(entry.gen)
-            else:
-                got = node(value(entry.left), value(entry.right))
-            cached[entry] = got
-        return got
-
-    return value
-
-
 def _cleared(entries, n):
     """Sparse integer columns ``M`` and the least ``denominator`` such that
     ``M / denominator`` is the ``n x n`` rational matrix with nonzero entries
@@ -151,14 +129,15 @@ class Endomorphism:
             def leaf(gen):
                 return {i: v for i, v in enumerate(law.pack_scaled(self.images[gen])) if v}
 
-            # the column of a tree of weight w comes out scaled by d^w
-            value = _tree_evaluator(leaf, law.bracket_vec)
+            # the value of a cover entry of weight w comes out scaled by d^w
+            cover = spec.basis
+            values = cover.evaluate(leaf, law.bracket_vec)
             if spec.relations is not None:
-                _check_relators(spec, value, d)
+                _check_relators(spec, values, d)
             entries = []
-            for j, e in enumerate(_basis_entries(spec)):
-                scale = d ** e.weight
-                for i, v in value(e).items():
+            for j, p in enumerate(spec._positions):
+                scale = d ** cover.weights[p]
+                for i, v in values[p].items():
                     num, den = v.as_integer_ratio()
                     entries.append((i, j, num, den * scale))
             self._linear = _cleared(entries, spec.dim)
@@ -178,20 +157,20 @@ class Endomorphism:
         return f"Endomorphism(spec={self.spec!r}, images={self.images!r})"
 
 
-def _check_relators(spec, value, d):
+def _check_relators(spec, values, d):
     """Raise :class:`SpecError` unless the map kills every relator of ``spec``.
 
-    ``value(entry)`` is ``d^weight`` times the image of the cover's Lie basis
-    vector ``entry`` in the quotient algebra ``L / I``.  The images define an
+    ``values[k]`` is ``d^weight`` times the image of the cover's ``k``-th Lie
+    basis vector in the quotient algebra ``L / I``.  The images define an
     endomorphism exactly when ``log r`` of every relator ``r`` maps into ``I``,
     that is, to zero here.
     """
     top = spec.nilpotency_class
     for r in spec.relators:
         residue = {}
-        for entry, v in zip(spec.basis.entries, spec.free_cover.law.pack_scaled(r)):
+        for value, w, v in zip(values, spec.basis.weights, spec.free_cover.law.pack_scaled(r)):
             if v:
-                residue = assoc.add(residue, assoc.scale(value(entry), v * d ** (top - entry.weight)))
+                residue = assoc.add(residue, assoc.scale(value, v * d ** (top - w)))
         if residue:
             raise SpecError("generator images do not respect the relators of the quotient")
 

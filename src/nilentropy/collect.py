@@ -91,15 +91,8 @@ class CollectionLaw:
                 if pairs:
                     struct[(i, j)] = tuple(sorted(pairs.items()))
         law = cls(basis.weights, basis.nil_class, struct, None)
-        vectors = []
-        for entry in basis.entries:
-            if entry.is_generator():
-                vectors.append({basis.index[entry]: Fraction(1)})
-            else:
-                a = vectors[basis.index[entry.left]]
-                b = vectors[basis.index[entry.right]]
-                vectors.append(law.group_commutator_log(a, b))
-        law.log_vectors = vectors
+        # the generators lead the basis, so generator k is coordinate k
+        law.log_vectors = basis.evaluate(lambda k: {k: Fraction(1)}, law.group_commutator_log)
         return law
 
     @classmethod

@@ -116,20 +116,10 @@ class PolyFit:
 
 
 def _normalform_costs(spec):
-    """Word-length cost of each coordinate direction (an upper bound)."""
-    basis = spec.basis
-    free_costs = []
-    for entry in basis.entries:
-        if entry.is_generator():
-            free_costs.append(1)
-        else:
-            free_costs.append(
-                2
-                * (
-                    free_costs[basis.index[entry.left]]
-                    + free_costs[basis.index[entry.right]]
-                )
-            )
+    """Word-length cost of each coordinate direction (an upper bound): 1 at a
+    generator, and at a bracket twice the sum of its parts, the length of
+    ``u^-1 v^-1 u v``."""
+    free_costs = spec.basis.evaluate(lambda gen: 1, lambda a, b: 2 * (a + b))
     return tuple(free_costs[p] for p in spec._positions)
 
 
@@ -157,18 +147,25 @@ def growth_series(phi, g, n_max, mode="karidi", genset=None):
         raise SpecError("growth series requires an automorphism")
     g = spec.check_vector(g)
     costs = _normalform_costs(spec) if mode == "normalform-upper" else None
-    entries = []
     if mode == "karidi":
         lengths = _karidi_lengths(phi, g)
     else:
         lengths = (_length_in_mode(h, spec, mode, genset, costs) for h in _orbit(phi, g))
+    return _collect_series(phi, g, lengths, n_max, mode,
+                           "exact length unknown at n={n}; entry omitted", stacklevel=2)
+
+
+def _collect_series(phi, g, lengths, n_max, mode, omitted, stacklevel):
+    """The :class:`GrowthSeries` of the first ``n_max`` of ``lengths``.
+
+    A ``None`` length is omitted with a :class:`GrowthWarning`, the message
+    ``omitted`` formatted with its ``n``; ``stacklevel`` is that of a warning
+    issued in the caller.
+    """
+    entries = []
     for n, length in zip(range(1, n_max + 1), lengths):
         if length is None:
-            warnings.warn(
-                f"exact length unknown at n={n}; entry omitted",
-                GrowthWarning,
-                stacklevel=2,
-            )
+            warnings.warn(omitted.format(n=n), GrowthWarning, stacklevel=stacklevel + 1)
             continue
         entries.append(GrowthEntry(n, length, mode))
     return GrowthSeries(tuple(entries), subject=g, automorphism=phi)
@@ -303,12 +300,9 @@ def abelian_comparison(phi, generators=None, n_max=30, mode="karidi",
         generators = [spec.indicator(k) for k in range(spec.rank)]
     if not generators:
         raise SpecError("abelian comparison needs at least one generator")
-    best = None
-    for g in generators:
-        series = growth_series(phi, g, n_max, mode=mode, genset=genset)
-        est = entropy_estimate(series)
-        if best is None or est.value > best.value:
-            best = est
+    # max keeps the first of equal estimates
+    best = max((entropy_estimate(growth_series(phi, g, n_max, mode=mode, genset=genset))
+                for g in generators), key=operator.attrgetter("value"))
     return {
         "spectral_radius": rho,
         "entropy_estimate": best.value,
@@ -351,24 +345,21 @@ def _subgroup_series(phi, g, lattice, n_max, mode):
     """Growth series measured in the subgroup's own word metric."""
     spec = phi.spec
     weights = [spec.weights[d] for d in lattice.depths]
-    entries = []
-    for n, h in zip(range(1, n_max + 1), _orbit(phi, g)):
-        coeffs = lattice.reduce(h)
-        if coeffs is None:
-            raise SpecError("iterate left the subgroup")
-        if mode == "karidi":
-            length = nilgroup._box_length(coeffs, weights)
-        else:
-            length = geodesic_length(h, spec, genset=lattice.rows)
-            if length is None:
-                warnings.warn(
-                    f"exact subgroup length unknown at n={n}; entry omitted",
-                    GrowthWarning,
-                    stacklevel=3,
-                )
-                continue
-        entries.append(GrowthEntry(n, length, mode))
-    return GrowthSeries(tuple(entries), subject=tuple(g), automorphism=phi)
+
+    def lengths():
+        for h in _orbit(phi, g):
+            coeffs = lattice.reduce(h)
+            if coeffs is None:
+                raise SpecError("iterate left the subgroup")
+            if mode == "karidi":
+                yield nilgroup._box_length(coeffs, weights)
+            else:
+                yield geodesic_length(h, spec, genset=lattice.rows)
+
+    # the warning points past the generator expression of
+    # finite_index_experiment that calls this, at the experiment's caller
+    return _collect_series(phi, tuple(g), lengths(), n_max, mode,
+                           "exact subgroup length unknown at n={n}; entry omitted", stacklevel=4)
 
 
 def finite_index_experiment(phi, subgroup_generators, n_max=30,
@@ -394,12 +385,8 @@ def finite_index_experiment(phi, subgroup_generators, n_max=30,
     ambient = abelian_comparison(
         phi, generators=ambient_generators, n_max=n_max, mode="karidi"
     )
-    best = None
-    for g in gens:
-        series = _subgroup_series(phi, g, lattice, n_max, mode)
-        est = entropy_estimate(series)
-        if best is None or est.value > best.value:
-            best = est
+    best = max((entropy_estimate(_subgroup_series(phi, g, lattice, n_max, mode)) for g in gens),
+               key=operator.attrgetter("value"))
     return {
         "subgroup_entropy": best.value,
         "ambient_entropy": ambient["entropy_estimate"],

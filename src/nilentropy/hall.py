@@ -4,6 +4,11 @@ A basis entry is either a generator or a bracket ``[u, v]`` of earlier
 entries satisfying the Hall condition.  Brackets of arbitrary entries are
 straightened onto the basis with the Jacobi identity; the resulting pair
 table is the structure-constant table of every group law.
+
+:meth:`HallBasis.evaluate` is the one walk over the commutator trees; the
+free law's basis logarithms, endomorphism linear maps and normal-form costs
+are read off it.  Elsewhere only the Magnus normal form of :mod:`.assoc`, an
+oracle kept independent on purpose, reads the tree layout.
 """
 
 from __future__ import annotations
@@ -95,8 +100,10 @@ def _witt_dimension(rank, nil_class, limit):
 class HallBasis:
     """Hall basis of the free Lie ring of given rank, truncated at ``nil_class``.
 
-    A rank and class with more than :data:`MAX_DIMENSION` entries raise
+    A rank or class below 1, or a rank and class with more than
+    :data:`MAX_DIMENSION` entries, raise
     :class:`~nilentropy.nilgroup.SpecError` before anything is built.
+    :meth:`evaluate` is the one walk over the entries' commutator trees.
     """
 
     def __init__(self, rank, nil_class):
@@ -105,9 +112,9 @@ class HallBasis:
         rank = _integer(rank, "rank")
         nil_class = _integer(nil_class, "class")
         if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+            raise SpecError(f"rank must be >= 1, got {rank}")
         if nil_class < 1:
-            raise ValueError(f"class must be >= 1, got {nil_class}")
+            raise SpecError(f"class must be >= 1, got {nil_class}")
         if _witt_dimension(rank, nil_class, MAX_DIMENSION) > MAX_DIMENSION:
             raise SpecError(f"a Hall basis of rank {rank} and class {nil_class} has more "
                             f"than {MAX_DIMENSION} entries")
@@ -138,14 +145,29 @@ class HallBasis:
         return f"HallBasis(rank={self.rank}, class={self.nil_class})"
 
     def graded_dimension(self, d):
-        from .nilgroup import _integer  # nilgroup imports this module
+        from .nilgroup import SpecError, _integer  # nilgroup imports this module
 
         d = _integer(d, "weight")
         if not 1 <= d <= self.nil_class:
-            raise ValueError(
+            raise SpecError(
                 f"weight {d} out of range 1..{self.nil_class}"
             )
         return len(self.by_weight[d])
+
+    def evaluate(self, leaf, node):
+        """The value of every entry, in index order: ``leaf(gen)`` at a
+        generator and ``node(left_value, right_value)`` at a bracket.
+
+        The parts of a bracket are lighter, so they come earlier in the basis
+        and their values are already in the list.
+        """
+        values = []
+        for e in self.entries:
+            if e.is_generator():
+                values.append(leaf(e.gen))
+            else:
+                values.append(node(values[self.index[e.left]], values[self.index[e.right]]))
+        return values
 
     def pair_bracket(self, i, j):
         """Bracket of basis entries ``i`` and ``j`` as ``{index: coefficient}``.

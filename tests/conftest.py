@@ -14,9 +14,8 @@ from nilentropy import (
     power,
 )
 from nilentropy.assoc import scale
-from nilentropy.autom import _basis_entries, _tree_evaluator
 from nilentropy.mpoly import _inexact
-from nilentropy.nilgroup import _box_length, _law_commutator, _root
+from nilentropy.nilgroup import _box_length, _root
 
 
 @pytest.fixture(scope="session")
@@ -97,17 +96,24 @@ def basis_images_reference(phi):
     """Images of all basis elements, derived by commutator trees.
 
     Each basis element is a commutator tree in the generators, so its
-    image is the same tree over the generator images; for a quotient spec
-    the trees are the free-cover entries at the kept positions.
+    image is the same tree over the generator images, each bracket the
+    literal group word ``g^-1 h^-1 g h`` of two inverses and three products
+    of the law; for a quotient spec the trees are the free-cover entries at
+    the kept positions.
 
     These group commutators fed the graded matrices and ``invert`` before
     every linear invariant was read off the linear map on the Mal'cev Lie
-    algebra; tests keep them as an independent oracle.
+    algebra; tests keep them as an oracle independent of the package's own
+    commutator.
     """
-    law = phi.spec.law
-    value = _tree_evaluator(phi.images.__getitem__,
-                            lambda a, b: _law_commutator(law, a, b))
-    return tuple(value(e) for e in _basis_entries(phi.spec))
+    spec = phi.spec
+    law = spec.law
+
+    def commutator(g, h):
+        return law.multiply(law.multiply(law.multiply(law.inverse(g), law.inverse(h)), g), h)
+
+    values = spec.basis.evaluate(phi.images.__getitem__, commutator)
+    return tuple(values[p] for p in spec._positions)
 
 
 def apply_reference(phi, g):

@@ -100,6 +100,21 @@ def test_exact_bfs_omits_entries_past_the_cap(heis):
     assert series.n_max < 25
 
 
+def test_exact_bfs_warnings_point_at_the_caller(heis):
+    """An omitted entry warns at the line that called the public function:
+    ``growth_series``, and ``finite_index_experiment``, here ending in too
+    few entries for a fit."""
+    fib = builtin_automorphism("fib", heis)
+    with pytest.warns(GrowthWarning, match="^exact length unknown") as omitted:
+        growth_series(fib, heis.indicator(0), 25, mode="exact-bfs")
+    shear = builtin_automorphism("unipotent-shear", heis)
+    with pytest.warns(GrowthWarning, match="^exact subgroup length unknown") as in_subgroup:
+        with pytest.raises(InsufficientDataError):
+            finite_index_experiment(shear, [(2, 0, 0), (0, 2, 0), (0, 0, 1)], n_max=20,
+                                    mode="exact-bfs")
+    assert {w.filename for w in (*omitted, *in_subgroup)} == {__file__}
+
+
 def test_growth_series_rejects_unknown_mode(heis):
     phi = builtin_automorphism("fib", heis)
     with pytest.raises(SpecError):

@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisors, mobius
 
-from nilentropy import HallBasis, SpecError, free_nilpotent, surface_quotient
+from nilentropy import HallBasis, SpecError, commutator, free_nilpotent, surface_quotient
 from nilentropy import hall
 from nilentropy.assoc import add, scale
 from nilentropy.hall import MAX_DIMENSION, _hall_pair_ok, _witt_dimension
@@ -179,7 +180,21 @@ def test_bracket_respects_grading():
 
 
 def test_constructor_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError, match="^rank must be >= 1, got 0$"):
         HallBasis(0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError, match="^class must be >= 1, got 0$"):
         HallBasis(2, 0)
+    for d in (0, 4):
+        with pytest.raises(SpecError, match=f"^weight {d} out of range 1..3$"):
+            HallBasis(2, 3).graded_dimension(d)
+
+
+@pytest.mark.parametrize("rank, nil_class", [(2, 5), (3, 4), (4, 3)])
+def test_evaluate_walks_every_tree(rank, nil_class):
+    """The weights add up over the trees, and every Hall element is the group
+    commutator of its two parts."""
+    spec = free_nilpotent(rank, nil_class)
+    basis = spec.basis
+    assert basis.evaluate(lambda g: 1, operator.add) == list(basis.weights)
+    assert basis.evaluate(spec.indicator, lambda a, b: commutator(a, b, spec)) == [
+        spec.indicator(k) for k in range(len(basis))]
