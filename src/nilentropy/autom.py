@@ -37,11 +37,12 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
 from . import assoc
+from .collect import bracket_over
 from .linalg import bareiss_det, inverse
 from .mpoly import exact_quotient
 from .nilgroup import SpecError, _integer
@@ -126,20 +127,23 @@ class Endomorphism:
             law = spec.law
             d = law.log_scale
 
+            s, table = law._integral_partners
+
             def leaf(gen):
                 return {i: v for i, v in enumerate(law.pack_scaled(self.images[gen])) if v}
 
-            # the value of a cover entry of weight w comes out scaled by d^w
+            # brackets over the integral table are s times the law's, so the
+            # value of a cover entry of weight w comes out in integers,
+            # scaled by d^w s^(w-1)
             cover = spec.basis
-            values = cover.evaluate(leaf, law.bracket_vec)
+            values = cover.evaluate(leaf, lambda x, y: bracket_over(table, x, y))
             if spec.relations is not None:
-                _check_relators(spec, values, d)
+                _check_relators(spec, values, d * s)
             entries = []
             for j, p in enumerate(spec._positions):
-                scale = d ** cover.weights[p]
-                for i, v in values[p].items():
-                    num, den = v.as_integer_ratio()
-                    entries.append((i, j, num, den * scale))
+                w = cover.weights[p]
+                scale = d ** w * s ** (w - 1)
+                entries.extend((i, j, v, scale) for i, v in values[p].items())
             self._linear = _cleared(entries, spec.dim)
         return self._linear
 
@@ -161,9 +165,9 @@ def _check_relators(spec, values, d):
     """Raise :class:`SpecError` unless the map kills every relator of ``spec``.
 
     ``values[k]`` is ``d^weight`` times the image of the cover's ``k``-th Lie
-    basis vector in the quotient algebra ``L / I``.  The images define an
-    endomorphism exactly when ``log r`` of every relator ``r`` maps into ``I``,
-    that is, to zero here.
+    basis vector in the quotient algebra ``L / I``, up to a factor common to
+    every ``k``.  The images define an endomorphism exactly when ``log r`` of
+    every relator ``r`` maps into ``I``, that is, to zero here.
     """
     top = spec.nilpotency_class
     for r in spec.relators:
@@ -355,8 +359,9 @@ def invert(phi):
 # spectral analysis of integer matrices
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(namedtuple("SpectralReport", [
+        "charpoly", "spectral_radius", "radius_error", "unipotent", "quasi_unipotent",
+        "radius_gap"])):
     """Characteristic data of an integer matrix.
 
     ``charpoly`` lists the monic coefficients from the leading term down.
@@ -370,12 +375,7 @@ class SpectralReport:
     ``None``.
     """
 
-    charpoly: tuple
-    spectral_radius: float
-    radius_error: float
-    unipotent: bool
-    quasi_unipotent: bool
-    radius_gap: float | None
+    __slots__ = ()
 
 
 def _charpoly(rows):

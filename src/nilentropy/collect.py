@@ -148,28 +148,26 @@ class CollectionLaw:
             table.setdefault(j, {})[i] = tuple((k, -c) for k, c in pairs)
         return table
 
-    def bracket_vec(self, x, y):
-        """``[x, y]`` of two sparse vectors ``{index: coefficient}``.
-
-        Only the pairs with a structure constant are visited: for each
-        ``i`` of ``x``, the partners of ``e_i`` in :attr:`_partners`
-        intersected with the keys of ``y``.
-        """
-        out = {}
+    @cached_property
+    def _integral_partners(self):
+        """``(S, table)``: ``S`` the least common denominator of the structure
+        constants, and ``table`` :attr:`_partners` with each constant times
+        ``S``.  A bracket over ``table`` is ``S`` times the bracket, so
+        integer vectors bracket in integers.  On a law whose constants are
+        integers (every free law), ``S`` is 1 and ``table`` is
+        :attr:`_partners` itself."""
         partners = self._partners
-        for i, xi in x.items():
-            row = partners.get(i)
-            if row is None:
-                continue
-            for j in row.keys() & y.keys():
-                p = xi * y[j]
-                for k, c in row[j]:
-                    t = out.get(k, 0) + p * c
-                    if t:
-                        out[k] = t
-                    else:
-                        out.pop(k, None)
-        return out
+        constants = [c for row in partners.values() for pairs in row.values() for _, c in pairs]
+        if all(type(c) is int for c in constants):
+            return 1, partners
+        s = lcm(*(c.denominator for c in constants))
+        return s, {i: {j: tuple((k, (c * s).numerator) for k, c in pairs)
+                       for j, pairs in row.items()}
+                   for i, row in partners.items()}
+
+    def bracket_vec(self, x, y):
+        """``[x, y]`` of two sparse vectors ``{index: coefficient}``."""
+        return bracket_over(self._partners, x, y)
 
     def bch(self, x, y):
         """log(exp(x) exp(y)) truncated at the nilpotency class."""
@@ -327,3 +325,26 @@ class CollectionLaw:
         polynomials; see :func:`~nilentropy.mpoly.layer_expander_source`.
         """
         return layer_expander(self._layer_compiled(directions), self.dim)
+
+
+def bracket_over(partners, x, y):
+    """``[x, y]`` of two sparse vectors ``{index: coefficient}`` under a
+    partners table ``{i: {j: ((k, c), ...)}}``, ``[e_i, e_j] = sum c e_k``.
+
+    Only the pairs with a structure constant are visited: for each ``i`` of
+    ``x``, the partners of ``e_i`` intersected with the keys of ``y``.
+    """
+    out = {}
+    for i, xi in x.items():
+        row = partners.get(i)
+        if row is None:
+            continue
+        for j in row.keys() & y.keys():
+            p = xi * y[j]
+            for k, c in row[j]:
+                t = out.get(k, 0) + p * c
+                if t:
+                    out[k] = t
+                else:
+                    out.pop(k, None)
+    return out

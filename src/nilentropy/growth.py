@@ -13,14 +13,12 @@ one x, gets the minimum-norm solution β = (x, 1)·ȳ / (x² + 1).
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
-from typing import NamedTuple
 
 from . import nilgroup
 from .autom import (
@@ -59,23 +57,21 @@ class ExponentialSeriesError(ValueError):
     """A polynomial-degree fit was requested on an exponential series."""
 
 
-class GrowthEntry(NamedTuple):
-    n: int
-    length: float
-    mode: str
+class GrowthEntry(namedtuple("GrowthEntry", ["n", "length", "mode"])):
+    """The length of φⁿ(g) in one length mode."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GrowthSeries:
+class GrowthSeries(namedtuple("GrowthSeries", ["entries", "subject", "automorphism"],
+                              defaults=(None, None))):
     """Lengths of φⁿ(g) for n = 1..n_max, tagged with the length mode.
 
     ``exact-bfs`` entries are exact integers; entries past the BFS radius
     cap are omitted (with a warning) rather than guessed.
     """
 
-    entries: tuple
-    subject: tuple | None = None
-    automorphism: object | None = None
+    __slots__ = ()
 
     @property
     def n_max(self):
@@ -85,8 +81,8 @@ class GrowthSeries:
         return [e.length for e in self.entries]
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(namedtuple("EntropyEstimate",
+                                 ["value", "residual", "window", "poly_exponent"])):
     """Exponential rate fitted from a growth series.
 
     value = exp(slope) of the fit log ℓ_n = n·log K + r·log n + C over the
@@ -94,21 +90,16 @@ class EntropyEstimate:
     does not inflate the rate.
     """
 
-    value: float
-    residual: float
-    window: tuple
-    poly_exponent: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PolyFit:
+class PolyFit(namedtuple("PolyFit", ["degree", "correlation"])):
     """Slope of log length against log x, floored at 0, and the Pearson
     correlation.  The slope is the exact least-squares solution, rounded
     once.  Flat lengths give (0.0, 1.0); flat x, a rank-one design, gives
     correlation 1.0 and the minimum-norm slope x·ȳ / (x² + 1)."""
 
-    degree: float
-    correlation: float
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +126,12 @@ def _length_in_mode(h, spec, mode, genset, costs):
 
 def growth_series(phi, g, n_max, mode="karidi", genset=None):
     """Series ℓ(φⁿ(g)) for n = 1..n_max in the requested length mode."""
+    return _growth_series(phi, g, n_max, mode, genset, stacklevel=3)
+
+
+def _growth_series(phi, g, n_max, mode, genset, stacklevel):
+    """:func:`growth_series`, its warnings issued with ``stacklevel``, that of
+    a warning issued here."""
     if mode not in MODES:
         raise SpecError(
             f"unknown growth mode {mode!r}; expected one of {', '.join(MODES)}"
@@ -152,7 +149,7 @@ def growth_series(phi, g, n_max, mode="karidi", genset=None):
     else:
         lengths = (_length_in_mode(h, spec, mode, genset, costs) for h in _orbit(phi, g))
     return _collect_series(phi, g, lengths, n_max, mode,
-                           "exact length unknown at n={n}; entry omitted", stacklevel=2)
+                           "exact length unknown at n={n}; entry omitted", stacklevel)
 
 
 def _collect_series(phi, g, lengths, n_max, mode, omitted, stacklevel):
@@ -300,8 +297,9 @@ def abelian_comparison(phi, generators=None, n_max=30, mode="karidi",
         generators = [spec.indicator(k) for k in range(spec.rank)]
     if not generators:
         raise SpecError("abelian comparison needs at least one generator")
-    # max keeps the first of equal estimates
-    best = max((entropy_estimate(growth_series(phi, g, n_max, mode=mode, genset=genset))
+    # max keeps the first of equal estimates; a warning points past the
+    # generator expression, at the caller
+    best = max((entropy_estimate(_growth_series(phi, g, n_max, mode, genset, stacklevel=4))
                 for g in generators), key=operator.attrgetter("value"))
     return {
         "spectral_radius": rho,
@@ -330,7 +328,7 @@ def quotient_tower(phi, g, classes, n_max=30, mode="karidi"):
             images = [project(img, k, spec) for img in phi.images]
             phi_k = Endomorphism(tspec, images)
             g_k = project(g, k, spec)
-        series = growth_series(phi_k, g_k, n_max, mode=mode)
+        series = _growth_series(phi_k, g_k, n_max, mode, None, stacklevel=3)
         est = entropy_estimate(series)
         rows.append({
             "class": k,
@@ -447,7 +445,7 @@ def unipotent_degree_sweep(ranks=(2, 3, 4), nil_class=3, n_max=24,
         phi = builtin_automorphism("unipotent-shear", spec)
         degrees = []
         for k in range(m):
-            series = growth_series(phi, spec.indicator(k), n_max, mode=mode)
+            series = _growth_series(phi, spec.indicator(k), n_max, mode, None, stacklevel=3)
             fit = poly_degree_fit(series)
             degrees.append(fit.degree)
         out.append({
@@ -464,6 +462,8 @@ def unipotent_degree_sweep(ranks=(2, 3, 4), nil_class=3, n_max=24,
 
 
 def _write_series_rows(series, fh):
+    import csv
+
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["n", "length", "mode"])
     for e in series.entries:
@@ -485,6 +485,8 @@ def series_to_csv(series, path_or_file):
 
 def series_from_csv(path_or_file):
     """Read a series written by :func:`series_to_csv`."""
+    import csv
+
     if hasattr(path_or_file, "read"):
         rows = list(csv.reader(path_or_file))
     else:

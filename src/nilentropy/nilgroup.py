@@ -17,8 +17,8 @@ import math
 import operator
 import re
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
@@ -76,26 +76,20 @@ def _integer(value, what):
 # length records, words and group specs
 
 
-@dataclass(frozen=True)
-class KaridiEstimate:
+class KaridiEstimate(namedtuple("KaridiEstimate", ["value"])):
     """Coordinate box length ``max_i |e_i|^(1/weight_i)``.
 
     The comparison constant between this proxy and the word metric is
     measured by :func:`karidi_band`, which returns it.
     """
 
-    value: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class KaridiBand:
+class KaridiBand(namedtuple("KaridiBand", ["lower", "upper", "constant", "radius", "size"])):
     """Measured two-sided comparison between box length and word length."""
 
-    lower: float
-    upper: float
-    constant: float
-    radius: int
-    size: int
+    __slots__ = ()
 
 
 class WordExpr:

@@ -115,6 +115,25 @@ def test_exact_bfs_warnings_point_at_the_caller(heis):
     assert {w.filename for w in (*omitted, *in_subgroup)} == {__file__}
 
 
+def test_experiment_warnings_point_at_the_caller():
+    """``abelian_comparison``, ``quotient_tower`` and ``unipotent_degree_sweep``
+    run their series inside the package; an omitted exact-bfs entry still
+    warns at the line that called the experiment."""
+    shear = builtin_automorphism("unipotent-shear", free_nilpotent(2, 2))
+    with pytest.warns(GrowthWarning, match="^exact length unknown") as comparison:
+        with pytest.raises(InsufficientDataError):
+            abelian_comparison(shear, n_max=25, mode="exact-bfs")
+    assert len(comparison) == 16
+    fib = builtin_automorphism("fib", free_nilpotent(2, 3))
+    with pytest.warns(GrowthWarning, match="^exact length unknown") as tower:
+        with pytest.raises(InsufficientDataError):
+            quotient_tower(fib, fib.spec.indicator(0), [2], n_max=12, mode="exact-bfs")
+    with pytest.warns(GrowthWarning, match="^exact length unknown") as sweep:
+        with pytest.raises(InsufficientDataError):
+            unipotent_degree_sweep(ranks=(2,), nil_class=2, n_max=25, mode="exact-bfs")
+    assert {w.filename for w in (*comparison, *tower, *sweep)} == {__file__}
+
+
 def test_growth_series_rejects_unknown_mode(heis):
     phi = builtin_automorphism("fib", heis)
     with pytest.raises(SpecError):

@@ -2,6 +2,7 @@
 Mal'cev Lie algebra, against the product of basis-image powers and the
 commutator-tree basis images, and the package without sympy or numpy."""
 
+import math
 import random
 import subprocess
 import sys
@@ -41,6 +42,7 @@ from nilentropy import (
     surface_quotient,
 )
 from nilentropy.autom import _karidi_lengths, _orbit, _scatter
+from nilentropy.collect import bracket_over
 from nilentropy.linalg import bareiss_det
 from nilentropy.mpoly import exact_quotient
 
@@ -320,6 +322,53 @@ def test_identity_map_has_unit_linearization():
         columns, denominator = identity_endomorphism(spec).linear_map
         assert denominator == 1
         assert columns == tuple(((i, 1),) for i in range(spec.dim))
+
+
+def _linear_map_in_fractions(phi):
+    """``L`` of ``phi`` as ``{(i, j): entry}``, by the law's own brackets in
+    ``Fraction`` arithmetic: a cover entry of weight ``w`` evaluates to
+    ``d^w`` times its column, ``d`` the law's ``log_scale``."""
+    spec = phi.spec
+    law = spec.law
+    values = spec.basis.evaluate(
+        lambda gen: {i: v for i, v in enumerate(law.pack_scaled(phi.images[gen])) if v},
+        law.bracket_vec)
+    return {(i, j): Fraction(v) / law.log_scale ** spec.basis.weights[p]
+            for j, p in enumerate(spec._positions) for i, v in values[p].items()}
+
+
+SURFACES = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("genus, nil_class", SURFACES)
+def test_linear_map_on_a_quotient_matches_fraction_brackets(genus, nil_class):
+    """``linear_map`` brackets in integers over the law's integral partner
+    table; the handle twists, conjugated too, give the matrix that the law's
+    ``Fraction`` brackets give, over its least denominator."""
+    spec = surface_quotient(genus, nil_class)
+    s, table = spec.law._integral_partners
+    assert all(type(c) is int for row in table.values() for pairs in row.values()
+               for _, c in pairs)
+    rng = random.Random(genus * 10 + nil_class)
+    x, y = ({k: rng.randint(-9, 9) for k in range(spec.dim)} for _ in range(2))
+    assert bracket_over(table, x, y) == {k: s * c for k, c in spec.law.bracket_vec(x, y).items()}
+    h = tuple(rng.randint(-9, 9) for _ in range(spec.dim))
+    for images in _twists(spec):
+        for images in (images, [conjugate(img, h, spec) for img in images]):
+            columns, denominator = Endomorphism(spec, images).linear_map
+            got = {(i, j): Fraction(m, denominator)
+                   for j, column in enumerate(columns) for i, m in column}
+            assert got == _linear_map_in_fractions(Endomorphism(spec, images))
+            assert math.gcd(denominator, *(m for column in columns for _, m in column)) == 1
+
+
+@pytest.mark.parametrize("genus, nil_class", SURFACES)
+def test_map_breaking_the_surface_relator_is_refused(genus, nil_class):
+    # swapping a_1 and b_1 sends [a_1, b_1] to its inverse
+    spec = surface_quotient(genus, nil_class)
+    x = [spec.indicator(k) for k in range(spec.rank)]
+    with pytest.raises(SpecError, match="do not respect the relators"):
+        Endomorphism(spec, [x[1], x[0], *x[2:]]).linear_map
 
 
 def test_map_not_respecting_the_relators_is_refused():
