@@ -20,10 +20,9 @@ orbit ``phi^n(g)`` keeps ``p`` from step to step and packs once, and
 :func:`iterate` reads ``phi^n`` off the orbits of the generators; the
 graded actions are the diagonal weight blocks of ``L``; and :func:`invert`
 takes the same step with ``L^-1``, from the ``Fraction`` inverse of
-:mod:`.linalg`.  The Karidi series of ``growth_series`` reads box lengths
-off the same orbit, through the law's generated ``orbit_step``, the same
-text followed by the box length; the exact callers never convert a
-coordinate to a float.
+:mod:`.linalg`.  The Karidi series of ``growth_series`` maps the generated
+box-length kernel of the spec's weights over the same orbit; the exact
+callers never convert a coordinate to a float.
 
 The spectral report of an integer matrix is exact integer code: a Berkowitz
 characteristic polynomial, its squarefree part, and one exact predicate on
@@ -194,22 +193,6 @@ def _scatter(columns, p):
     return q
 
 
-def _steps(phi, g, kernel):
-    """``kernel(M p, denominator)`` along the orbit of a checked vector
-    ``g`` under ``phi``, without end, ``kernel`` being ``unpack_scaled`` or
-    ``orbit_step`` of the law.
-
-    The scaled logarithm ``p = D log phi^n(g)`` is integral, since
-    ``phi^n(g)`` is a group element, and carries from one step to the next
-    as the kernel's first output: the orbit packs once.
-    """
-    columns, denominator = phi.linear_map
-    out = (phi.spec.law.pack_scaled(g),)
-    while True:
-        out = kernel(_scatter(columns, out[0]), denominator)
-        yield out
-
-
 def apply(phi, g):
     """Image of ``g``: ``exp(L log g)`` through the integer linear map of ``phi``."""
     g = phi.spec.check_vector(g)
@@ -219,21 +202,20 @@ def apply(phi, g):
 
 
 def _orbit(phi, g):
-    """``phi(g), phi^2(g), ...`` without end, for a checked vector ``g``."""
-    return (h for _, h in _steps(phi, g, phi.spec.law.unpack_scaled))
+    """``phi(g), phi^2(g), ...`` without end, for a checked vector ``g``:
+    ``unpack_scaled(M p, denominator)`` at each step.
 
-
-def _karidi_lengths(phi, g):
-    """The box lengths of ``phi(g), phi^2(g), ...`` without end, for a checked
-    vector ``g``: the orbit of :func:`_orbit`, each step through the law's
-    generated :attr:`~nilentropy.collect.CollectionLaw.orbit_step`, which
-    also takes the box length of the image.
-
-    Only the Karidi series reads box lengths, which are floats: a weight-1
-    coordinate of ``2^1024`` has none.  Every other caller takes the exact
-    ``unpack_scaled``.
+    The scaled logarithm ``p = D log phi^n(g)`` is integral, since
+    ``phi^n(g)`` is a group element, and carries from one step to the next
+    as the first output of ``unpack_scaled``: the orbit packs once.
     """
-    return (box for _, _, box in _steps(phi, g, phi.spec.law.orbit_step))
+    law = phi.spec.law
+    columns, denominator = phi.linear_map
+    unpack = law.unpack_scaled
+    p = law.pack_scaled(g)
+    while True:
+        p, h = unpack(_scatter(columns, p), denominator)
+        yield h
 
 
 def compose(phi, psi):

@@ -26,6 +26,7 @@ from .constructions import (
     upper_central_lengths,
 )
 from .growth import (
+    _length_text,
     abelian_comparison,
     growth_series,
     quotient_tower,
@@ -91,12 +92,6 @@ def _emit_json(payload, out_path=None):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-
-
-def _plot_value(entry):
-    if entry.mode == "exact-bfs":
-        return str(int(entry.length))
-    return repr(float(entry.length))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +174,7 @@ def cmd_entropy(args):
             path = f"{args.plot}-{mode}.dat"
             with open(path, "w") as fh:
                 for entry in series.entries:
-                    fh.write(f"{entry.n} {_plot_value(entry)}\n")
+                    fh.write(f"{entry.n} {_length_text(entry)}\n")
     return 0
 
 

@@ -20,11 +20,12 @@ of its own: the pack polynomials are unitriangular, ``z_k = D e_k +
 Q_k(e_0 .. e_{k-1})`` with integer ``Q_k``, so it is generated from them by
 back-substitution, one exact division by ``D`` per coordinate, after a
 checked division of its input by a linear map's denominator ``den``
-(:func:`~nilentropy.mpoly.orbit_step`).  It is one step of every exact
-orbit.  The same text, followed by the box length of its output, is the
-law's step of a Karidi orbit, :attr:`CollectionLaw.orbit_step`.  Every
-other map is derived by running those generated functions on ``MPoly``
-arguments, ``den`` being 1, so each polynomial map has one evaluator:
+(:func:`~nilentropy.mpoly.orbit_step`).  It is one step of every
+orbit, the Karidi orbit included, which reads the box length of each
+step's output through one generated kernel per weight vector
+(:func:`~nilentropy.mpoly.box`).  Every other map is derived by running
+those generated functions on ``MPoly`` arguments, ``den`` being 1, so each
+polynomial map has one evaluator:
 inversion is ``unpack_scaled(-pack_scaled(g))`` on the variables of ``g``,
 and multiplication is ``unpack_scaled`` of
 ``D * BCH(pack_scaled(g) / D, pack_scaled(h) / D)`` on the variables of
@@ -285,16 +286,6 @@ class CollectionLaw:
         not an integer (:func:`~nilentropy.mpoly.orbit_step_source`).
         """
         return orbit_step(*self._pack_compiled)
-
-    @cached_property
-    def orbit_step(self):
-        """``(q, den) -> (z, exp(z / D), box)``: :attr:`unpack_scaled` and the
-        box length ``max_k |e_k|^(1 / w_k)`` of its output, bit for bit that
-        of :func:`~nilentropy.nilgroup.karidi_length`, for the Karidi series
-        of :func:`~nilentropy.growth.growth_series`
-        (:func:`~nilentropy.mpoly.orbit_step_source`).
-        """
-        return orbit_step(*self._pack_compiled, self.weights)
 
     @property
     def log_scale(self):

@@ -4,6 +4,11 @@ Series ℓ(φⁿ(g)) in several length modes, entropy and polynomial-degree
 fits, and the comparison experiments: abelianization, quotient tower,
 finite-index subgroups, and subgroup distortion.
 
+Every series walks the exact orbit of ``autom._orbit``.  A Karidi length,
+in the ambient group, a subgroup or a distortion layer, is one call of
+the generated box kernel of its weights (``nilgroup._box_kernel``), fetched
+once per series or layer.
+
 The three fits share one least-squares routine.  Every float is an integer
 over a power of two, so it forms the normal equations exactly in integers
 and solves them by Cramer's rule: each coefficient is the exact
@@ -23,7 +28,6 @@ from itertools import compress
 from . import nilgroup
 from .autom import (
     Endomorphism,
-    _karidi_lengths,
     _orbit,
     abelianization_matrix,
     apply,
@@ -145,7 +149,7 @@ def _growth_series(phi, g, n_max, mode, genset, stacklevel):
     g = spec.check_vector(g)
     costs = _normalform_costs(spec) if mode == "normalform-upper" else None
     if mode == "karidi":
-        lengths = _karidi_lengths(phi, g)
+        lengths = map(nilgroup._box_kernel(spec.weights), _orbit(phi, g))
     else:
         lengths = (_length_in_mode(h, spec, mode, genset, costs) for h in _orbit(phi, g))
     return _collect_series(phi, g, lengths, n_max, mode,
@@ -342,7 +346,7 @@ def quotient_tower(phi, g, classes, n_max=30, mode="karidi"):
 def _subgroup_series(phi, g, lattice, n_max, mode):
     """Growth series measured in the subgroup's own word metric."""
     spec = phi.spec
-    weights = [spec.weights[d] for d in lattice.depths]
+    box = nilgroup._box_kernel(tuple(spec.weights[d] for d in lattice.depths))
 
     def lengths():
         for h in _orbit(phi, g):
@@ -350,7 +354,7 @@ def _subgroup_series(phi, g, lattice, n_max, mode):
             if coeffs is None:
                 raise SpecError("iterate left the subgroup")
             if mode == "karidi":
-                yield nilgroup._box_length(coeffs, weights)
+                yield box(coeffs)
             else:
                 yield geodesic_length(h, spec, genset=lattice.rows)
 
@@ -427,8 +431,7 @@ def distortion_profile(spec, i, radius=None, genset=None,
             f"only {len(layer)} elements of the weight-{i} layer within "
             f"radius {radius}; need at least {need}"
         )
-    induced = [w // i for w in spec.weights]
-    intrinsic = [nilgroup._box_length(h, induced) for h in layer]
+    intrinsic = list(map(nilgroup._box_kernel(tuple(w // i for w in spec.weights)), layer))
     return _loglog_fit(layer.values(), intrinsic)
 
 
@@ -467,11 +470,15 @@ def _write_series_rows(series, fh):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["n", "length", "mode"])
     for e in series.entries:
-        if e.mode == "exact-bfs":
-            value = str(int(e.length))
-        else:
-            value = repr(float(e.length))
-        writer.writerow([e.n, value, e.mode])
+        writer.writerow([e.n, _length_text(e), e.mode])
+
+
+def _length_text(entry):
+    """The length of a series entry as written: an exact-bfs length as an
+    integer, any other as the ``repr`` of its float."""
+    if entry.mode == "exact-bfs":
+        return str(int(entry.length))
+    return repr(float(entry.length))
 
 
 def series_to_csv(series, path_or_file):

@@ -19,13 +19,13 @@ through unchanged.  One step of an orbit on scaled logarithms is
 generated by :func:`orbit_step`: a prologue divides the linear image by
 the map's denominator, and a body inverts a unitriangular map, the law's
 scaled logarithm, by back-substitution into its own polynomials, one exact
-division per output.  That is the law's exponential.  Given the weights,
-an epilogue also takes the box length of the result with one exact ``max``
-and one float root per weight, plus a root for each value in a guard band
-where rounding could reorder two roots, so the float is that of a root per
-coordinate; that is the step of a Karidi orbit.  The right products of a
-word-metric ball are generated together by :func:`layer_expander`, one
-function per ball that expands a whole breadth-first layer.
+division per output.  That is the law's exponential.  The box length of a
+vector is generated by :func:`box`, one function per weight vector: one
+exact ``max`` and one float root per weight, plus a root for each value in
+a guard band where rounding could reorder two roots, so the float is that
+of a root per coordinate.  The right products of a word-metric ball are
+generated together by :func:`layer_expander`, one function per ball that
+expands a whole breadth-first layer.
 
 Generated functions are the only evaluator of a polynomial map.  They run
 on ``int`` arguments at runtime, and on ``MPoly`` arguments while a law
@@ -407,7 +407,7 @@ def _names(prefix, n):
     return ", ".join(f"{prefix}{k}" for k in range(n))
 
 
-# The box epilogue of an orbit step takes, for each weight w > 1, the root of
+# The box kernel takes, for each weight w > 1, the root of
 # the largest absolute value m of that weight, and the root of each other
 # value a in the guard band m - (m >> _BAND_SHIFT) <= a < m; when m has more
 # than _BAND_BITS bits, it takes the root of every value of the weight.  That
@@ -479,10 +479,9 @@ def _box_lines(weights):
     return lines
 
 
-def orbit_step_source(scale, compiled, weights=None):
-    """Python source of one step of an orbit on scaled logarithms:
-    ``unpack_scaled(q, den) -> (z, v)`` without ``weights``, and
-    ``orbit_step(q, den) -> (z, v, box)`` with them.
+def orbit_step_source(scale, compiled):
+    """Python source of ``unpack_scaled(q, den) -> (z, v)``, one step of an
+    orbit on scaled logarithms.
 
     The prologue divides every entry of ``q`` by ``den``, ``z_k, r =
     divmod(q_k, den)``, raising :class:`IntegralityError` through
@@ -492,23 +491,14 @@ def orbit_step_source(scale, compiled, weights=None):
     order: ``v_k, r = divmod(z_k - Q_k, scale)``, so the first ``v_k`` that
     is not an integer fails its own division.  Each power ``v_j ** e``
     (``e > 1``) is computed once, right after ``v_j``; a sum of more than
-    ``_CHUNK`` terms is split into statements.  With ``weights``, the
-    epilogue takes the box length ``max(_root(abs(v_k), w_k))`` of ``v``,
-    weight by weight in increasing order (a law's weights never decrease,
-    so a root that raises does so where the per-coordinate loop raises):
-    one exact integer ``max`` and one root per weight, and a root for each
-    other value of the weight in its guard band, where rounding could
-    reorder two roots; so the float is that of the per-coordinate loop, bit
-    for bit.  The text is a deterministic function of its arguments.
+    ``_CHUNK`` terms is split into statements.  The text is a deterministic
+    function of its arguments.
     """
     n = len(compiled)
-    if weights is not None and len(weights) != n:
-        raise ValueError(f"{len(weights)} weights for {n} coordinates")
     rows = _triangular_rows(scale, compiled)
     powers = sorted({(v, e) for terms in rows for _, ve in terms
                      for v, e in ve if e > 1})
-    name = "unpack_scaled" if weights is None else "orbit_step"
-    lines = [f"def {name}(a0, den):", f"    {_names('z', n)}, = a0", "    if den != 1:"]
+    lines = ["def unpack_scaled(a0, den):", f"    {_names('z', n)}, = a0", "    if den != 1:"]
     for k in range(n):
         lines.extend([f"        z{k}, r = divmod(z{k}, den)",
                       "        if r:",
@@ -529,11 +519,28 @@ def orbit_step_source(scale, compiled, weights=None):
             lines.append("    if r:")
             lines.append(f"        _inexact({scale!r}, r)")
         lines.extend(f"    v{v}_{e} = v{v} ** {e}" for v, e in powers if v == k)
-    result = f"    return ({_names('z', n)},), ({_names('v', n)},)"
-    if weights is not None:
-        lines.extend(_box_lines(weights))
-        result += ", box"
-    lines.append(result)
+    lines.append(f"    return ({_names('z', n)},), ({_names('v', n)},)")
+    return "\n".join(lines) + "\n"
+
+
+def box_source(weights):
+    """Python source of ``box(v)``, the box length ``max(_root(abs(v_k),
+    w_k))`` of an integer vector ``v`` under ``weights``, 0.0 for no
+    coordinate.
+
+    It goes weight by weight in increasing order (a law's weights never
+    decrease, so a root that raises does so where a root per coordinate,
+    in coordinate order, raises): one exact integer ``max`` and one root
+    per weight, and a root for each other value of the weight in its guard
+    band, where rounding could reorder two roots; so the float is that of
+    a root per coordinate, bit for bit.  The text is a deterministic
+    function of its argument.
+    """
+    lines = ["def box(a0):"]
+    if weights:
+        lines.append(f"    {_names('v', len(weights))}, = a0")
+    lines.extend(_box_lines(weights))
+    lines.append("    return box")
     return "\n".join(lines) + "\n"
 
 
@@ -600,10 +607,17 @@ def layer_expander(directions, size):
     return _define("expand", layer_expander_source(directions, size))
 
 
-def orbit_step(scale, compiled, weights=None):
+def orbit_step(scale, compiled):
     """Compile :func:`orbit_step_source` into a function; the text is dropped.
 
     A remainder in a division raises :class:`IntegralityError`.
     """
-    return _define("unpack_scaled" if weights is None else "orbit_step",
-                   orbit_step_source(scale, compiled, weights))
+    return _define("unpack_scaled", orbit_step_source(scale, compiled))
+
+
+def box(weights):
+    """Compile :func:`box_source` into a function; the text is dropped.
+
+    A weight outside ``0..255`` raises ``ValueError``.
+    """
+    return _define("box", box_source(weights))

@@ -25,7 +25,7 @@ from itertools import compress
 from .collect import CollectionLaw
 from .hall import HallBasis
 from .linalg import smith_factors
-from .mpoly import _root
+from .mpoly import _root, box
 
 DEFAULT_RADIUS_CAP = 10
 DEFAULT_BALL_BUDGET = 10_000_000
@@ -580,9 +580,16 @@ def rewrite_mod_last_term(g, spec):
     return trimmed, z
 
 
+@lru_cache(maxsize=64)
+def _box_kernel(weights):
+    """The generated box length ``g -> max_i |e_i|^(1/w_i)`` for a tuple of
+    ``weights`` (:func:`~nilentropy.mpoly.box`), compiled once per tuple."""
+    return box(weights)
+
+
 def _box_length(g, weights):
     """``max_i |e_i|^(1/w_i)`` over the nonzero coordinates, 0.0 at the identity."""
-    return max(map(_root, map(abs, g), weights), default=0.0)
+    return _box_kernel(tuple(weights))(g)
 
 
 def _add_roots(tables, columns, weights):

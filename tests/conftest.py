@@ -1,6 +1,5 @@
 import math
 import random
-from itertools import repeat
 
 import pytest
 
@@ -14,8 +13,7 @@ from nilentropy import (
     power,
 )
 from nilentropy.assoc import scale
-from nilentropy.mpoly import _inexact
-from nilentropy.nilgroup import _box_length, _root
+from nilentropy.nilgroup import _root
 
 
 @pytest.fixture(scope="session")
@@ -134,32 +132,15 @@ def apply_reference(phi, g):
 def box_length_reference(g, weights):
     """Reference box length: ``max_i |e_i|^(1/w_i)`` by a per-coordinate loop.
 
-    This is how ``_box_length`` worked before it became one ``max`` over
-    ``map``; tests keep it as an independent oracle.
+    The package takes box lengths only through its generated kernel
+    (``mpoly.box``, one per weight vector); tests keep this loop as the
+    independent oracle of that kernel.
     """
     value = 0.0
     for v, w in zip(g, weights):
         if v:
             value = max(value, _root(abs(v), w))
     return value
-
-
-def orbit_step_reference(law, q, den):
-    """Reference orbit step ``(z, exp(z / D), box length)`` for ``z = q / den``:
-    a ``divmod`` map with a check of the first remainder, then the law's
-    ``unpack_scaled`` at denominator 1, then ``_box_length``.
-
-    These are the three passes of a Karidi series step before the law
-    generated one ``orbit_step`` kernel; tests keep them as the oracle of
-    that kernel.
-    """
-    z = tuple(q)
-    if den != 1:
-        z, remainders = zip(*map(divmod, z, repeat(den)))
-        if any(remainders):
-            _inexact(den, next(filter(None, remainders)))
-    h = law.unpack_scaled(z, 1)[1]
-    return z, h, _box_length(h, law.weights)
 
 
 def karidi_band_reference(spec, radius, genset=None):

@@ -183,12 +183,14 @@ def test_entropy_subjects(capsys):
     assert json.loads(capsys.readouterr().out)["window"] == [15, 30]
 
 
+# the exact-bfs series of fib omits its entries past n = 4
+@pytest.mark.filterwarnings("ignore:exact length unknown")
 def test_entropy_plot_files(tmp_path, capsys):
     prefix = str(tmp_path / "fib")
     assert main(
         [
             "entropy", "--group", "free:2,2", "--aut", "builtin:fib",
-            "--n", "16", "--plot", prefix, "--plot-modes", "karidi",
+            "--n", "16", "--plot", prefix, "--plot-modes", "karidi,exact-bfs",
         ]
     ) == 0
     capsys.readouterr()
@@ -197,6 +199,14 @@ def test_entropy_plot_files(tmp_path, capsys):
     n, value = lines[0].split()
     assert n == "1"
     float(value)
+    # each plot row is the n and length of the grow command's CSV row
+    for mode in ("karidi", "exact-bfs"):
+        assert main(["grow", "--group", "free:2,2", "--aut", "builtin:fib",
+                     "--subject", "x1", "--n", "16", "--mode", mode]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        plot = (tmp_path / f"fib-{mode}.dat").read_text()
+        assert plot == "".join(row.rsplit(",", 1)[0].replace(",", " ") + "\n" for row in rows)
+        assert any(row.endswith(f",{mode}") for row in rows)
 
 
 def test_tower_rows(capsys):

@@ -34,6 +34,8 @@ from nilentropy import (
 from nilentropy import mpoly
 from nilentropy.mpoly import (
     MPoly,
+    box,
+    box_source,
     compile_poly,
     layer_expander,
     orbit_step,
@@ -41,7 +43,7 @@ from nilentropy.mpoly import (
     straight_line,
     straight_line_source,
 )
-from nilentropy.nilgroup import _box_length, _law_commutator
+from nilentropy.nilgroup import _box_kernel, _box_length, _law_commutator
 
 from conftest import box_length_reference, eval_compiled, unpack_reference
 
@@ -370,21 +372,6 @@ def test_back_substitution_inverts_the_map():
     assert orbit_step(1, unit)((3, 5), 1) == ((3, 5), (3, 14))
 
 
-def test_step_adds_the_box_epilogue_only_with_weights():
-    """Without weights the step is the law's ``unpack_scaled``; with them,
-    ``orbit_step``: the same text up to the return, then the box length."""
-    plain = orbit_step_source(2, TRIANGULAR)
-    boxed = orbit_step_source(2, TRIANGULAR, (1, 2))
-    head = plain.rsplit("\n    return ", 1)[0]
-    assert plain.startswith("def unpack_scaled(a0, den):\n")
-    assert boxed.startswith("def orbit_step(a0, den):\n")
-    assert "box" not in plain and boxed[len("def orbit_step"):].startswith(
-        head[len("def unpack_scaled"):])
-    assert orbit_step(2, TRIANGULAR, (1, 2))((6, -1), 1) == ((6, -1), (3, 4), 3.0)
-    with pytest.raises(ValueError, match="^1 weights for 2 coordinates$"):
-        orbit_step_source(2, TRIANGULAR, (1,))
-
-
 def test_back_substitution_of_a_long_sum():
     # z2 = 6 v2 + Q(v0, v1) with 1201 distinct monomials: three chunked statements
     q = tuple((k - 700 or 1, tuple((v, e) for v, e in ((0, k // 35), (1, k % 35)) if e))
@@ -401,12 +388,6 @@ def test_back_substitution_of_a_long_sum():
             solve(z[:2] + (z[2] + 4,), 1)
 
 
-def _identity_step(weights):
-    """``orbit_step`` of the identity map at scale 1: ``q -> (q, q, box(q))``."""
-    compiled = tuple((1, ((1, ((k, 1),)),)) for k in range(len(weights)))
-    return orbit_step(1, compiled, weights)
-
-
 def _box_outcome(box):
     """``repr`` of ``box()``, or the type and message of what it raised."""
     try:
@@ -416,14 +397,16 @@ def _box_outcome(box):
 
 
 def _assert_box_matches(vec, weights):
-    want = _box_outcome(lambda: _box_length(vec, weights))
-    assert _box_outcome(lambda: box_length_reference(vec, weights)) == want
-    assert _box_outcome(lambda: _identity_step(weights)(vec, 1)[2]) == want
+    """The box kernel of ``weights``, compiled afresh and as ``_box_length``
+    takes it from its cache, against the per-coordinate loop."""
+    want = _box_outcome(lambda: box_length_reference(vec, weights))
+    assert _box_outcome(lambda: box(weights)(vec)) == want
+    assert _box_outcome(lambda: _box_length(vec, weights)) == want
 
 
 # magnitudes of same-weight near-ties: small, 2^53 (the last integer run
 # that floats hold exactly), 2^1024 (where math.log(int) switches to frexp),
-# far beyond, and past 2^16384 bits, where the epilogue takes every root
+# far beyond, and past 2^16384 bits, where the kernel takes every root
 CENTRES = (2 ** 20, 2 ** 32, 2 ** 53, 2 ** 1024, 2 ** 5000, 2 ** 16400, 2 ** 20000)
 
 
@@ -444,7 +427,7 @@ def _box_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(_box_inputs())
 def test_box_epilogue_matches_box_length(inputs):
-    """The generated box epilogue, one root per weight plus its guard band,
+    """The generated box kernel, one root per weight plus its guard band,
     against the root of every coordinate, on near-ties of one weight."""
     _assert_box_matches(*inputs)
 
@@ -477,27 +460,42 @@ def test_box_epilogue_keeps_roots_that_rounding_reorders(monkeypatch, vec, weigh
     """Under a logarithm that reads odd integers high, by 2^-39 up to 2^14
     bits and by 2^-30 past them, the root of an odd value passes that of the
     even value just above it.  The guard band, and past 2^14 bits the root
-    of every value, take that root too."""
+    of every value, take that root too.
+
+    A kernel binds the logarithm it is compiled with, so the cache of
+    kernels is cleared before and after: no kernel compiled under the
+    skewed logarithm outlives the test."""
     def skewed(x):
         if isinstance(x, int) and x % 2:
             return math.log(x) + (2 ** -39 if x.bit_length() <= 2 ** 14 else 2 ** -30)
         return math.log(x)
 
+    _box_kernel.cache_clear()
     monkeypatch.setattr(mpoly, "_log", skewed)
-    # one root per weight, of its largest value, would fall short
-    tops = {w: max(abs(v) for v, u in zip(vec, weights) if u == w) for w in weights}
-    assert (max(mpoly._root(abs(v), w) for v, w in zip(vec, weights))
-            > max(mpoly._root(m, w) for w, m in tops.items()))
-    _assert_box_matches(vec, weights)
+    try:
+        # one root per weight, of its largest value, would fall short
+        tops = {w: max(abs(v) for v, u in zip(vec, weights) if u == w) for w in weights}
+        assert (max(mpoly._root(abs(v), w) for v, w in zip(vec, weights))
+                > max(mpoly._root(m, w) for w, m in tops.items()))
+        _assert_box_matches(vec, weights)
+    finally:
+        monkeypatch.undo()
+        _box_kernel.cache_clear()
+    # odd values of every weight: a kernel left over from the skewed
+    # logarithm would read the largest of them high
+    odd = tuple(abs(v) | 1 for v in vec)
+    assert repr(_box_length(odd, weights)) == repr(box_length_reference(odd, weights))
 
 
 def test_box_epilogue_takes_one_root_per_weight():
-    source = orbit_step_source(1, tuple((1, ((1, ((k, 1),)),)) for k in range(5)),
-                               (1, 1, 2, 2, 2))
+    source = box_source((1, 1, 2, 2, 2))
+    assert source.startswith("def box(a0):\n    v0, v1, v2, v3, v4, = a0\n")
     assert source.count("_exp(_log(m)") == 1
     assert "m = max(abs(v0), abs(v1))" in source
+    assert box((1, 1, 2, 2, 2))((-3, 2, 0, 16, -15)) == 4.0
+    assert box(())(()) == 0.0
     with pytest.raises(ValueError, match="^weight 256 out of range 0..255$"):
-        orbit_step_source(1, ((1, ((1, ((0, 1),)),)),), (256,))
+        box_source((256,))
 
 
 # entry point -> (the law kernel whose division fails, a call through it)
@@ -510,7 +508,7 @@ ENTRY_POINTS = {
     "conjugate": ("multiply", lambda s: conjugate(s.indicator(0), s.indicator(1), s)),
     "apply": ("unpack_scaled",
               lambda s: apply(builtin_automorphism("fib", s), s.indicator(0))),
-    "growth_series": ("orbit_step",
+    "growth_series": ("unpack_scaled",
                       lambda s: growth_series(builtin_automorphism("fib", s), s.indicator(0), 10)),
     "iterate": ("unpack_scaled", lambda s: iterate(builtin_automorphism("fib", s), 3)),
     "bfs_ball": ("layer_expander", lambda s: bfs_ball(s, 1)),
@@ -533,8 +531,6 @@ def test_integrality_error_from_every_entry_point(name):
     odd = tuple((1, ((1, ()), (2, ((k, 1),)))) for k in range(n))
     if kernel == "layer_expander":
         spec.law.layer_expander = lambda directions: layer_expander([bad] * len(directions), n)
-    elif kernel == "orbit_step":
-        spec.law.orbit_step = orbit_step(2, odd, spec.weights)
     elif kernel == "unpack_scaled":
         spec.law.unpack_scaled = orbit_step(2, odd)
     else:
@@ -548,6 +544,7 @@ SOURCE_DIGEST = """
 import hashlib
 from nilentropy import free_nilpotent, surface_quotient
 from nilentropy.mpoly import (
+    box_source,
     layer_expander_source,
     orbit_step_source,
     straight_line_source,
@@ -569,8 +566,8 @@ for spec in (free_nilpotent(2, 3), surface_quotient(2, 3)):
     text = layer_expander_source(law._layer_compiled(directions), law.dim)
     print("expand", len(text), hashlib.sha256(text.encode()).hexdigest())
 for law in (free_nilpotent(3, 4).law, surface_quotient(2, 3).law):
-    text = orbit_step_source(*law._pack_compiled, law.weights)
-    print("orbit_step", len(text), hashlib.sha256(text.encode()).hexdigest())
+    text = box_source(law.weights)
+    print("box", len(text), hashlib.sha256(text.encode()).hexdigest())
 """
 
 
@@ -587,8 +584,8 @@ pack 1091 b3e5a8ba567755eabab12a29025c444fc88b0261b7ed854f982a46764a5e1eeb
 unpack_scaled 4625 310f914909096f81485a144b321f700e4242c8fa5fb0dde4cae3da7741402b16
 expand 1527 99d30669766a81678d5c27bf3283c6ee6a9e6d7e678ea0d39bd60730ffc3ace5
 expand 4656 a598a61299fbe38bda5cfc044283c6642b9328271154b620b128d04a617dbded
-orbit_step 10020 0dd6ff58e9745a733754bc37c7078f59156a306e19f2fc4cb2d4999c841d1b40
-orbit_step 7075 3d1158e7fd42eef177fa6f9f08bc856e295ff9667378c53fb21951c49a164f00
+box 3575 b26cd57ef3917eadd5246efd564dbe71fdc80dbcfee66edc3b8377b933750e44
+box 2600 a8e901c0d4662e1715fa9cbb0f5cbcd8fcacde51aa1ddb5c4d1d9e739fbacb6a
 """
 
 

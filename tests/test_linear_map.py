@@ -41,16 +41,16 @@ from nilentropy import (
     semidirect_unipotent,
     surface_quotient,
 )
-from nilentropy.autom import _karidi_lengths, _orbit, _scatter
+from nilentropy.autom import _orbit
 from nilentropy.collect import bracket_over
 from nilentropy.linalg import bareiss_det
 from nilentropy.mpoly import exact_quotient
+from nilentropy.nilgroup import _box_length
 
 from conftest import (
     apply_reference,
     basis_images_reference,
     box_length_reference,
-    orbit_step_reference,
     unpack_reference,
 )
 
@@ -240,24 +240,30 @@ ORBIT_IDS = ["F(2,5) block", "F(3,4) block", "surface(2,3) twists"]
 
 @pytest.mark.parametrize("make, images", ORBIT_MAPS, ids=ORBIT_IDS)
 def test_orbit_matches_reference(make, images):
+    """The exact orbit, its box lengths and the Karidi series, which maps
+    the box kernel over that orbit, against the reference images and the
+    per-coordinate box length."""
     spec = make()
     phi = Endomorphism(spec, images(spec))
     g = want = tuple(range(1, spec.dim + 1))
-    orbit = zip(_orbit(phi, g), _karidi_lengths(phi, g))
-    for n, (got, box) in enumerate(islice(orbit, 40), 1):
+    series = growth_series(phi, g, 40).lengths()
+    for n, (got, length) in enumerate(zip(_orbit(phi, g), series), 1):
         want = apply_reference(phi, want)
         assert got == want, n
-        assert repr(box) == repr(box_length_reference(want, spec.weights)), n
+        box = repr(box_length_reference(want, spec.weights))
+        assert repr(_box_length(got, spec.weights)) == box, n
+        assert repr(length) == box, n
     assert n == 40
 
 
 @pytest.mark.parametrize("make, images", ORBIT_MAPS, ids=ORBIT_IDS)
 @pytest.mark.parametrize("start", ["range", "generator", "inverse"])
 def test_orbit_step_matches_the_old_path(make, images, start):
-    """Each ``orbit_step`` against the three passes it fuses: the ``divmod``
-    map, ``unpack_scaled`` and ``_box_length``, on ``M p`` computed densely;
-    the exact step, ``unpack_scaled`` on the sparse ``M p``, is the first
-    two."""
+    """Each step of the exact orbit against the passes it was once taken
+    in: ``M p`` computed densely, an exact division by the denominator
+    entry by entry, ``unpack_scaled`` at denominator 1, and the box length
+    of the image against the per-coordinate loop; the images against the
+    reference images."""
     spec = make()
     law = spec.law
     phi = Endomorphism(spec, images(spec))
@@ -266,15 +272,17 @@ def test_orbit_step_matches_the_old_path(make, images, start):
     for j, column in enumerate(columns):
         for i, m in column:
             dense[i][j] = m
-    g = {"range": tuple(range(1, spec.dim + 1)), "generator": spec.indicator(1),
-         "inverse": law.inverse(tuple(range(-3, spec.dim - 3)))}[start]
+    g = want = {"range": tuple(range(1, spec.dim + 1)), "generator": spec.indicator(1),
+                "inverse": law.inverse(tuple(range(-3, spec.dim - 3)))}[start]
     p = law.pack_scaled(g)
-    for n in range(1, 41):
+    for n, got in enumerate(islice(_orbit(phi, g), 40), 1):
         q = [sum(m * v for m, v in zip(row, p)) for row in dense]
-        got = law.orbit_step(q, den)
-        assert got == orbit_step_reference(law, q, den), n
-        assert law.unpack_scaled(_scatter(columns, p), den) == got[:2], n
-        p = got[0]
+        p, h = law.unpack_scaled([exact_quotient(v, den) for v in q], 1)
+        want = apply_reference(phi, want)
+        assert got == h == want, n
+        assert (repr(_box_length(got, spec.weights))
+                == repr(box_length_reference(want, spec.weights))), n
+    assert n == 40
 
 
 LAWS = {
@@ -399,9 +407,9 @@ def test_linear_step_names_the_first_remainder(g):
     with pytest.raises(IntegralityError) as got:
         apply(phi, g)
     assert str(got.value) == str(first.value)
-    with pytest.raises(IntegralityError) as karidi:
-        next(_karidi_lengths(phi, g))
-    assert str(karidi.value) == str(first.value)
+    with pytest.raises(IntegralityError) as orbit:
+        next(_orbit(phi, g))
+    assert str(orbit.value) == str(first.value)
 
 
 # past the largest finite float, about 2^1024: such a coordinate has no
