@@ -137,14 +137,14 @@ class SubgroupLattice:
         return math.prod(abs(r[d]) for r, d in zip(self.rows, self.depths))
 
 
-def subgroup_closure(spec, generators, budget=100_000):
+def subgroup_closure(spec, generators, budget=nilgroup.DEFAULT_CLOSURE_BUDGET):
     """Lattice for the subgroup generated by ``generators``.
 
-    Sifts generators into echelon slots, combining coincident depths with
-    an extended-gcd pair of powers and sifting commutators of the slots
-    until a full round changes no slot; that round proves the rows closed
-    (:func:`~nilentropy.nilgroup._sift_closure`).  ``budget`` caps the
-    group operations of the sift.
+    Sifts generators into echelon slots off one stack, combining coincident
+    depths with an extended-gcd pair of powers; each row that lands in a
+    slot pushes its commutators with the other slots, and an empty stack
+    proves the rows closed (:func:`~nilentropy.nilgroup._sift_closure`).
+    ``budget`` caps the group operations of the sift.
     """
     gens = [spec.check_vector(g) for g in generators]
     return SubgroupLattice(
@@ -171,7 +171,7 @@ def _lower_central_terms(spec, rows, maps, budget=nilgroup.DEFAULT_CLOSURE_BUDGE
         rows = nxt
 
 
-def lower_central_series(spec, budget=100_000):
+def lower_central_series(spec, budget=nilgroup.DEFAULT_CLOSURE_BUDGET):
     """Lattices of the lower central terms, from the whole group down.
 
     Returns ``[G, [G,G], ...]`` ending with the last nontrivial term.  Each
@@ -406,32 +406,20 @@ def _surface_relator(spec, gens, genus):
     return out
 
 
-@lru_cache(maxsize=None)
-def _surface_relator_closure(genus, nil_class):
-    """Lattice of the surface relator's normal closure in the free group.
-
-    These are the rows :func:`surface_quotient` builds on, sifted once
-    (``nilgroup._normal_closure``) and kept for :func:`relator_check`
-    without building the quotient, which refuses torsion the membership
-    test does not mind (genus 2 at class 4).
-    """
-    spec = free_nilpotent(2 * genus, nil_class)
-    base = _surface_relator(spec, [spec.indicator(k) for k in range(2 * genus)], genus)
-    return SubgroupLattice(spec, nilgroup._normal_closure(spec, (base,)))
-
-
 def relator_check(images, genus, nil_class):
     """Test whether generator images respect the surface relator.
 
     Evaluates the relator over the images inside the free class-c group.
     The images define an endomorphism of ``surface_quotient(genus,
     nil_class)`` exactly when that value lies in the relator's normal
-    closure, which is decided by membership in the closure's lattice; the
-    closure is sifted once per ``(genus, nil_class)``.  A degree-2 screen
-    runs first: the value must carry the degree-2 class of the relator or
-    of its inverse, as the image of a surface relation under a mapping
-    class does, so maps such as the collapse onto one generator, whose
-    relator value is trivial, are refused.
+    closure, which is decided by membership in the closure's lattice.  The
+    rows are those :func:`surface_quotient` builds on, from the one cache of
+    ``nilgroup._normal_closure``; the quotient itself is not built, since it
+    refuses torsion the membership test does not mind (genus 2 at class 4).
+    A degree-2 screen runs first: the value must carry the degree-2 class of
+    the relator or of its inverse, as the image of a surface relation under
+    a mapping class does, so maps such as the collapse onto one generator,
+    whose relator value is trivial, are refused.
     """
     rank = 2 * genus
     spec = free_nilpotent(rank, nil_class)
@@ -448,4 +436,4 @@ def relator_check(images, genus, nil_class):
         tuple(spec.law.inverse(base)[k] for k in w2),
     ):
         return False
-    return target in _surface_relator_closure(genus, nil_class)
+    return target in SubgroupLattice(spec, nilgroup._normal_closure(spec, (base,)))

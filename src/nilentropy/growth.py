@@ -257,9 +257,12 @@ def entropy_estimate(series, residual_threshold=0.5):
     logs = [math.log(n) for n in ns]
     ys = [math.log(max(float(e.length), 1.0)) for e in sel]
     slope, exponent, const = _least_squares([(ns, 0), _exact(logs)], _exact(ys))
-    residual = math.sqrt(sum(
-        (slope * n + exponent * log + const - y) ** 2 for n, log, y in zip(ns, logs, ys)
-    ) / len(ys))
+    # a plain running sum: from Python 3.12 on, sum() of floats is
+    # compensated and moves the last bit of the residual
+    square = 0.0
+    for n, log, y in zip(ns, logs, ys):
+        square += (slope * n + exponent * log + const - y) ** 2
+    residual = math.sqrt(square / len(ys))
     if residual > residual_threshold:
         raise DegenerateFitError(
             f"fit residual {residual:.3g} above threshold {residual_threshold}"

@@ -397,17 +397,22 @@ def _sift_closure(spec, generators, maps=(), budget=DEFAULT_CLOSURE_BUDGET,
     holds the image of each of its elements under every map in ``maps``.
 
     Polycyclic sifting (Sims, *Computation with Finitely Presented Groups*,
-    ch. 9): an element is reduced against the row held at its leading
-    coordinate, a coincident depth that does not divide is merged with an
-    extended-gcd pair of powers, and the displaced row is sifted again.
-    Rounds over the rows sift their pairwise commutators and their images
-    under ``maps`` until a round changes no slot.  That round is the closure
-    proof: every commutator of two rows sifted to the identity, so the
-    depth-ordered products of the rows are exactly the subgroup, and no
-    second pass is needed, since the back-reduction below keeps depths and
-    leading entries.  A map only has to be checked on the rows when it is a
-    defect ``g -> g^-1 a(g)`` of an automorphism ``a`` (commutators with a
-    fixed element are such defects).
+    ch. 9) off one stack: a popped element is reduced against the row held
+    at its leading coordinate, a coincident depth that does not divide is
+    merged with an extended-gcd pair of powers, and the displaced row goes
+    back on the stack.  A row that lands in a slot pushes its images under
+    ``maps`` and its commutators with every other slot.  When the stack is
+    empty the rows are closed.  Coordinates are adapted to a central series,
+    so the commutator of rows at depths ``a < b``, pushed when the later of
+    the two was set, sifts only through rows deeper than ``b``.  Every row a
+    slot at depth ``d`` ever held lies in the group of the final rows at
+    depth ``d`` or deeper, since a displaced row is sifted again.  So, by
+    induction from the deepest row up, the depth-ordered products of the
+    final rows are a group, the subgroup, and no second pass is needed,
+    since the back-reduction below keeps depths and leading entries.  A map
+    only has to be checked on the rows when it is a defect ``g -> g^-1
+    a(g)`` of an automorphism ``a`` (commutators with a fixed element are
+    such defects).
 
     Rows come back by increasing leading coordinate with positive leading
     entries, and each entry at a deeper row's depth reduced into
@@ -424,50 +429,36 @@ def _sift_closure(spec, generators, maps=(), budget=DEFAULT_CLOSURE_BUDGET,
             raise SpecError(f"{what} exceeded its operation budget ({budget})")
 
     slots = {}
-    pending = list(generators)
-    touched = False
-
-    def sift(g):
-        nonlocal touched
-        while True:
-            depth = next((i for i, v in enumerate(g) if v), None)
-            if depth is None:
-                return
-            held = slots.get(depth)
-            if held is None:
-                if g[depth] < 0:
-                    charge()
-                    g = law.inverse(g)
-                slots[depth] = g
-                touched = True
-                return
+    stack = list(generators)
+    while stack:
+        g = stack.pop()
+        depth = next((i for i, v in enumerate(g) if v), None)
+        if depth is None:
+            continue
+        held = slots.get(depth)
+        if held is None:
+            if g[depth] < 0:
+                charge()
+                g = law.inverse(g)
+        else:
             q, r = divmod(g[depth], held[depth])
             if r == 0:
                 charge(2)
-                g = law.multiply(law.power(held, -q), g)
+                stack.append(law.multiply(law.power(held, -q), g))
                 continue
             gcd, x, y = _xgcd(held[depth], g[depth])
             charge(5)
-            combined = law.multiply(law.power(held, x), law.power(g, y))
-            g = law.multiply(law.power(combined, -(g[depth] // gcd)), g)
-            slots[depth] = combined
-            touched = True
-            pending.append(held)
-
-    while True:
-        while pending:
-            sift(pending.pop())
-        touched = False
-        rows = [slots[d] for d in sorted(slots)]
-        for i, row in enumerate(rows):
-            for image in maps:
-                charge(5)
-                sift(image(row))
-            for other in rows[:i]:
-                charge(5)
-                sift(_law_commutator(law, row, other))
-        if not touched and not pending:
-            break
+            row = law.multiply(law.power(held, x), law.power(g, y))
+            # the displaced row and the remainder of g are sifted again
+            stack += (slots.pop(depth), law.multiply(law.power(row, -(g[depth] // gcd)), g))
+            g = row
+        for image in maps:
+            charge(5)
+            stack.append(image(g))
+        for other in slots.values():
+            charge(5)
+            stack.append(_law_commutator(law, g, other))
+        slots[depth] = g
     depths = sorted(slots)
     rows = [slots[d] for d in depths]
     for i in range(len(rows) - 1, -1, -1):
@@ -859,8 +850,6 @@ def spec_from_json(data):
         )
     rank = _decode_int(data["rank"])
     nil_class = _decode_int(data["class"])
-    if rank < 1 or nil_class < 1:
-        raise SpecFormatError("rank and class must be positive")
     relations = None
     if "relations" in data and data["relations"]:
         if not isinstance(data["relations"], dict):
@@ -875,7 +864,6 @@ def spec_from_json(data):
                 [_decode_int(x) for x in _json_array(row, f"relation row at weight {key}")]
                 for row in _json_array(rows, f"relations at weight {key}")
             ]
-    basis = HallBasis(rank, nil_class)
     relators = None
     if "relators" in data and data["relators"]:
         if relations is None:
@@ -888,9 +876,10 @@ def spec_from_json(data):
         ]
     try:
         return GroupSpec(
-            basis, relations=relations, relators=relators, generating_set=genset
+            HallBasis(rank, nil_class), relations=relations, relators=relators,
+            generating_set=genset,
         )
-    except SpecError:
+    except TorsionDetected:
         raise
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from exc

@@ -173,6 +173,52 @@ def test_lattice_rows_are_checked_once(heis):
         SubgroupLattice(heis, [(1.5, 0, 0)])
 
 
+def test_subgroup_closure_over_its_budget():
+    # the closure needs about 50 operations
+    spec = free_nilpotent(2, 3)
+    gens = [(2, 0, 0, 0, 0), (0, 3, 0, 0, 0)]
+    with pytest.raises(SpecError, match=r"^subgroup closure exceeded its operation budget \(25\)$"):
+        subgroup_closure(spec, gens, budget=25)
+    # [x1^2, x2^3] = [x1, x2]^6, times 2 or 3 again at weight 3
+    assert subgroup_closure(spec, gens).index() == 2 * 3 * 6 * 12 * 18
+
+
+def test_normal_closure_over_its_budget():
+    # the surface relator's closure in F(4,3) needs about 150 operations
+    cover = free_nilpotent(4, 3)
+    relators = surface_quotient(2, 3).relators
+    maps = nilgroup._generator_commutators(cover)
+    with pytest.raises(SpecError, match=r"^normal closure exceeded its operation budget \(100\)$"):
+        nilgroup._sift_closure(cover, relators, maps, budget=100, what="normal closure")
+    assert nilgroup._sift_closure(cover, relators, maps) == nilgroup._normal_closure(cover, relators)
+
+
+def test_sift_closure_keeps_entries_small(monkeypatch):
+    """Three elements whose normal closure in surface(2,3) a round-by-round
+    sift took minutes over, with entries of millions of bits; one stack
+    keeps every product under 2^64."""
+    spec = surface_quotient(2, 3)
+    gens = (
+        (0, 0, 2, -1, 0, 0, 2, 0, 0, -1, 0, 0, -1, 0, 0, 0, 0, 0, -2, 2, 0, 0, -2, 0, 0),
+        (1, -1, 0, 0, -2, 0, 1, 0, 0, 0, 0, -2, 0, 0, 0, 0, 2, 0, 0, 0, -1, 0, 0, 0, 0),
+        (-2, 0, -1, 0, -1, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, -1, 0, 0, -2, -2, 0, 0),
+    )
+    law = spec.law
+    real = law.multiply
+
+    def guarded(g, h):
+        out = real(g, h)
+        assert all(abs(v) < 2 ** 64 for v in out), "a product entry reached 2^64"
+        return out
+
+    monkeypatch.setattr(law, "multiply", guarded)
+    rows = nilgroup._sift_closure(spec, gens, nilgroup._generator_commutators(spec))
+    assert len(rows) == 24
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "32da93199e8741dbc527d330dfb43d8e9914356c582e2cf90e7c8e7818b83a87"
+    )
+
+
 # ---------------------------------------------------------------------------
 # lower and upper central series
 
@@ -447,7 +493,6 @@ def _count_sifts(monkeypatch):
     """Empty the quotient and closure caches and record every ``_sift_closure``
     call."""
     constructions.surface_quotient.cache_clear()
-    constructions._surface_relator_closure.cache_clear()
     nilgroup._normal_closure.cache_clear()
     sifts = []
     real = nilgroup._sift_closure
@@ -488,7 +533,7 @@ def test_surface_quotient_and_relator_check_share_one_sift(monkeypatch):
     assert relator_check(x, 2, 3)
     assert relator_check(twist, 2, 3)
     assert sifts == [surface.relators]
-    assert constructions._surface_relator_closure(2, 3).rows == surface._nrows
+    assert nilgroup._normal_closure(free_nilpotent(4, 3), surface.relators) == surface._nrows
 
 
 def test_surface_quotient_is_derived_once(monkeypatch):

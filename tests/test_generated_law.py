@@ -43,7 +43,13 @@ from nilentropy.mpoly import (
     straight_line,
     straight_line_source,
 )
-from nilentropy.nilgroup import _box_kernel, _box_length, _law_commutator
+from nilentropy.nilgroup import (
+    _box_kernel,
+    _box_length,
+    _generator_commutators,
+    _law_commutator,
+    _sift_closure,
+)
 
 from conftest import box_length_reference, eval_compiled, unpack_reference
 
@@ -180,8 +186,9 @@ def test_commutator_matches_reference(name, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_subgroup_closure_is_closed(name, data):
-    """The sift's last round, in which no slot changed, is the closure proof:
-    the closure holds both generators and every commutator of its rows.
+    """The sift's stack runs empty only on closed rows: a subgroup closure
+    holds both generators and every commutator of its rows, and a normal
+    closure also holds every row's commutator with each generator.
     Coordinates stay small: a closure of two big elements of F(2,5) takes
     about a second."""
     spec = GROUPS[name]()
@@ -192,6 +199,13 @@ def test_subgroup_closure_is_closed(name, data):
     for i, a in enumerate(rows):
         for b in rows[i + 1:]:
             assert _law_commutator(spec.law, a, b) in lattice
+    n = data.draw(st.tuples(*[st.integers(-2, 2)] * spec.dim))
+    maps = _generator_commutators(spec)
+    normal = SubgroupLattice(spec, _sift_closure(spec, [n], maps))
+    assert n in normal
+    for row in normal.rows:
+        for image in maps:
+            assert image(row) in normal
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -654,6 +654,30 @@ def test_spec_json_rejects_garbage():
         spec_from_json([1, 2, 3])
 
 
+def _spec_payload(rank, nil_class, **fields):
+    return {"rank": rank, "class": nil_class, "convention": "left-collected", **fields}
+
+
+@pytest.mark.parametrize("payload, match", [
+    (_spec_payload(2, 2, relations={"5": [[1]]}), r"^relation weight 5 outside 2\.\.2$"),
+    (_spec_payload(2, 2, relations={"2": [[1, 0]]}),
+     r"^relation row at weight 2 has length 2, expected 1$"),
+    (_spec_payload(2, 2, generating_set=[[1, 0]]),
+     r"^generating set vector of length 2, expected 3$"),
+    (_spec_payload(2, 40), r"^a Hall basis of rank 2 and class 40 has more than \d+ entries$"),
+    (_spec_payload(0, 2), r"^rank must be >= 1, got 0$"),
+], ids=["relation-weight", "relation-row", "generating-set", "class-40", "rank-0"])
+def test_spec_json_refusals_are_format_errors(payload, match):
+    with pytest.raises(SpecFormatError, match=match):
+        spec_from_json(payload)
+
+
+def test_spec_json_torsion_stays_torsion():
+    payload = _spec_payload(2, 2, relations={"2": [[2]]}, relators=[[0, 0, 2]])
+    with pytest.raises(TorsionDetected):
+        spec_from_json(payload)
+
+
 # ---------------------------------------------------------------------------
 # quotients with torsion are refused
 
