@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .autom import (
     Endomorphism,
@@ -52,33 +53,45 @@ from .nilgroup import (
 # argument decoding
 
 
+def _json(text, what):
+    """``text`` decoded as JSON; a decode error is a :class:`SpecFormatError`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecFormatError(f"{what} is not valid JSON: {exc}") from None
+
+
 def _load_group(text):
-    if text.startswith("free:"):
-        m, c = text[len("free:"):].split(",")
-        return free_nilpotent(int(m), int(c))
-    if text.startswith("surface:"):
-        g, c = text[len("surface:"):].split(",")
-        return surface_quotient(int(g), int(c))
-    with open(text) as fh:
-        data = json.load(fh)
-    return spec_from_json(data)
+    kind, _, counts = text.partition(":")
+    if kind in ("free", "surface"):
+        try:
+            a, b = map(int, counts.split(","))
+        except ValueError:
+            raise SpecFormatError(
+                f"bad group {text!r}: expected free:m,c, surface:g,c or a spec JSON file"
+            ) from None
+        return free_nilpotent(a, b) if kind == "free" else surface_quotient(a, b)
+    return spec_from_json(_json(Path(text).read_text(), f"file {text!r}"))
 
 
 def _load_automorphism(text, spec):
     if text.startswith("builtin:"):
         return builtin_automorphism(text[len("builtin:"):], spec)
-    with open(text) as fh:
-        data = json.load(fh)
+    data = _json(Path(text).read_text(), f"file {text!r}")
     if not isinstance(data, dict) or "images" not in data:
         raise SpecFormatError('automorphism file needs an "images" list')
-    images = [vector_from_json(row, spec) for row in _json_array(data["images"], "images")]
-    return Endomorphism(spec, images)
+    images = _json_array(data["images"], "images")
+    if len(images) != spec.rank:
+        raise SpecFormatError(
+            f"automorphism file needs {spec.rank} images, one per generator, got {len(images)}"
+        )
+    return Endomorphism(spec, [vector_from_json(row, spec) for row in images])
 
 
 def _parse_element(text, spec):
     text = text.strip()
     if text.startswith("["):
-        return vector_from_json(json.loads(text), spec)
+        return vector_from_json(_json(text, f"element {text!r}"), spec)
     return eval_word(text, spec)
 
 
@@ -87,11 +100,10 @@ def _fmt_vector(g):
 
 
 def _emit_json(payload, out_path=None):
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        Path(out_path).write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +163,7 @@ def cmd_grow(args):
     phi = _load_automorphism(args.aut, spec)
     g = _parse_element(args.subject, spec)
     series = growth_series(phi, g, args.n, mode=args.mode)
-    if args.out:
-        series_to_csv(series, args.out)
-    else:
-        series_to_csv(series, sys.stdout)
+    series_to_csv(series, args.out or sys.stdout)
     return 0
 
 
@@ -171,10 +180,8 @@ def cmd_entropy(args):
         modes = [m.strip() for m in args.plot_modes.split(",") if m.strip()]
         for mode in modes:
             series = growth_series(phi, subjects[0], args.n, mode=mode)
-            path = f"{args.plot}-{mode}.dat"
-            with open(path, "w") as fh:
-                for entry in series.entries:
-                    fh.write(f"{entry.n} {_length_text(entry)}\n")
+            Path(f"{args.plot}-{mode}.dat").write_text(
+                "".join(f"{entry.n} {_length_text(entry)}\n" for entry in series.entries))
     return 0
 
 
@@ -188,9 +195,7 @@ def cmd_tower(args):
     for row in rows:
         print(f"{row['class']}\t{row['entropy']:.6f}\t{row['residual']:.3g}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        Path(args.out).write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -229,9 +234,7 @@ def cmd_surface(args):
         "hirsch": spec.hirsch_length,
     })
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(spec_to_json(spec), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        Path(args.out).write_text(json.dumps(spec_to_json(spec), sort_keys=True, indent=2) + "\n")
     return 0
 
 

@@ -140,10 +140,11 @@ class SubgroupLattice:
 def subgroup_closure(spec, generators, budget=nilgroup.DEFAULT_CLOSURE_BUDGET):
     """Lattice for the subgroup generated by ``generators``.
 
-    Sifts generators into echelon slots off one stack, combining coincident
-    depths with an extended-gcd pair of powers; each row that lands in a
-    slot pushes its commutators with the other slots, and an empty stack
-    proves the rows closed (:func:`~nilentropy.nilgroup._sift_closure`).
+    Sifts generators into echelon slots off one stack, reducing an element
+    that meets a held row by a power of it, Euclid's algorithm on the
+    leads; each row that lands in a slot pushes its commutators with the
+    other slots, and an empty stack proves the rows closed
+    (:func:`~nilentropy.nilgroup._sift_closure`).
     ``budget`` caps the group operations of the sift.
     """
     gens = [spec.check_vector(g) for g in generators]

@@ -129,7 +129,11 @@ def _length_in_mode(h, spec, mode, genset, costs):
 
 
 def growth_series(phi, g, n_max, mode="karidi", genset=None):
-    """Series ℓ(φⁿ(g)) for n = 1..n_max in the requested length mode."""
+    """Series ℓ(φⁿ(g)) for n = 1..n_max in the requested length mode.
+
+    ``karidi`` and ``normalform-upper`` lengths are floats: an orbit past
+    2^1024 raises :class:`OverflowError` (fib's on F(2,2) before n = 1500).
+    """
     return _growth_series(phi, g, n_max, mode, genset, stacklevel=3)
 
 
@@ -373,6 +377,10 @@ def finite_index_experiment(phi, subgroup_generators, n_max=30,
 
     The subgroup metric uses the subgroup's own polycyclic coordinates
     (karidi mode) or BFS over its generating rows (exact-bfs mode).
+    Exact-bfs subgroup lengths stop at :func:`geodesic_length`'s radius cap
+    of 10, so on the Heisenberg group's index-4 subgroup of ``(2,0,0),
+    (0,2,0), (0,0,1)`` unipotent-shear, central-shear and fib all end in
+    :class:`InsufficientDataError`.
     """
     if mode not in ("karidi", "exact-bfs"):
         raise SpecError(f"subgroup series supports karidi or exact-bfs, not {mode!r}")

@@ -355,21 +355,6 @@ def free_nilpotent(rank, nil_class):
 # polycyclic sift closure (normal closures, subgroups, central series)
 
 
-def _xgcd(a, b):
-    """Greatest common divisor with Bezout coefficients, gcd positive."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _law_commutator(law, g, h):
     """``g^-1 h^-1 g h`` as ``(h g)^-1 (g h)``, straight on the law, no checks."""
     return law.multiply(law.inverse(law.multiply(h, g)), law.multiply(g, h))
@@ -397,22 +382,25 @@ def _sift_closure(spec, generators, maps=(), budget=DEFAULT_CLOSURE_BUDGET,
     holds the image of each of its elements under every map in ``maps``.
 
     Polycyclic sifting (Sims, *Computation with Finitely Presented Groups*,
-    ch. 9) off one stack: a popped element is reduced against the row held
-    at its leading coordinate, a coincident depth that does not divide is
-    merged with an extended-gcd pair of powers, and the displaced row goes
-    back on the stack.  A row that lands in a slot pushes its images under
-    ``maps`` and its commutators with every other slot.  When the stack is
-    empty the rows are closed.  Coordinates are adapted to a central series,
-    so the commutator of rows at depths ``a < b``, pushed when the later of
-    the two was set, sifts only through rows deeper than ``b``.  Every row a
-    slot at depth ``d`` ever held lies in the group of the final rows at
-    depth ``d`` or deeper, since a displaced row is sifted again.  So, by
-    induction from the deepest row up, the depth-ordered products of the
-    final rows are a group, the subgroup, and no second pass is needed,
-    since the back-reduction below keeps depths and leading entries.  A map
-    only has to be checked on the rows when it is a defect ``g -> g^-1
-    a(g)`` of an automorphism ``a`` (commutators with a fixed element are
-    such defects).
+    ch. 9) off one stack, by one rule: a popped ``g`` whose leading
+    coordinate ``d`` meets the slot's row ``held`` becomes ``held^-q g``,
+    ``q = g[d] // held[d]``.  It goes back on the stack if its entry at
+    ``d`` is now 0; otherwise that remainder lies in ``(0, held[d])``, so
+    ``g`` takes the slot and ``held`` goes back on the stack: Euclid's
+    algorithm on the leads.  A row that lands in a slot pushes its images
+    under ``maps`` and its commutators with every other slot.  When the
+    stack is empty the rows are closed.  Coordinates are adapted to a
+    central series, so the commutator of rows at depths ``a < b``, pushed
+    when the later of the two was set, sifts only through rows deeper than
+    ``b``.  Every row a slot at depth ``d`` ever held lies in the group of
+    the final rows at depth ``d`` or deeper, since a displaced row is sifted
+    again.  So, by induction from the deepest row up, the depth-ordered
+    products of the final rows are a group, the subgroup, and no second
+    pass is needed, since the back-reduction below keeps depths and leading
+    entries.  Each remainder that lands strictly lowers the positive lead
+    at its depth, so the Euclid steps at any one depth end.  A map only has
+    to be checked on the rows when it is a defect ``g -> g^-1 a(g)`` of an
+    automorphism ``a`` (commutators with a fixed element are such defects).
 
     Rows come back by increasing leading coordinate with positive leading
     entries, and each entry at a deeper row's depth reduced into
@@ -441,17 +429,13 @@ def _sift_closure(spec, generators, maps=(), budget=DEFAULT_CLOSURE_BUDGET,
                 charge()
                 g = law.inverse(g)
         else:
-            q, r = divmod(g[depth], held[depth])
-            if r == 0:
-                charge(2)
-                stack.append(law.multiply(law.power(held, -q), g))
+            charge(2)
+            g = law.multiply(law.power(held, -(g[depth] // held[depth])), g)
+            if not g[depth]:
+                stack.append(g)
                 continue
-            gcd, x, y = _xgcd(held[depth], g[depth])
-            charge(5)
-            row = law.multiply(law.power(held, x), law.power(g, y))
-            # the displaced row and the remainder of g are sifted again
-            stack += (slots.pop(depth), law.multiply(law.power(row, -(g[depth] // gcd)), g))
-            g = row
+            # the remainder takes the slot; the displaced row is sifted again
+            stack.append(slots.pop(depth))
         for image in maps:
             charge(5)
             stack.append(image(g))

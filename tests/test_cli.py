@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from nilentropy import spec_from_json
-from nilentropy.cli import main
+from nilentropy import SpecFormatError, spec_from_json
+from nilentropy.cli import _load_group, main
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 
@@ -316,6 +316,40 @@ def test_malformed_images_exit_1(tmp_path, capsys, images):
     path.write_text(json.dumps({"images": images}))
     assert main(["aut-check", "--group", "free:2,2", "--aut", str(path)]) == 1
     assert capsys.readouterr().err == f"error: images must be a JSON array, got {images!r}\n"
+
+
+@pytest.mark.parametrize("group", ["free:2", "free:a,b", "surface:2", "free:2,2,2", "free:"])
+def test_malformed_group_names_the_forms(capsys, group):
+    with pytest.raises(SpecFormatError):
+        _load_group(group)
+    assert main(["eval", "--group", group, "--word", "x1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad group {group!r}: expected free:m,c, surface:g,c or a spec JSON file\n"
+    )
+
+
+def test_wrong_image_count_exits_1(tmp_path, capsys):
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps({"images": [[1, 0, 0]]}))
+    assert main(["aut-check", "--group", "free:2,2", "--aut", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: automorphism file needs 2 images, one per generator, got 1\n"
+    )
+
+
+def test_malformed_json_exits_1(tmp_path, capsys):
+    assert main(["mul", "--group", "free:2,2", "--left", "[1,0", "--right", "x1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: element '[1,0' is not valid JSON: "
+        "Expecting ',' delimiter: line 1 column 5 (char 4)\n"
+    )
+    path = tmp_path / "aut.json"
+    path.write_text('{"images": [')
+    assert main(["aut-check", "--group", "free:2,2", "--aut", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: file {str(path)!r} is not valid JSON: "
+        "Expecting value: line 1 column 13 (char 12)\n"
+    )
 
 
 # sha256 of stdout, and of the file ``surface --out`` writes, for each command

@@ -188,17 +188,20 @@ def test_commutator_matches_reference(name, data):
 def test_subgroup_closure_is_closed(name, data):
     """The sift's stack runs empty only on closed rows: a subgroup closure
     holds both generators and every commutator of its rows, and a normal
-    closure also holds every row's commutator with each generator.
-    Coordinates stay small: a closure of two big elements of F(2,5) takes
-    about a second."""
+    closure also holds every row's commutator with each generator.  The
+    rows are canonical: other generators of the same subgroup, met in
+    another order, give the same rows.  Coordinates stay small: a closure
+    of two big elements of F(2,5) takes about a second."""
     spec = GROUPS[name]()
+    law = spec.law
     g, h = (data.draw(st.tuples(*[st.integers(-9, 9)] * spec.dim)) for _ in range(2))
     lattice = subgroup_closure(spec, [g, h])
     assert g in lattice and h in lattice
     rows = lattice.rows
     for i, a in enumerate(rows):
         for b in rows[i + 1:]:
-            assert _law_commutator(spec.law, a, b) in lattice
+            assert _law_commutator(law, a, b) in lattice
+    assert subgroup_closure(spec, [h, law.multiply(g, h), law.inverse(g)]).rows == rows
     n = data.draw(st.tuples(*[st.integers(-2, 2)] * spec.dim))
     maps = _generator_commutators(spec)
     normal = SubgroupLattice(spec, _sift_closure(spec, [n], maps))
@@ -206,6 +209,7 @@ def test_subgroup_closure_is_closed(name, data):
     for row in normal.rows:
         for image in maps:
             assert image(row) in normal
+    assert _sift_closure(spec, [law.inverse(n)], maps) == normal.rows
 
 
 @pytest.mark.parametrize("name", GROUPS)

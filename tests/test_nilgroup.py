@@ -678,6 +678,64 @@ def test_spec_json_torsion_stays_torsion():
         spec_from_json(payload)
 
 
+# JSON values of the wrong type for a count, an entry or an array
+JSON_ODDITY = st.sampled_from(
+    ["true", "false", "null", '"x"', '""', '"2"', "1.5", "-1", "[]", "[0]", "{}"]
+).map(json.loads)
+
+
+def _json_paths(value, path=()):
+    """The path to every value inside a decoded JSON array or object."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield path + (key,)
+        if isinstance(item, (dict, list)):
+            yield from _json_paths(item, path + (key,))
+
+
+def _int_rows(width, most):
+    return st.lists(st.lists(st.integers(-1, 1), min_size=width, max_size=width),
+                    min_size=1, max_size=most)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_spec_json_fuzz_ends_in_a_spec_or_a_refusal(data):
+    """A spec payload of rank 1-3 and class 1-3, with rows at random weights
+    and up to two values replaced by ones of the wrong type, length or
+    weight, builds a spec that round-trips, or is refused with
+    :class:`SpecFormatError` or :class:`TorsionDetected`, never another
+    error.  The class stays at 3: no budget bounds a law derivation."""
+    rank, nil_class = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    basis = HallBasis(rank, nil_class)
+    count = st.sampled_from([int, str])
+    payload = {"rank": data.draw(count)(rank), "class": data.draw(count)(nil_class),
+               "convention": "left-collected"}
+    widths = {d: basis.graded_dimension(d) for d in range(1, nil_class + 1)}
+    weights = data.draw(st.lists(st.integers(2, max(nil_class, 2)), max_size=2, unique=True))
+    if not data.draw(st.integers(0, 3)):
+        weights.append(data.draw(st.sampled_from([1, nil_class + 1])))
+    if weights:
+        payload["relations"] = {str(d): data.draw(_int_rows(widths.get(d, 1), 2)) for d in weights}
+    if not data.draw(st.integers(0, 3)):
+        # relators in the commutator subgroup: zero on the generators
+        payload["relators"] = [[0] * rank + r for r in data.draw(_int_rows(len(basis) - rank, 2))]
+    if data.draw(st.booleans()):
+        payload["generating_set"] = data.draw(_int_rows(len(basis), 3))
+    for _ in range(data.draw(st.integers(0, 2))):
+        *path, last = data.draw(st.sampled_from(list(_json_paths(payload))))
+        parent = payload
+        for key in path:
+            parent = parent[key]
+        parent[last] = data.draw(JSON_ODDITY)
+    try:
+        spec = spec_from_json(json.loads(json.dumps(payload)))
+    except (SpecFormatError, TorsionDetected):
+        return
+    assert isinstance(spec, GroupSpec)
+    assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+
 # ---------------------------------------------------------------------------
 # quotients with torsion are refused
 
