@@ -62,8 +62,8 @@ def _json(text, what):
 
 
 def _load_group(text):
-    kind, _, counts = text.partition(":")
-    if kind in ("free", "surface"):
+    kind, sep, counts = text.partition(":")
+    if sep and kind in ("free", "surface"):
         try:
             a, b = map(int, counts.split(","))
         except ValueError:
