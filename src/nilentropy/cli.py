@@ -37,6 +37,7 @@ from .growth import (
 from .hall import HallBasis
 from .nilgroup import (
     SpecFormatError,
+    _decode_int,
     _json_array,
     eval_word,
     geodesic_length,
@@ -189,8 +190,12 @@ def cmd_tower(args):
     spec = _load_group(args.group)
     phi = _load_automorphism(args.aut, spec)
     g = _parse_element(args.subject, spec)
-    classes = sorted({int(x) for x in args.classes.split(",")})
-
+    try:
+        classes = [_decode_int(x.strip()) for x in args.classes.split(",")]
+    except SpecFormatError:
+        raise SpecFormatError(
+            f"bad --classes {args.classes!r}: expected a comma list of integers, e.g. 2,3,4"
+        ) from None
     rows = quotient_tower(phi, g, classes, n_max=args.n, mode=args.mode)
     for row in rows:
         print(f"{row['class']}\t{row['entropy']:.6f}\t{row['residual']:.3g}")

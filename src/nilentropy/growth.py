@@ -4,10 +4,12 @@ Series ℓ(φⁿ(g)) in several length modes, entropy and polynomial-degree
 fits, and the comparison experiments: abelianization, quotient tower,
 finite-index subgroups, and subgroup distortion.
 
-Every series walks the exact orbit of ``autom._orbit``.  A Karidi length,
-in the ambient group, a subgroup or a distortion layer, is one call of
-the generated box kernel of its weights (``nilgroup._box_kernel``), fetched
-once per series or layer.
+Every series maps one length function, picked once by its mode, over the
+exact orbit of ``autom._orbit``.  A Karidi length, in the ambient group, a
+subgroup or a distortion layer, is one call of the generated box kernel of
+its weights (``nilgroup._box_kernel``), fetched once per series or layer.
+An exact-bfs entry past the BFS radius cap is omitted with a
+:class:`GrowthWarning`, issued at the first caller outside this module.
 
 The three fits share one least-squares routine.  Every float is an integer
 over a power of two, so it forms the normal equations exactly in integers
@@ -20,9 +22,11 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 
 from . import nilgroup
@@ -110,18 +114,13 @@ class PolyFit(namedtuple("PolyFit", ["degree", "correlation"])):
 # length modes
 
 
-def _normalform_costs(spec):
-    """Word-length cost of each coordinate direction (an upper bound): 1 at a
-    generator, and at a bracket twice the sum of its parts, the length of
-    ``u^-1 v^-1 u v``."""
+def _normalform_length(spec):
+    """The normal-form upper bound on word length: the sum of the
+    coordinates' costs, 1 at a generator, and at a bracket twice the sum of
+    its parts, the length of ``u^-1 v^-1 u v``."""
     free_costs = spec.basis.evaluate(lambda gen: 1, lambda a, b: 2 * (a + b))
-    return tuple(free_costs[p] for p in spec._positions)
-
-
-def _length_in_mode(h, spec, mode, genset, costs):
-    if mode == "exact-bfs":
-        return geodesic_length(h, spec, genset=genset)
-    return float(sum(abs(v) * c for v, c in zip(h, costs)))
+    costs = tuple(free_costs[p] for p in spec._positions)
+    return lambda h: float(sum(abs(v) * c for v, c in zip(h, costs)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +132,10 @@ def growth_series(phi, g, n_max, mode="karidi", genset=None):
 
     ``karidi`` and ``normalform-upper`` lengths are floats: an orbit past
     2^1024 raises :class:`OverflowError` (fib's on F(2,2) before n = 1500).
+    ``exact-bfs`` lengths are integers; an entry past the BFS radius cap is
+    omitted with a :class:`GrowthWarning` at the first caller outside this
+    module.
     """
-    return _growth_series(phi, g, n_max, mode, genset, stacklevel=3)
-
-
-def _growth_series(phi, g, n_max, mode, genset, stacklevel):
-    """:func:`growth_series`, its warnings issued with ``stacklevel``, that of
-    a warning issued here."""
     if mode not in MODES:
         raise SpecError(
             f"unknown growth mode {mode!r}; expected one of {', '.join(MODES)}"
@@ -151,26 +147,30 @@ def _growth_series(phi, g, n_max, mode, genset, stacklevel):
     if not is_automorphism(phi):
         raise SpecError("growth series requires an automorphism")
     g = spec.check_vector(g)
-    costs = _normalform_costs(spec) if mode == "normalform-upper" else None
     if mode == "karidi":
-        lengths = map(nilgroup._box_kernel(spec.weights), _orbit(phi, g))
+        length = nilgroup._box_kernel(spec.weights)
+    elif mode == "exact-bfs":
+        length = partial(geodesic_length, spec=spec, genset=genset)
     else:
-        lengths = (_length_in_mode(h, spec, mode, genset, costs) for h in _orbit(phi, g))
-    return _collect_series(phi, g, lengths, n_max, mode,
-                           "exact length unknown at n={n}; entry omitted", stacklevel)
+        length = _normalform_length(spec)
+    return _collect_series(phi, g, map(length, _orbit(phi, g)), n_max, mode,
+                           "exact length unknown at n={n}; entry omitted")
 
 
-def _collect_series(phi, g, lengths, n_max, mode, omitted, stacklevel):
+def _collect_series(phi, g, lengths, n_max, mode, omitted):
     """The :class:`GrowthSeries` of the first ``n_max`` of ``lengths``.
 
     A ``None`` length is omitted with a :class:`GrowthWarning`, the message
-    ``omitted`` formatted with its ``n``; ``stacklevel`` is that of a warning
-    issued in the caller.
+    ``omitted`` formatted with its ``n``, issued at the first frame outside
+    this module.
     """
     entries = []
     for n, length in zip(range(1, n_max + 1), lengths):
         if length is None:
-            warnings.warn(omitted.format(n=n), GrowthWarning, stacklevel=stacklevel + 1)
+            frame, level = sys._getframe(1), 2
+            while frame.f_globals is globals():
+                frame, level = frame.f_back, level + 1
+            warnings.warn(omitted.format(n=n), GrowthWarning, stacklevel=level)
             continue
         entries.append(GrowthEntry(n, length, mode))
     return GrowthSeries(tuple(entries), subject=g, automorphism=phi)
@@ -308,9 +308,8 @@ def abelian_comparison(phi, generators=None, n_max=30, mode="karidi",
         generators = [spec.indicator(k) for k in range(spec.rank)]
     if not generators:
         raise SpecError("abelian comparison needs at least one generator")
-    # max keeps the first of equal estimates; a warning points past the
-    # generator expression, at the caller
-    best = max((entropy_estimate(_growth_series(phi, g, n_max, mode, genset, stacklevel=4))
+    # max keeps the first of equal estimates
+    best = max((entropy_estimate(growth_series(phi, g, n_max, mode, genset))
                 for g in generators), key=operator.attrgetter("value"))
     return {
         "spectral_radius": rho,
@@ -339,7 +338,7 @@ def quotient_tower(phi, g, classes, n_max=30, mode="karidi"):
             images = [project(img, k, spec) for img in phi.images]
             phi_k = Endomorphism(tspec, images)
             g_k = project(g, k, spec)
-        series = _growth_series(phi_k, g_k, n_max, mode, None, stacklevel=3)
+        series = growth_series(phi_k, g_k, n_max, mode)
         est = entropy_estimate(series)
         rows.append({
             "class": k,
@@ -355,20 +354,16 @@ def _subgroup_series(phi, g, lattice, n_max, mode):
     spec = phi.spec
     box = nilgroup._box_kernel(tuple(spec.weights[d] for d in lattice.depths))
 
-    def lengths():
-        for h in _orbit(phi, g):
-            coeffs = lattice.reduce(h)
-            if coeffs is None:
-                raise SpecError("iterate left the subgroup")
-            if mode == "karidi":
-                yield box(coeffs)
-            else:
-                yield geodesic_length(h, spec, genset=lattice.rows)
+    def length(h):
+        coeffs = lattice.reduce(h)
+        if coeffs is None:
+            raise SpecError("iterate left the subgroup")
+        if mode == "karidi":
+            return box(coeffs)
+        return geodesic_length(h, spec, genset=lattice.rows)
 
-    # the warning points past the generator expression of
-    # finite_index_experiment that calls this, at the experiment's caller
-    return _collect_series(phi, tuple(g), lengths(), n_max, mode,
-                           "exact subgroup length unknown at n={n}; entry omitted", stacklevel=4)
+    return _collect_series(phi, tuple(g), map(length, _orbit(phi, g)), n_max, mode,
+                           "exact subgroup length unknown at n={n}; entry omitted")
 
 
 def finite_index_experiment(phi, subgroup_generators, n_max=30,
@@ -459,7 +454,7 @@ def unipotent_degree_sweep(ranks=(2, 3, 4), nil_class=3, n_max=24,
         phi = builtin_automorphism("unipotent-shear", spec)
         degrees = []
         for k in range(m):
-            series = _growth_series(phi, spec.indicator(k), n_max, mode, None, stacklevel=3)
+            series = growth_series(phi, spec.indicator(k), n_max, mode)
             fit = poly_degree_fit(series)
             degrees.append(fit.degree)
         out.append({
@@ -475,15 +470,6 @@ def unipotent_degree_sweep(ranks=(2, 3, 4), nil_class=3, n_max=24,
 # CSV round trip
 
 
-def _write_series_rows(series, fh):
-    import csv
-
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["n", "length", "mode"])
-    for e in series.entries:
-        writer.writerow([e.n, _length_text(e), e.mode])
-
-
 def _length_text(entry):
     """The length of a series entry as written: an exact-bfs length as an
     integer, any other as the ``repr`` of its float."""
@@ -494,22 +480,24 @@ def _length_text(entry):
 
 def series_to_csv(series, path_or_file):
     """Write ``n,length,mode`` rows; exact-bfs lengths stay integers."""
-    if hasattr(path_or_file, "write"):
-        _write_series_rows(series, path_or_file)
-        return
-    with open(path_or_file, "w", newline="") as fh:
-        _write_series_rows(series, fh)
+    if not hasattr(path_or_file, "write"):
+        with open(path_or_file, "w", newline="") as fh:
+            return series_to_csv(series, fh)
+    import csv
+
+    writer = csv.writer(path_or_file, lineterminator="\n")
+    writer.writerow(["n", "length", "mode"])
+    writer.writerows([e.n, _length_text(e), e.mode] for e in series.entries)
 
 
 def series_from_csv(path_or_file):
     """Read a series written by :func:`series_to_csv`."""
+    if not hasattr(path_or_file, "read"):
+        with open(path_or_file, newline="") as fh:
+            return series_from_csv(fh)
     import csv
 
-    if hasattr(path_or_file, "read"):
-        rows = list(csv.reader(path_or_file))
-    else:
-        with open(path_or_file, newline="") as fh:
-            rows = list(csv.reader(fh))
+    rows = list(csv.reader(path_or_file))
     if not rows or rows[0] != ["n", "length", "mode"]:
         raise SpecError("missing n,length,mode header")
     entries = []

@@ -771,14 +771,16 @@ def _encode_int(v):
 
 
 def _decode_int(v):
+    """An integer, or a string of ASCII decimal digits after an optional
+    sign, as an ``int``."""
     if isinstance(v, bool):
         raise SpecFormatError(f"expected integer, got {v!r}")
     if isinstance(v, int):
         return v
-    if isinstance(v, str):
+    if isinstance(v, str) and re.fullmatch("[+-]?[0-9]+", v):
         try:
-            return int(v, 10)
-        except ValueError as exc:
+            return int(v)
+        except ValueError as exc:  # past the interpreter's digit limit
             raise SpecFormatError(f"bad integer literal {v!r}") from exc
     raise SpecFormatError(f"expected integer or decimal string, got {v!r}")
 
@@ -841,7 +843,7 @@ def spec_from_json(data):
         relations = {}
         for key, rows in data["relations"].items():
             try:
-                d = int(key)
+                d = _decode_int(key)
             except ValueError as exc:
                 raise SpecFormatError(f"bad relation weight {key!r}") from exc
             relations[d] = [

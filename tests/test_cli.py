@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nilentropy import SpecFormatError, spec_from_json
+from nilentropy import GrowthWarning, SpecFormatError, spec_from_json
 from nilentropy.cli import _load_group, main
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -234,6 +235,26 @@ def test_tower_out_file(tmp_path, capsys):
     assert [row["class"] for row in rows] == [2, 3]
     assert lines == [f"{r['class']}\t{r['entropy']:.6f}\t{r['residual']:.3g}" for r in rows]
     assert set(rows[0]) == {"class", "entropy", "residual", "window"}
+
+
+@pytest.mark.parametrize("classes", ["2,a", "2,,3"])
+def test_tower_refuses_bad_classes(capsys, classes):
+    assert main(["tower", "--group", "free:2,3", "--aut", "builtin:fib",
+                 "--classes", classes]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad --classes {classes!r}: expected a comma list of integers, e.g. 2,3,4\n"
+    )
+
+
+def test_grow_warnings_point_at_the_cli():
+    """An exact-bfs entry past the radius cap warns at the first frame outside
+    ``growth.py``: the CLI's call, not a line inside the series code and not
+    the caller of ``main``."""
+    with pytest.warns(GrowthWarning, match="^exact length unknown") as omitted:
+        assert main(["grow", "--group", "free:2,2", "--aut", "builtin:fib", "--subject", "x1",
+                     "--n", "12", "--mode", "exact-bfs", "--out", os.devnull]) == 0
+    assert omitted and all(w.filename.endswith(str(Path("nilentropy", "cli.py")))
+                           for w in omitted)
 
 
 def test_distortion_trivial_weight(capsys):

@@ -658,6 +658,11 @@ def _spec_payload(rank, nil_class, **fields):
     return {"rank": rank, "class": nil_class, "convention": "left-collected", **fields}
 
 
+# strings that int() reads but a JSON integer is not: an optional sign and
+# ASCII digits only
+NOT_DECIMAL = ("1_0", " 1 ", "٢")
+
+
 @pytest.mark.parametrize("payload, match", [
     (_spec_payload(2, 2, relations={"5": [[1]]}), r"^relation weight 5 outside 2\.\.2$"),
     (_spec_payload(2, 2, relations={"2": [[1, 0]]}),
@@ -666,7 +671,15 @@ def _spec_payload(rank, nil_class, **fields):
      r"^generating set vector of length 2, expected 3$"),
     (_spec_payload(2, 40), r"^a Hall basis of rank 2 and class 40 has more than \d+ entries$"),
     (_spec_payload(0, 2), r"^rank must be >= 1, got 0$"),
-], ids=["relation-weight", "relation-row", "generating-set", "class-40", "rank-0"])
+    *[(_spec_payload(text, 2), rf"^expected integer or decimal string, got '{text}'$")
+      for text in NOT_DECIMAL],
+    *[(_spec_payload(2, 2, relations={text: [[1]]}), rf"^bad relation weight '{text}'$")
+      for text in NOT_DECIMAL],
+    *[(_spec_payload(2, 2, generating_set=[[text, 0, 0], [0, 1, 0]]),
+       rf"^expected integer or decimal string, got '{text}'$") for text in NOT_DECIMAL],
+], ids=["relation-weight", "relation-row", "generating-set", "class-40", "rank-0",
+        *(f"{where}-{kind}" for where in ("count", "relation-key", "vector-entry")
+          for kind in ("underscore", "spaces", "arabic-digit"))])
 def test_spec_json_refusals_are_format_errors(payload, match):
     with pytest.raises(SpecFormatError, match=match):
         spec_from_json(payload)
